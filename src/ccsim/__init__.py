@@ -6,16 +6,16 @@ two-phase-commit baseline), a coordinator with snapshot/restart, an offline
 verifier, and a workload harness.
 """
 
-from .clock import CollectiveClock, GroupKey, TargetTable, compute_ggid, reached_all_targets
-from .coordinator import (
-    CheckpointCoordinator,
+from .clock import (
+    CollectiveClock,
+    GroupKey,
     KeyValueStore,
-    QuiescenceLedger,
-    SnapshotImage,
+    TargetTable,
+    compute_ggid,
     compute_targets,
-    make_protocol,
-    restart,
+    reached_all_targets,
 )
+from .coordinator import CheckpointCoordinator, SnapshotImage, make_protocol, restart
 from .cc import CcState, CollectiveClockProtocol, UPDATE_TAG, TargetUpdateMsg
 from .driver import RunResult, compare, load_scenario, run, run_restart
 from .errors import (
@@ -35,6 +35,7 @@ from .explore import ExplorationResult, explore_small
 from .metrics import MetricsReport, collect_metrics
 from .runtime import (
     NullProtocol,
+    ProtocolAdapter,
     RequestObject,
     Scheduler,
     Simulator,

@@ -16,16 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clock import CollectiveClock, GroupKey, TargetTable, reached_all_targets
+from .clock import CollectiveClock, GroupKey, TargetTable, compute_targets, reached_all_targets
 from .errors import ProtocolViolationError
 from .runtime import (
-    BLOCKED_REQ,
+    COMPLETE,
+    COORD,
+    CONSUMED,
     FINISHED,
     PARK,
     PARKED,
     PENDING,
     PROCEED,
     CommRecord,
+    ProtocolAdapter,
     RequestObject,
 )
 
@@ -63,7 +66,7 @@ class CcState:
         self.update_recv_count = 0
 
 
-class CollectiveClockProtocol:
+class CollectiveClockProtocol(ProtocolAdapter):
     """Adapter wiring the collective clock into the runtime's wrapper seam."""
 
     name = "cc"
@@ -78,7 +81,7 @@ class CollectiveClockProtocol:
         self.internal_comm = None
 
     def bind(self, sim):
-        self.sim = sim
+        super().bind(sim)
         self.states = [CcState() for _ in range(sim.world_size)]
         self.internal_comm = CommRecord(INTERNAL_COMM_ID, range(sim.world_size))
 
@@ -215,37 +218,27 @@ class CollectiveClockProtocol:
     def finished_step(self, rank):
         self._apply_queue(rank.id, finished=True)
 
-    def stopped_enabled(self, rank):
-        raise ProtocolViolationError("collective clock never stops ranks")
-
-    def barrier_step(self, rank):
-        raise ProtocolViolationError("collective clock inserts no barriers")
-
-    def rank_finished(self, rank):
-        pass
-
     # --------------------------------------------------------- round hooks
 
     def on_round_start(self, sim, store):
+        """Deliver the pending flag, gather every clock, install the maxima."""
         for rank in sim.ranks:
             st = self.states[rank.id]
             st.ckpt_pending = True
             store.add_report(rank.id, st.clock.copy())
-
-    def install_targets(self, table: dict):
+        targets = compute_targets(store, sim.world_size)
         for st in self.states:
-            st.targets.install(table)
-
-    def reached(self, rank_id: int) -> bool:
-        st = self.states[rank_id]
-        return reached_all_targets(st.clock, st.targets, rank_id)
+            st.targets.install(targets)
+        initial = _by_label(targets)
+        sim.emit(COORD, "targets_computed", targets=initial)
+        return initial
 
     def quiescent(self, sim) -> bool:
         """All ranks parked or finished at their targets, no update in flight."""
         for rank in sim.ranks:
             st = self.states[rank.id]
             if rank.stage == FINISHED:
-                if st.ckpt_pending and not self.reached(rank.id):
+                if st.ckpt_pending and not reached_all_targets(st.clock, st.targets, rank.id):
                     raise ProtocolViolationError(
                         f"rank {rank.id} finished its program below a target; "
                         "some member runs more collectives on a shared group"
@@ -259,21 +252,6 @@ class CollectiveClockProtocol:
             raise ProtocolViolationError(f"applied {recv} updates but only {sent} were sent")
         return sent == recv
 
-    def ledger_view(self, sim):
-        """Per-rank status and counters for the coordinator's quiescence ledger."""
-        view = {}
-        for rank in sim.ranks:
-            st = self.states[rank.id]
-            at_poll_point = rank.stage in (PARKED, FINISHED) or (
-                rank.stage == BLOCKED_REQ and not st.update_queue)
-            reached = not st.update_queue and self.reached(rank.id)
-            view[rank.id] = {
-                "status": "reached" if (at_poll_point and reached) else "running",
-                "sent": st.update_sent_count,
-                "received": st.update_recv_count,
-            }
-        return view
-
     def drain(self, sim):
         """Test every registered incomplete request; all must be complete.
 
@@ -281,7 +259,6 @@ class CollectiveClockProtocol:
         collective has initiated it, so global completion already happened;
         requests stay unconsumed for the application.
         """
-        drained = []
         for rank in sim.ranks:
             st = self.states[rank.id]
             for rid in sorted(st.incomplete_requests):
@@ -299,17 +276,36 @@ class CollectiveClockProtocol:
                     raise ProtocolViolationError(
                         f"complete request {rid} with missing initiators in {req.instance_id}"
                     )
-                drained.append((rank.id, rid))
                 sim.emit(rank.id, "drain_request", request=rid, state=req.state)
-        return drained
 
-    def release(self, sim):
+    def assert_safe(self, sim):
         for rank in sim.ranks:
             st = self.states[rank.id]
+            if not reached_all_targets(st.clock, st.targets, rank.id):
+                raise ProtocolViolationError(
+                    f"rank {rank.id} below target at declared safe state"
+                )
+            for rid, req in st.incomplete_requests.items():
+                if req.state not in (COMPLETE, CONSUMED):
+                    raise ProtocolViolationError(
+                        f"request {rid} not globally complete at safe state"
+                    )
+
+    def final_targets(self) -> dict:
+        merged = {}
+        for st in self.states:
+            for g, v in st.targets.items():
+                if v > merged.get(g, 0):
+                    merged[g] = v
+        return _by_label(merged)
+
+    def on_round_end(self, sim):
+        for st in self.states:
             st.ckpt_pending = False
             st.targets.clear()
-        for rank in sim.ranks:
-            sim.release_rank(rank)
+
+    def policy(self) -> dict:
+        return {"count_comm_create": self.count_comm_create}
 
     # ----------------------------------------------------------- snapshot
 
@@ -335,3 +331,21 @@ class CollectiveClockProtocol:
                 raise ProtocolViolationError(f"snapshot holds a pending request {rid}")
             rank.requests[rid] = req
             st.incomplete_requests[rid] = req
+
+    def state_key(self):
+        return tuple(
+            (
+                tuple(sorted(st.clock.to_json().items())),
+                tuple(sorted(st.targets.to_json().items())),
+                st.ckpt_pending,
+                tuple(sorted(st.incomplete_requests)),
+                tuple((m.ggid.label(), m.new_target, m.origin) for m in st.update_queue),
+                st.update_sent_count, st.update_recv_count,
+            )
+            for st in self.states
+        )
+
+
+def _by_label(targets: dict) -> dict:
+    """Targets keyed by group label, in member order."""
+    return {g.label(): v for g, v in sorted(targets.items(), key=lambda kv: kv[0].members)}

@@ -48,13 +48,6 @@ def _placement_from(args):
     return chosen[0]
 
 
-def _scenario_from(args):
-    name = args.scenario
-    if name in BUILTIN_SCENARIOS:
-        return driver.load_scenario(name)
-    return driver.load_scenario(name)
-
-
 def _write_text(path, text):
     if path == "-" or path is None:
         sys.stdout.write(text)
@@ -79,7 +72,7 @@ def _metrics_text(reports, fmt):
 
 def cmd_run(args) -> int:
     placement = _placement_from(args)
-    scenario = _scenario_from(args)
+    scenario = driver.load_scenario(args.scenario)
     if args.exhaustive:
         result = explore_small(scenario, algorithm=args.algo,
                                include_checkpoint=placement is not None or args.algo != "none")
@@ -130,7 +123,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scenario = _scenario_from(args)
+    scenario = driver.load_scenario(args.scenario)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
     placements = [None]
     placement = _placement_from(args)
@@ -156,7 +149,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scenario = _scenario_from(args)
+    scenario = driver.load_scenario(args.scenario)
     placement = _placement_from(args)
     verdicts = [check_crossing_legality(scenario, args.seed)]
     if verdicts[0].passed:
@@ -202,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--halt-at-snapshot", action="store_true",
                        help="end the run at the snapshot instead of releasing")
     p_run.add_argument("--snapshot-out", default=None)
-    p_run.add_argument("--snapshot-in", default=None, help=argparse.SUPPRESS)
     p_run.add_argument("--trace-out", default=None)
     p_run.add_argument("--metrics-out", default=None)
     p_run.add_argument("--metrics-stdout", action="store_true", help=argparse.SUPPRESS)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ProtocolViolationError
+from .errors import MissingReportError, ProtocolViolationError
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -183,3 +183,35 @@ def reached_all_targets(clock: CollectiveClock, targets: TargetTable, rank: int)
         if seq != tgt:
             return False
     return True
+
+
+class KeyValueStore:
+    """Per-round store of (group, rank) -> reported sequence number."""
+
+    def __init__(self):
+        self.reports = {}
+        self.ranks_reported = set()
+
+    def add_report(self, rank_id: int, clock: CollectiveClock):
+        if rank_id in self.ranks_reported:
+            raise ProtocolViolationError(f"rank {rank_id} reported twice this round")
+        self.ranks_reported.add(rank_id)
+        for g, seq in clock.items():
+            self.reports[(g, rank_id)] = seq
+
+
+def compute_targets(store: KeyValueStore, expected_ranks: int) -> dict:
+    """Targets are per-group maxima over all reports; absent reports count 0.
+
+    Stalls (raises) with a diagnostic if any rank never reported.
+    """
+    missing = set(range(expected_ranks)) - store.ranks_reported
+    if missing:
+        raise MissingReportError(
+            f"round stalled: no sequence report from ranks {sorted(missing)}"
+        )
+    targets: dict[GroupKey, int] = {}
+    for (g, _rank), seq in store.reports.items():
+        if seq > targets.get(g, 0):
+            targets[g] = seq
+    return targets

@@ -1,12 +1,14 @@
 """Checkpoint orchestration.
 
 The coordinator is a distinguished actor in the same deterministic event
-loop: it starts a round (delivering the pending flag and gathering counter
-reports in one scheduler event, like a checkpoint thread would), watches a
-quiescence ledger, and once every rank sits at its targets with no update in
-flight it drains incomplete requests, takes the snapshot, and either releases
-the ranks or halts the run. All coordinator traffic is control-plane: it
-never appears in simulated message counts.
+loop: it starts a round (the protocol's round-start hook delivers the pending
+flag and, for cc, gathers counter reports and installs targets, all in one
+scheduler event, like a checkpoint thread would). Whenever no rank can step,
+it asks the protocol's ``quiescent`` check, the one safe-state gate; once
+that holds it drains incomplete requests, takes the snapshot, and either
+releases the ranks or halts the run. It knows protocol state only through
+the adapter hooks declared on ``runtime.ProtocolAdapter``. All coordinator
+traffic is control-plane: it never appears in simulated message counts.
 """
 
 from __future__ import annotations
@@ -15,103 +17,28 @@ import json
 from dataclasses import dataclass, field
 
 from .cc import CollectiveClockProtocol
-from .clock import CollectiveClock, GroupKey
+from .clock import GroupKey, KeyValueStore
 from .errors import (
-    MissingReportError,
     ProtocolViolationError,
     SimulationError,
     SnapshotLoadError,
     UnsupportedOperationError,
 )
 from .runtime import (
-    COMPLETE,
-    CONSUMED,
+    COORD,
     FINISHED,
     PARKED,
     START,
     STOPPED,
     CommRecord,
     CommView,
+    NullProtocol,
     Simulator,
 )
 from .scenario import WORLD, ScenarioProgram
 from .twophase import TwoPhaseCommitProtocol
 
 SNAPSHOT_VERSION = 1
-COORD = -1  # event-log rank id for the coordinator
-
-
-class KeyValueStore:
-    """Per-round store of (group, rank) -> reported sequence number."""
-
-    def __init__(self):
-        self.reports = {}
-        self.ranks_reported = set()
-
-    def add_report(self, rank_id: int, clock: CollectiveClock):
-        if rank_id in self.ranks_reported:
-            raise ProtocolViolationError(f"rank {rank_id} reported twice this round")
-        self.ranks_reported.add(rank_id)
-        for g, seq in clock.items():
-            self.reports[(g, rank_id)] = seq
-
-    def to_json(self):
-        out = {}
-        for (g, rank_id), seq in self.reports.items():
-            out.setdefault(g.label(), {})[str(rank_id)] = seq
-        return {k: dict(sorted(v.items())) for k, v in sorted(out.items())}
-
-
-def compute_targets(store: KeyValueStore, expected_ranks: int) -> dict:
-    """Targets are per-group maxima over all reports; absent reports count 0.
-
-    Stalls (raises) with a diagnostic if any rank never reported.
-    """
-    missing = set(range(expected_ranks)) - store.ranks_reported
-    if missing:
-        raise MissingReportError(
-            f"round stalled: no sequence report from ranks {sorted(missing)}"
-        )
-    targets: dict[GroupKey, int] = {}
-    for (g, _rank), seq in store.reports.items():
-        if seq > targets.get(g, 0):
-            targets[g] = seq
-    return targets
-
-
-@dataclass
-class QuiescenceLedger:
-    """Safe-state gate: every rank reached, and update counters balanced."""
-
-    statuses: dict = field(default_factory=dict)
-    sent: dict = field(default_factory=dict)
-    received: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_view(cls, view: dict) -> "QuiescenceLedger":
-        ledger = cls()
-        for rank_id, row in view.items():
-            ledger.statuses[rank_id] = row["status"]
-            ledger.sent[rank_id] = row["sent"]
-            ledger.received[rank_id] = row["received"]
-        return ledger
-
-    def all_reached(self) -> bool:
-        return all(s == "reached" for s in self.statuses.values())
-
-    def balanced(self) -> bool:
-        return sum(self.sent.values()) == sum(self.received.values())
-
-    def check_consistency(self):
-        total_sent, total_recv = sum(self.sent.values()), sum(self.received.values())
-        if total_recv > total_sent:
-            raise ProtocolViolationError(
-                f"ledger inconsistent: {total_recv} updates received, {total_sent} sent"
-            )
-
-    def quiescent(self) -> bool:
-        self.check_consistency()
-        return self.all_reached() and self.balanced()
 
 
 @dataclass
@@ -286,24 +213,16 @@ class CheckpointCoordinator:
         self.updates_before_round = sim.counters.target_updates_sent
         sim.emit(COORD, "ckpt_request", round=self.round_id, step=sim.step)
         self.store = KeyValueStore()
-        sim.protocol.on_round_start(sim, self.store)
-        if isinstance(sim.protocol, CollectiveClockProtocol):
-            targets = compute_targets(self.store, sim.world_size)
-            self.initial_targets = {g.label(): v for g, v in sorted(
-                targets.items(), key=lambda kv: kv[0].members)}
-            sim.protocol.install_targets(targets)
-            sim.emit(COORD, "targets_computed", targets=self.initial_targets)
+        self.initial_targets = sim.protocol.on_round_start(sim, self.store)
         return self.round_id
 
     def handle_idle(self, sim) -> bool:
         if self.requested and not self.declared:
-            ledger = QuiescenceLedger.from_view(sim.protocol.ledger_view(sim))
-            if ledger.quiescent() and sim.protocol.quiescent(sim):
+            # Not quiescent and nothing enabled: the deadlock detector
+            # reports, unless the protocol's check raises first.
+            if sim.protocol.quiescent(sim):
                 self.declare_safe_state(sim)
                 return True
-            # Not quiescent and nothing enabled: let the deadlock detector
-            # report, unless the protocol classifies it first.
-            sim.protocol.quiescent(sim)
             return False
         if (not self.requested and self.placement is not None
                 and sim.all_finished()):
@@ -323,14 +242,7 @@ class CheckpointCoordinator:
         self.drain_collectives = sim.counters.drain_collectives
         sim.protocol.drain(sim)
         self._assert_safe(sim)
-        if isinstance(sim.protocol, CollectiveClockProtocol):
-            merged = {}
-            for st in sim.protocol.states:
-                for g, v in st.targets.items():
-                    if v > merged.get(g, 0):
-                        merged[g] = v
-            self.final_targets = {g.label(): v for g, v in sorted(
-                merged.items(), key=lambda kv: kv[0].members)}
+        self.final_targets = sim.protocol.final_targets()
         sim.emit(COORD, "safe_state", round=self.round_id, step=sim.step,
                  targets=self.final_targets)
         self.snapshot = build_snapshot(sim, self)
@@ -338,7 +250,9 @@ class CheckpointCoordinator:
         if self.halt_at_snapshot:
             sim.halted = True
         else:
-            sim.protocol.release(sim)
+            sim.protocol.on_round_end(sim)
+            for rank in sim.ranks:
+                sim.release_rank(rank)
             sim.emit(COORD, "release", round=self.round_id)
 
     def _assert_safe(self, sim):
@@ -361,18 +275,7 @@ class CheckpointCoordinator:
                 raise ProtocolViolationError(
                     f"instance {inst.describe()} not returned by all members at safe state"
                 )
-        if isinstance(sim.protocol, CollectiveClockProtocol):
-            for rank in sim.ranks:
-                if not sim.protocol.reached(rank.id):
-                    raise ProtocolViolationError(
-                        f"rank {rank.id} below target at declared safe state"
-                    )
-                st = sim.protocol.states[rank.id]
-                for rid, req in st.incomplete_requests.items():
-                    if req.state not in (COMPLETE, CONSUMED):
-                        raise ProtocolViolationError(
-                            f"request {rid} not globally complete at safe state"
-                        )
+        sim.protocol.assert_safe(sim)
 
 
 def build_snapshot(sim, coordinator: CheckpointCoordinator) -> SnapshotImage:
@@ -384,9 +287,6 @@ def build_snapshot(sim, coordinator: CheckpointCoordinator) -> SnapshotImage:
             "checksum": rank.checksum,
             "protocol": sim.protocol.snapshot_rank(rank.id),
         })
-    policy = {}
-    if isinstance(sim.protocol, CollectiveClockProtocol):
-        policy["count_comm_create"] = sim.protocol.count_comm_create
     created = {
         cid: rec.members
         for cid, rec in sim.comm_records.items()
@@ -404,15 +304,13 @@ def build_snapshot(sim, coordinator: CheckpointCoordinator) -> SnapshotImage:
         per_rank=per_rank,
         initial_targets=dict(coordinator.initial_targets),
         final_targets=dict(coordinator.final_targets),
-        policy=policy,
+        policy=sim.protocol.policy(),
     )
 
 
 def make_protocol(algorithm: str, policy: dict | None = None):
     policy = policy or {}
     if algorithm == "none":
-        from .runtime import NullProtocol
-
         return NullProtocol()
     if algorithm == "cc":
         return CollectiveClockProtocol(
@@ -445,11 +343,18 @@ def restart(image: SnapshotImage, seed: int | None = None, record: bool = True,
         shared = sim.comm_records[cid]
         for m in members:
             sim.ranks[m].comms[cid] = CommView(shared, m)
-    for saved in image.per_rank:
-        rank = sim.ranks[saved["rank"]]
-        rank.pc = saved["pc"]
-        rank.checksum = saved["checksum"]
-        rank.stage = FINISHED if rank.pc >= len(rank.program) else START
-        protocol.restore_rank(rank, saved.get("protocol", {}))
+    try:
+        if sorted(saved["rank"] for saved in image.per_rank) != list(range(sim.world_size)):
+            raise SnapshotLoadError(f"snapshot must hold ranks 0..{sim.world_size - 1} once each")
+        for saved in image.per_rank:
+            rank = sim.ranks[saved["rank"]]
+            rank.pc = saved["pc"]
+            if type(rank.pc) is not int or not 0 <= rank.pc <= len(rank.program):
+                raise SnapshotLoadError(f"rank {rank.id} pc {rank.pc!r} is outside its program")
+            rank.checksum = saved["checksum"]
+            rank.stage = FINISHED if rank.pc >= len(rank.program) else START
+            protocol.restore_rank(rank, saved.get("protocol", {}))
+    except (KeyError, TypeError) as exc:
+        raise SnapshotLoadError(f"corrupt per-rank record: {exc!r}") from exc
     sim.emit(COORD, "restart", round=image.round_id, from_step=image.step)
     return sim

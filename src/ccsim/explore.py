@@ -21,12 +21,10 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from .cc import CollectiveClockProtocol
 from .coordinator import CheckpointCoordinator, make_protocol
 from .errors import InvalidConfigurationError, SimulationError
 from .runtime import Simulator
 from .scenario import ScenarioProgram
-from .twophase import TwoPhaseCommitProtocol
 from .verify import check_hb_acyclic
 
 MAX_RANKS = 4
@@ -81,30 +79,6 @@ def _instance_key(inst):
     )
 
 
-def _protocol_key(protocol):
-    if isinstance(protocol, CollectiveClockProtocol):
-        rows = []
-        for st in protocol.states:
-            rows.append((
-                tuple(sorted(st.clock.to_json().items())),
-                tuple(sorted(st.targets.to_json().items())),
-                st.ckpt_pending,
-                tuple(sorted(st.incomplete_requests)),
-                tuple((m.ggid.label(), m.new_target, m.origin) for m in st.update_queue),
-                st.update_sent_count, st.update_recv_count,
-            ))
-        return ("cc", tuple(rows))
-    if isinstance(protocol, TwoPhaseCommitProtocol):
-        rows = tuple(
-            (st.in_trivial_barrier, tuple(sorted(map(str, st.aborted_barrier_log))))
-            for st in protocol.states)
-        tbs = tuple(sorted(
-            (key, tuple(sorted(inst.entered)), inst.complete, inst.aborted)
-            for key, inst in protocol.tb_instances.items()))
-        return ("2pc", protocol.pending, rows, tbs)
-    return ("none",)
-
-
 def _state_key(bundle: _Bundle):
     sim = bundle.sim
     coordinator = bundle.coordinator
@@ -125,7 +99,7 @@ def _state_key(bundle: _Bundle):
         tuple(p2p),
         tuple(sorted(sim.comm_records)),
         tuple(getattr(sim.counters, name) for name in sim.counters.FIELDS),
-        _protocol_key(sim.protocol),
+        sim.protocol.state_key(),
         coord,
     )
 

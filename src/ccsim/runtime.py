@@ -30,6 +30,7 @@ from .errors import (
     CollectiveMismatchError,
     DeadlockError,
     InvalidConfigurationError,
+    ProtocolViolationError,
     ScenarioError,
     SimulationError,
     StuckP2pError,
@@ -37,6 +38,7 @@ from .errors import (
 from .scenario import WORLD, Op, ScenarioProgram
 
 _MASK64 = (1 << 64) - 1
+COORD = -1  # event-log rank id for the coordinator
 
 # Rank execution stages.
 START = "start"
@@ -290,14 +292,22 @@ class Counters:
         return d
 
 
-class NullProtocol:
-    """Algorithm 'none': collectives run unwrapped, no checkpoint support."""
+class ProtocolAdapter:
+    """The seam between the runtime and a checkpoint protocol: every hook the
+    runtime, coordinator and explorer call, with inert defaults. A hook for a
+    stage the adapter never enters raises ProtocolViolationError.
+    """
 
     name = "none"
     supports_checkpoint = False
 
     def bind(self, sim):
         self.sim = sim
+
+    def _never(self, what):
+        raise ProtocolViolationError(f"protocol {self.name!r} never {what}")
+
+    # -------------------------------------------------- runtime wrappers
 
     def begin_collective(self, rank):
         return PROCEED
@@ -320,26 +330,62 @@ class NullProtocol:
     def blocked_has_input(self, rank):
         return False
 
-    def parked_enabled(self, rank):
-        raise SimulationError("null protocol never parks")
-
-    def parked_step(self, rank):
-        raise SimulationError("null protocol never parks")
-
-    def barrier_step(self, rank):
-        raise SimulationError("null protocol has no trivial barrier")
-
-    def stopped_enabled(self, rank):
-        raise SimulationError("null protocol never stops")
-
     def finished_has_input(self, rank):
         return False
 
-    def finished_step(self, rank):
-        raise SimulationError("null protocol delivers nothing to finished ranks")
+    def parked_enabled(self, rank):
+        self._never("parks ranks")
 
-    def rank_finished(self, rank):
+    def parked_step(self, rank):
+        self._never("parks ranks")
+
+    def stopped_enabled(self, rank):
+        self._never("stops ranks")
+
+    def barrier_step(self, rank):
+        self._never("inserts barriers")
+
+    def finished_step(self, rank):
+        self._never("delivers to finished ranks")
+
+    # ------------------------------------------------ coordinator rounds
+
+    def on_round_start(self, sim, store) -> dict:
+        """Start a round; returns the initial targets, by group label."""
+        return {}
+
+    def quiescent(self, sim) -> bool:
+        """The one safe-state gate, asked whenever no rank can step."""
+        self._never("takes checkpoints")
+
+    def drain(self, sim):
+        """Check and trace the requests the safe state leaves pending."""
+
+    def assert_safe(self, sim):
+        """Protocol-specific checks at a declared safe state."""
+
+    def final_targets(self) -> dict:
+        return {}
+
+    def on_round_end(self, sim):
+        """Clear round state; the coordinator then releases every rank."""
+
+    def policy(self) -> dict:
+        return {}
+
+    def snapshot_rank(self, rank_id: int) -> dict:
+        return {}
+
+    def restore_rank(self, rank, saved: dict):
         pass
+
+    def state_key(self):
+        """Hashable protocol state for the explorer's deduplication."""
+        return ()
+
+
+class NullProtocol(ProtocolAdapter):
+    """Algorithm 'none': collectives run unwrapped, no checkpoint support."""
 
 
 class Simulator:
@@ -373,9 +419,6 @@ class Simulator:
         self.hb = [[] for _ in range(self.world_size)]  # per rank: (group label, k)
 
         self.protocol.bind(self)
-        for rank in self.ranks:
-            if rank.finished:
-                self.protocol.rank_finished(rank)
 
     # ------------------------------------------------------------- events
 
@@ -810,15 +853,12 @@ class Simulator:
         rank.stage = FINISHED
         rank.block_info = ""
         self.emit(rank.id, "rank_finished")
-        self.protocol.rank_finished(rank)
 
     def release_rank(self, rank: RankState):
         """Coordinator hook: wake a parked or stopped rank after a round."""
         if rank.stage in (PARKED, STOPPED):
             rank.stage = START if rank.pc < len(rank.program) else FINISHED
             self.emit(rank.id, "resume")
-            if rank.stage == FINISHED and rank.pc >= len(rank.program):
-                pass  # already reported finished when it first got there
 
     # --------------------------------------------------------- trace io
 

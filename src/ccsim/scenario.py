@@ -68,6 +68,16 @@ class Op:
         return cls(**{k: v for k, v in obj.items() if k in known})
 
 
+def _json_line(line: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"scenario line is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ScenarioError("scenario line is not a JSON object")
+    return obj
+
+
 @dataclass
 class ScenarioProgram:
     """World size, declared communicators, and per-rank op lists."""
@@ -115,11 +125,13 @@ class ScenarioProgram:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ScenarioError("empty scenario file")
-        header = json.loads(lines[0])
+        header = _json_line(lines[0])
         if header.get("type") != "scenario":
             raise ScenarioError("first line must be the scenario header")
         if header.get("version") != SCENARIO_VERSION:
             raise ScenarioError(f"unsupported scenario version {header.get('version')}")
+        if "world_size" not in header:
+            raise ScenarioError("scenario header has no world_size")
         scenario = cls(
             world_size=int(header["world_size"]),
             comms={cid: tuple(m) for cid, m in header.get("comms", {}).items()},
@@ -127,7 +139,7 @@ class ScenarioProgram:
             meta=header.get("meta", {}),
         )
         for line in lines[1:]:
-            op = Op.from_json_obj(json.loads(line))
+            op = Op.from_json_obj(_json_line(line))
             if not 0 <= op.rank < scenario.world_size:
                 raise ScenarioError(f"op rank {op.rank} outside world of {scenario.world_size}")
             scenario.programs[op.rank].append(op)

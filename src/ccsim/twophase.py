@@ -16,11 +16,13 @@ from .errors import ProtocolViolationError, UnsupportedOperationError
 from .runtime import (
     ABORT,
     BARRIER,
+    COORD,
     FINISHED,
     Instance,
     PROCEED,
     STOP,
     STOPPED,
+    ProtocolAdapter,
     barrier_cost,
 )
 
@@ -47,7 +49,7 @@ class TpcState:
         self.aborted_barrier_log = []
 
 
-class TwoPhaseCommitProtocol:
+class TwoPhaseCommitProtocol(ProtocolAdapter):
     """Adapter for the barrier-insertion baseline."""
 
     name = "2pc"
@@ -60,7 +62,7 @@ class TwoPhaseCommitProtocol:
         self.tb_instances = {}  # (comm_id, index) -> Instance
 
     def bind(self, sim):
-        self.sim = sim
+        super().bind(sim)
         self.states = [TpcState() for _ in range(sim.world_size)]
 
     # ------------------------------------------------------------ wrappers
@@ -111,37 +113,8 @@ class TwoPhaseCommitProtocol:
             "the two-phase-commit baseline does not support non-blocking collectives"
         )
 
-    # --------------------------------------------------- inert hook points
-
-    def on_request_created(self, rank, req):
-        raise UnsupportedOperationError("no requests under 2pc")
-
-    def on_request_consumed(self, rank, req):
-        pass
-
-    def blocked_poll(self, rank):
-        pass
-
-    def blocked_has_input(self, rank):
-        return False
-
-    def parked_enabled(self, rank):
-        raise ProtocolViolationError("2pc never parks ranks")
-
-    def parked_step(self, rank):
-        raise ProtocolViolationError("2pc never parks ranks")
-
-    def finished_has_input(self, rank):
-        return False
-
-    def finished_step(self, rank):
-        raise ProtocolViolationError("2pc delivers nothing to finished ranks")
-
     def stopped_enabled(self, rank):
         return not self.pending
-
-    def rank_finished(self, rank):
-        pass
 
     # --------------------------------------------------------- round hooks
 
@@ -154,32 +127,18 @@ class TwoPhaseCommitProtocol:
             decision = tpc_safe_state_decision(m in tb.entered for m in tb.members)
             if decision == ABORT_AND_CHECKPOINT:
                 tb.aborted = True
-                sim.emit(-1, "tb_decision", comm=tb.comm_id, instance=tb.index,
+                sim.emit(COORD, "tb_decision", comm=tb.comm_id, instance=tb.index,
                          decision=decision, entered=sorted(tb.entered))
         for key, tb in list(self.tb_instances.items()):
             if tb.aborted:
                 del self.tb_instances[key]
-
-    def install_targets(self, table):
-        pass  # no clocks in the baseline
+        return {}
 
     def quiescent(self, sim) -> bool:
         return all(r.stage in (STOPPED, FINISHED) for r in sim.ranks)
 
-    def ledger_view(self, sim):
-        return {
-            r.id: {"status": "reached" if r.stage in (STOPPED, FINISHED) else "running",
-                   "sent": 0, "received": 0}
-            for r in sim.ranks
-        }
-
-    def drain(self, sim):
-        return []
-
-    def release(self, sim):
+    def on_round_end(self, sim):
         self.pending = False
-        for rank in sim.ranks:
-            sim.release_rank(rank)
 
     # ----------------------------------------------------------- snapshot
 
@@ -193,3 +152,12 @@ class TwoPhaseCommitProtocol:
 
     def restore_rank(self, rank, saved: dict):
         self.states[rank.id].aborted_barrier_log = list(saved.get("aborted_barrier_log", []))
+
+    def state_key(self):
+        rows = tuple(
+            (st.in_trivial_barrier, tuple(sorted(map(str, st.aborted_barrier_log))))
+            for st in self.states)
+        tbs = tuple(sorted(
+            (key, tuple(sorted(inst.entered)), inst.complete, inst.aborted)
+            for key, inst in self.tb_instances.items()))
+        return (self.pending, rows, tbs)

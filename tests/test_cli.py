@@ -99,6 +99,12 @@ class TestRun:
     def test_missing_scenario_is_usage_error(self):
         assert run_cli("run", "--scenario", "does-not-exist.jsonl") == 2
 
+    def test_malformed_scenario_fails(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"type":"scenario","version":1,"world_size":2}\n{"rank": 0,\n')
+        assert run_cli("run", "--scenario", str(path)) == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_illegal_scenario_fails_verification(self, tmp_path, capsys):
         from ccsim.scenario import Op
         from conftest import op_coll, scenario

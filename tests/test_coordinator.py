@@ -8,7 +8,6 @@ from ccsim import (
     KeyValueStore,
     MissingReportError,
     ProtocolViolationError,
-    QuiescenceLedger,
     SnapshotImage,
     SnapshotLoadError,
     compute_targets,
@@ -16,9 +15,10 @@ from ccsim import (
     run,
     run_restart,
 )
+from ccsim.runtime import FINISHED, PARKED, STOPPED
 from ccsim.scenario import Op
 
-from conftest import build, op_coll, op_icoll, scenario
+from conftest import build, drive_held, op_coll, op_icoll, scenario
 
 
 class TestKeyValueStore:
@@ -64,34 +64,71 @@ class TestKeyValueStore:
         assert compute_targets(store, 7) == {g12: 5, g23: 7, g345: 2, g56: 3}
 
 
-class TestQuiescenceLedger:
+def _cc_round(steps, programs=((op_coll(0),), (op_coll(1),))):
+    """A two-rank cc runtime driven through ``steps``: a rank id steps that
+    rank, "ckpt" requests the round. A rank that first steps inside a round
+    requested at step 0 parks at once on its empty target table."""
+    sc = scenario(2)
+    for r, program in enumerate(programs):
+        sc.programs[r] += program
+    sim, coordinator = build(sc, "cc")
+    for actor in steps:
+        if actor == "ckpt":
+            coordinator.request_checkpoint(sim)
+        else:
+            sim.step_actor(actor)
+    return sim
+
+
+class TestQuiescence:
+    """``protocol.quiescent``: the one safe-state gate of a round."""
+
     def test_quiescent_when_reached_and_balanced(self):
-        ledger = QuiescenceLedger.from_view({
-            0: {"status": "reached", "sent": 2, "received": 1},
-            1: {"status": "reached", "sent": 0, "received": 1},
-        })
-        assert ledger.quiescent()
+        sim = _cc_round(["ckpt", 0, 1])
+        states = sim.protocol.states
+        states[0].update_sent_count, states[0].update_recv_count = 2, 1
+        states[1].update_sent_count, states[1].update_recv_count = 0, 1
+        assert [r.stage for r in sim.ranks] == [PARKED, PARKED]
+        assert sim.protocol.quiescent(sim)
 
     def test_running_rank_blocks(self):
-        ledger = QuiescenceLedger.from_view({
-            0: {"status": "reached", "sent": 0, "received": 0},
-            1: {"status": "running", "sent": 0, "received": 0},
-        })
-        assert not ledger.quiescent()
+        sim = _cc_round(["ckpt", 0])
+        assert not sim.protocol.quiescent(sim)
 
     def test_unbalanced_counters_block(self):
-        ledger = QuiescenceLedger.from_view({
-            0: {"status": "reached", "sent": 3, "received": 0},
-            1: {"status": "reached", "sent": 0, "received": 2},
-        })
-        assert not ledger.quiescent()
+        sim = _cc_round(["ckpt", 0, 1])
+        states = sim.protocol.states
+        states[0].update_sent_count, states[0].update_recv_count = 3, 0
+        states[1].update_sent_count, states[1].update_recv_count = 0, 2
+        assert not sim.protocol.quiescent(sim)
 
     def test_more_received_than_sent_is_violation(self):
-        ledger = QuiescenceLedger.from_view({
-            0: {"status": "reached", "sent": 0, "received": 1},
-        })
+        sim = _cc_round(["ckpt", 0, 1])
+        sim.protocol.states[0].update_recv_count = 1
         with pytest.raises(ProtocolViolationError):
-            ledger.quiescent()
+            sim.protocol.quiescent(sim)
+
+    def test_finished_below_target_is_violation(self):
+        # rank 1 runs one more world collective than rank 0, which finished
+        # at clock 1 while the round's world target is 2
+        sim = _cc_round([0, 1, 0, 1, 1, "ckpt"],
+                        programs=((op_coll(0),), (op_coll(1), op_coll(1))))
+        assert sim.ranks[0].stage == FINISHED
+        with pytest.raises(ProtocolViolationError, match="below a target"):
+            sim.protocol.quiescent(sim)
+
+    def test_2pc_stopped_or_finished_ranks_are_quiescent(self):
+        sc = scenario(3, comms={"g": (1, 2)})
+        for r in (1, 2):
+            sc.programs[r].append(op_coll(r, comm="g"))
+        sim, coordinator = build(sc, "2pc")
+        drive_held(sim, {1: 1, 2: 1})
+        coordinator.request_checkpoint(sim)
+        assert not sim.protocol.quiescent(sim)
+        sim.step_actor(1)
+        sim.step_actor(2)
+        assert [r.stage for r in sim.ranks] == [FINISHED, STOPPED, STOPPED]
+        assert sim.protocol.quiescent(sim)
 
 
 class TestRounds:
@@ -193,6 +230,17 @@ class TestSnapshotImage:
             SnapshotImage.loads('{"version": 99}')
         with pytest.raises(SnapshotLoadError):
             SnapshotImage.loads('{"version": 1, "algorithm": "cc"}')
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda rows: rows[0].update(rank=99),
+        lambda rows: rows[0].update(pc=-5),
+        lambda rows: rows.__delitem__(slice(3, None)),
+    ], ids=["rank-99", "pc-negative", "3-of-7-ranks"])
+    def test_restart_rejects_malformed_per_rank(self, corrupt):
+        image = run("fig2", algorithm="cc", seed=11, ckpt=("trigger", "fig2-instant")).snapshot
+        corrupt(image.per_rank)
+        with pytest.raises(SnapshotLoadError):
+            restart(image)
 
     def test_restart_rebuilds_identical_group_keys(self):
         result = self._snapshot()

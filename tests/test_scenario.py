@@ -30,6 +30,15 @@ class TestFormat:
         with pytest.raises(ScenarioError):
             ScenarioProgram.loads('{"rank": 0, "op": "coll", "kind": "barrier"}')
 
+    @pytest.mark.parametrize("text", [
+        '{"type":"scenario","version":1,"world_size":1}\n{"rank": 0, "op": ',
+        '{"type":"scenario","version":1}',
+        '["scenario"]',
+    ], ids=["bad-json-line", "no-world-size", "not-an-object"])
+    def test_unreadable_text_rejected(self, text):
+        with pytest.raises(ScenarioError):
+            ScenarioProgram.loads(text)
+
     def test_unknown_field_rejected(self):
         sc = scenario(1)
         sc.programs[0].append(op_coll(0))
