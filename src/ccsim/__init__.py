@@ -37,7 +37,6 @@ from .runtime import (
     NullProtocol,
     ProtocolAdapter,
     RequestObject,
-    Scheduler,
     Simulator,
     barrier_cost,
     checksum_fold,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .clock import CollectiveClock, GroupKey, TargetTable, compute_targets, reached_all_targets
-from .errors import ProtocolViolationError
+from .errors import ProtocolViolationError, SnapshotLoadError
 from .runtime import (
     COMPLETE,
     COORD,
@@ -71,11 +71,11 @@ class CollectiveClockProtocol(ProtocolAdapter):
 
     name = "cc"
     supports_checkpoint = True
+    # Communicator creation, itself a collective over the parent, always
+    # bumps the parent group's sequence number.
+    policy = {"count_comm_create": True}
 
-    def __init__(self, count_comm_create: bool = True):
-        # Policy switch: whether communicator creation (itself a collective
-        # over the parent) bumps the parent group's sequence number.
-        self.count_comm_create = count_comm_create
+    def __init__(self):
         self.sim = None
         self.states = []
         self.internal_comm = None
@@ -97,19 +97,11 @@ class CollectiveClockProtocol(ProtocolAdapter):
         st = self.states[rank.id]
         if st.ckpt_pending and reached_all_targets(st.clock, st.targets, rank.id):
             return PARK
-        op = rank.current_op()
-        if op.op == "comm_create" and not self.count_comm_create:
-            return PROCEED
         self._commit(rank, st, self._group_of(rank))
         return PROCEED
 
-    def begin_nonblocking(self, rank):
-        """Initiation commits the counter exactly like a blocking call."""
-        st = self.states[rank.id]
-        if st.ckpt_pending and reached_all_targets(st.clock, st.targets, rank.id):
-            return PARK
-        self._commit(rank, st, self._group_of(rank))
-        return PROCEED
+    # Initiation commits the counter exactly like a blocking call.
+    begin_nonblocking = begin_collective
 
     def _commit(self, rank, st: CcState, g: GroupKey):
         seq = st.clock.increment(g)
@@ -304,9 +296,6 @@ class CollectiveClockProtocol(ProtocolAdapter):
             st.ckpt_pending = False
             st.targets.clear()
 
-    def policy(self) -> dict:
-        return {"count_comm_create": self.count_comm_create}
-
     # ----------------------------------------------------------- snapshot
 
     def snapshot_rank(self, rank_id: int) -> dict:
@@ -323,6 +312,9 @@ class CollectiveClockProtocol(ProtocolAdapter):
     def restore_rank(self, rank, saved: dict):
         st = self.states[rank.id]
         st.clock = CollectiveClock.from_json(saved.get("clock", {}))
+        if any(g.members[0] < 0 or g.members[-1] >= self.sim.world_size
+               for g in st.clock.groups()):
+            raise SnapshotLoadError(f"rank {rank.id} clock names a group outside the world")
         for rid, rec in saved.get("incomplete_requests", {}).items():
             req = RequestObject(rid, rank.id, None, rec["op_index"])
             req.state = rec["state"]

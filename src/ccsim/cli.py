@@ -49,7 +49,7 @@ def _placement_from(args):
 
 
 def _write_text(path, text):
-    if path == "-" or path is None:
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -93,9 +93,8 @@ def cmd_run(args) -> int:
         return EXIT_FAIL
     if args.trace_out:
         _write_text(args.trace_out, "\n".join(result.trace_lines()) + "\n")
-    if args.metrics_out or args.metrics_stdout:
-        text = _metrics_text([result.metrics], args.format)
-        _write_text(args.metrics_out, text)
+    if args.metrics_out:
+        _write_text(args.metrics_out, _metrics_text([result.metrics], args.format))
     if args.snapshot_out:
         if result.snapshot is None:
             print("no snapshot was taken (no checkpoint placement?)", file=sys.stderr)
@@ -169,7 +168,7 @@ def cmd_restart(args) -> int:
     result = driver.run_restart(image, seed=args.seed)
     if args.trace_out:
         _write_text(args.trace_out, "\n".join(result.trace_lines()) + "\n")
-    if args.metrics_out or args.metrics_stdout:
+    if args.metrics_out:
         _write_text(args.metrics_out, _metrics_text([result.metrics], args.format))
     for verdict in result.verdicts:
         print(verdict.to_json_line())
@@ -197,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--snapshot-out", default=None)
     p_run.add_argument("--trace-out", default=None)
     p_run.add_argument("--metrics-out", default=None)
-    p_run.add_argument("--metrics-stdout", action="store_true", help=argparse.SUPPRESS)
     p_run.add_argument("--format", choices=("json", "csv"), default="json")
     p_run.add_argument("--exhaustive", action="store_true",
                        help="explore every interleaving and checkpoint placement"
@@ -235,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--seed", type=int, default=None)
     p_res.add_argument("--trace-out", default=None)
     p_res.add_argument("--metrics-out", default=None)
-    p_res.add_argument("--metrics-stdout", action="store_true", help=argparse.SUPPRESS)
     p_res.add_argument("--format", choices=("json", "csv"), default="json")
     p_res.set_defaults(func=cmd_restart)
 

@@ -3,13 +3,12 @@
 A communicator is identified globally by the *set* of world ranks behind it
 (its group). Two communicators over the same rank set share one identity and
 therefore one sequence counter, no matter where or in what order they were
-created. Equality is decided on the canonical member tuple; the 64-bit digest
-is carried only for display and metrics keys.
+created. Equality is decided on the canonical member tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MissingReportError, ProtocolViolationError
 
@@ -36,18 +35,14 @@ def fnv1a64(parts) -> int:
 class GroupKey:
     """Canonical identity of a set of world ranks.
 
-    ``members`` is sorted and deduplicated at construction. ``display_hash``
-    never participates in equality, so digest collisions cannot alias two
-    distinct groups.
+    ``members`` is sorted and deduplicated at construction; equality and
+    hashing use that tuple alone.
     """
 
     members: tuple[int, ...]
-    display_hash: int = field(compare=False, default=0)
 
     def __post_init__(self):
-        canon = tuple(sorted(set(self.members)))
-        object.__setattr__(self, "members", canon)
-        object.__setattr__(self, "display_hash", fnv1a64(canon))
+        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
 
     def contains(self, rank: int) -> bool:
         return rank in self.members

@@ -295,7 +295,7 @@ def build_snapshot(sim, coordinator: CheckpointCoordinator) -> SnapshotImage:
     return SnapshotImage(
         version=SNAPSHOT_VERSION,
         algorithm=sim.protocol.name,
-        seed=sim.scheduler.seed,
+        seed=sim.seed,
         step=sim.step,
         round_id=coordinator.round_id,
         world_size=sim.world_size,
@@ -304,24 +304,21 @@ def build_snapshot(sim, coordinator: CheckpointCoordinator) -> SnapshotImage:
         per_rank=per_rank,
         initial_targets=dict(coordinator.initial_targets),
         final_targets=dict(coordinator.final_targets),
-        policy=sim.protocol.policy(),
+        policy=dict(sim.protocol.policy),
     )
 
 
-def make_protocol(algorithm: str, policy: dict | None = None):
-    policy = policy or {}
+def make_protocol(algorithm: str):
     if algorithm == "none":
         return NullProtocol()
     if algorithm == "cc":
-        return CollectiveClockProtocol(
-            count_comm_create=policy.get("count_comm_create", True))
+        return CollectiveClockProtocol()
     if algorithm == "2pc":
         return TwoPhaseCommitProtocol()
     raise SimulationError(f"unknown algorithm {algorithm!r}")
 
 
-def restart(image: SnapshotImage, seed: int | None = None, record: bool = True,
-            max_steps: int = 5_000_000) -> Simulator:
+def restart(image: SnapshotImage, seed: int | None = None, record: bool = True) -> Simulator:
     """Rebuild a running runtime from a snapshot image.
 
     Communicators are re-created from the image, each rank resumes at its
@@ -334,15 +331,12 @@ def restart(image: SnapshotImage, seed: int | None = None, record: bool = True,
         raise SnapshotLoadError(f"embedded scenario unreadable: {exc}") from exc
     if image.world_size != scenario.world_size:
         raise SnapshotLoadError("world size disagrees with embedded scenario")
-    protocol = make_protocol(image.algorithm, image.policy)
+    protocol = make_protocol(image.algorithm)
+    if image.policy != protocol.policy:
+        raise SnapshotLoadError(
+            f"snapshot policy {image.policy!r} is not {protocol.name!r}'s {protocol.policy!r}")
     sim = Simulator(scenario, protocol, seed=image.seed if seed is None else seed,
-                    record=record, max_steps=max_steps)
-    for cid, members in sorted(image.comms_created.items()):
-        if cid not in sim.comm_records:
-            sim.comm_records[cid] = CommRecord(cid, members)
-        shared = sim.comm_records[cid]
-        for m in members:
-            sim.ranks[m].comms[cid] = CommView(shared, m)
+                    record=record)
     try:
         if sorted(saved["rank"] for saved in image.per_rank) != list(range(sim.world_size)):
             raise SnapshotLoadError(f"snapshot must hold ranks 0..{sim.world_size - 1} once each")
@@ -354,7 +348,18 @@ def restart(image: SnapshotImage, seed: int | None = None, record: bool = True,
             rank.checksum = saved["checksum"]
             rank.stage = FINISHED if rank.pc >= len(rank.program) else START
             protocol.restore_rank(rank, saved.get("protocol", {}))
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SnapshotLoadError(f"corrupt per-rank record: {exc!r}") from exc
+    # At a safe state a communicator exists iff the ranks are past its creation.
+    created = {op.new_comm for rank in sim.ranks for op in rank.program[:rank.pc]
+               if op.op == "comm_create"}
+    if image.comms_created != {cid: scenario.comms[cid] for cid in created}:
+        raise SnapshotLoadError(
+            f"created communicators {sorted(image.comms_created)} disagree with the "
+            f"embedded scenario at the saved program counters ({sorted(created)})")
+    for cid in sorted(created):
+        shared = sim.comm_records[cid] = CommRecord(cid, scenario.comms[cid])
+        for m in shared.members:
+            sim.ranks[m].comms[cid] = CommView(shared, m)
     sim.emit(COORD, "restart", round=image.round_id, from_step=image.step)
     return sim

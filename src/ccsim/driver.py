@@ -55,7 +55,7 @@ def load_scenario(spec) -> ScenarioProgram:
 
 
 def resolve_placement(scenario: ScenarioProgram, algorithm: str, seed: int,
-                      ckpt, policy=None) -> tuple | None:
+                      ckpt) -> tuple | None:
     """Normalize a checkpoint placement.
 
     ("random", s) draws a step uniformly from the length of the same run
@@ -67,16 +67,14 @@ def resolve_placement(scenario: ScenarioProgram, algorithm: str, seed: int,
     if kind in ("at_step", "trigger"):
         return ckpt
     if kind == "random":
-        probe = _execute(scenario, algorithm, seed, None, False, False, policy)
+        probe = _execute(scenario, algorithm, seed, None, False, False)
         steps = probe.sim.step
         return ("at_step", random.Random(arg).randrange(steps + 1))
     raise SimulationError(f"unknown checkpoint placement {ckpt!r}")
 
 
-def _execute(scenario, algorithm, seed, placement, halt_at_snapshot, record, policy,
-             max_steps=5_000_000):
-    protocol = make_protocol(algorithm, policy)
-    sim = Simulator(scenario, protocol, seed=seed, record=record, max_steps=max_steps)
+def _execute(scenario, algorithm, seed, placement, halt_at_snapshot, record):
+    sim = Simulator(scenario, make_protocol(algorithm), seed=seed, record=record)
     coordinator = None
     if placement is not None:
         coordinator = CheckpointCoordinator(placement, halt_at_snapshot=halt_at_snapshot)
@@ -90,8 +88,8 @@ def _execute(scenario, algorithm, seed, placement, halt_at_snapshot, record, pol
 
 
 def run(scenario_spec, algorithm: str = "none", seed: int = 0, ckpt=None,
-        halt_at_snapshot: bool = False, record: bool = True, checks: bool = True,
-        policy: dict | None = None) -> RunResult:
+        halt_at_snapshot: bool = False, record: bool = True,
+        checks: bool = True) -> RunResult:
     """Execute one run end-to-end with verifier checks and metrics.
 
     Raises UnsupportedOperationError up front when the two-phase baseline is
@@ -109,9 +107,8 @@ def run(scenario_spec, algorithm: str = "none", seed: int = 0, ckpt=None,
         if not legality.passed:
             return RunResult(scenario.name, algorithm, seed, None, None, None, None,
                              verdicts, error="scenario fails crossing legality")
-    placement = resolve_placement(scenario, algorithm, seed, ckpt, policy)
-    result = _execute(scenario, algorithm, seed, placement, halt_at_snapshot,
-                      record, policy)
+    placement = resolve_placement(scenario, algorithm, seed, ckpt)
+    result = _execute(scenario, algorithm, seed, placement, halt_at_snapshot, record)
     result.verdicts = verdicts
     if checks and result.sim.trace is not None:
         result.verdicts.append(check_hb_acyclic(result.sim.trace, scenario.name, seed))
@@ -132,17 +129,17 @@ def run_restart(snapshot: SnapshotImage, seed: int | None = None,
     sim.run()
     result = RunResult(
         scenario_name=sim.scenario.name, algorithm=snapshot.algorithm,
-        seed=sim.scheduler.seed, placement=None, sim=sim, coordinator=None,
+        seed=sim.seed, placement=None, sim=sim, coordinator=None,
         metrics=None, snapshot=None,
     )
     if checks and sim.trace is not None:
-        result.verdicts.append(check_hb_acyclic(sim.trace, sim.scenario.name, sim.scheduler.seed))
+        result.verdicts.append(check_hb_acyclic(sim.trace, sim.scenario.name, sim.seed))
     result.metrics = collect_metrics(sim, None, placement="restart")
     return result
 
 
 def compare(scenario_spec, seeds, algorithms=("none", "cc", "2pc"),
-            placements=(None,), policy=None) -> list:
+            placements=(None,)) -> list:
     """Cross-algorithm metric rows for the same scenario and seeds.
 
     A collective-clock run with no checkpoint must show zero protocol
@@ -163,8 +160,7 @@ def compare(scenario_spec, seeds, algorithms=("none", "cc", "2pc"),
                     continue
                 try:
                     result = run(scenario, algorithm=algorithm, seed=seed,
-                                 ckpt=placement, record=False, checks=False,
-                                 policy=policy)
+                                 ckpt=placement, record=False, checks=False)
                 except UnsupportedOperationError as exc:
                     row["error"] = "unsupported-operation"
                     row["detail"] = str(exc)

@@ -4,7 +4,7 @@ Depth-first search over every scheduler choice at every step, with the
 checkpoint request injected as one extra choice at each decision point, so a
 single sweep covers all interleavings crossed with all checkpoint
 placements. Paths that finish without the request get it fired at
-termination, covering the after-end placement too.
+termination by the coordinator's after-the-end placement.
 
 Interleavings that converge to the same logical state share one subtree: the
 search fingerprints the complete protocol-visible state (step counters and
@@ -19,6 +19,7 @@ for anything larger.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 from .coordinator import CheckpointCoordinator, make_protocol
@@ -29,6 +30,7 @@ from .verify import check_hb_acyclic
 
 MAX_RANKS = 4
 MAX_EVENTS_PER_RANK = 12
+MAX_STATES = 3_000_000
 CKPT_ACTION = "ckpt"
 
 
@@ -47,18 +49,16 @@ class ExplorationResult:
 
 
 class _Bundle:
-    """One node of the search: a runtime plus its coordinator and path."""
+    """One node of the search: a runtime, with its coordinator, and a path."""
 
-    __slots__ = ("sim", "coordinator", "path")
+    __slots__ = ("sim", "path")
 
-    def __init__(self, sim, coordinator, path):
+    def __init__(self, sim, path):
         self.sim = sim
-        self.coordinator = coordinator
         self.path = path
 
     def fork(self):
-        sim, coordinator = copy.deepcopy((self.sim, self.coordinator))
-        return _Bundle(sim, coordinator, list(self.path))
+        return _Bundle(copy.deepcopy(self.sim), list(self.path))
 
 
 def _rank_key(rank):
@@ -81,7 +81,7 @@ def _instance_key(inst):
 
 def _state_key(bundle: _Bundle):
     sim = bundle.sim
-    coordinator = bundle.coordinator
+    coordinator = sim.coordinator
     p2p = []
     for key, queue in sorted(sim.pending_sends.items()):
         if queue:
@@ -105,8 +105,8 @@ def _state_key(bundle: _Bundle):
 
 
 def explore_small(scenario: ScenarioProgram, algorithm: str = "cc",
-                  include_checkpoint: bool = True, max_states: int = 3_000_000,
-                  per_path_check=None, policy=None) -> ExplorationResult:
+                  include_checkpoint: bool = True,
+                  per_path_check=None) -> ExplorationResult:
     if scenario.world_size > MAX_RANKS:
         raise InvalidConfigurationError(
             f"exhaustive mode supports at most {MAX_RANKS} ranks")
@@ -118,46 +118,32 @@ def explore_small(scenario: ScenarioProgram, algorithm: str = "cc",
     visited = set()
 
     def make_root():
-        protocol = make_protocol(algorithm, policy)
-        sim = Simulator(scenario, protocol, seed=0, mode="exhaustive-small",
-                        record=False)
-        coordinator = CheckpointCoordinator(placement=None) if include_checkpoint else None
-        if coordinator is not None:
-            sim.coordinator = coordinator
-        return _Bundle(sim, coordinator, [])
+        sim = Simulator(scenario, make_protocol(algorithm), record=False)
+        if include_checkpoint:
+            # Requests on paths that never branched to CKPT_ACTION fire once
+            # every rank finished.
+            sim.coordinator = CheckpointCoordinator(placement=("at_step", math.inf))
+        return _Bundle(sim, [])
 
     def apply(bundle: _Bundle, action):
         bundle.path.append(action)
         if action == CKPT_ACTION:
-            bundle.coordinator.request_checkpoint(bundle.sim)
+            bundle.sim.coordinator.request_checkpoint(bundle.sim)
         else:
             bundle.sim.step_actor(action)
 
     def choices_of(bundle: _Bundle):
-        """None when the path terminated; otherwise the actions to branch on."""
-        sim, coordinator = bundle.sim, bundle.coordinator
-        while True:
-            enabled = sim.enabled_actors()
-            if enabled:
-                actions = list(enabled)
-                if (include_checkpoint and coordinator is not None
-                        and not coordinator.requested):
-                    actions.append(CKPT_ACTION)
-                return actions
-            if coordinator is not None and not coordinator.requested:
-                # placement "after the end": the one spot DFS branching missed
-                coordinator.request_checkpoint(sim)
-                continue
-            if coordinator is not None and coordinator.handle_idle(sim):
-                continue
-            if sim.all_finished():
-                return None
-            sim._raise_deadlock()
+        """The actions to branch on; [] when the path terminated."""
+        actions = bundle.sim.runnable()
+        coordinator = bundle.sim.coordinator
+        if actions and coordinator is not None and not coordinator.requested:
+            actions.append(CKPT_ACTION)
+        return actions
 
     def finish_path(bundle: _Bundle):
         result.paths += 1
         result.max_depth = max(result.max_depth, len(bundle.path))
-        coordinator = bundle.coordinator
+        coordinator = bundle.sim.coordinator
         if coordinator is not None:
             if not coordinator.declared:
                 raise SimulationError("checkpoint round never declared a safe state")
@@ -185,7 +171,7 @@ def explore_small(scenario: ScenarioProgram, algorithm: str = "cc",
         try:
             while True:
                 actions = choices_of(bundle)
-                if actions is None:
+                if not actions:
                     finish_path(bundle)
                     break
                 if len(actions) > 1:
@@ -194,9 +180,9 @@ def explore_small(scenario: ScenarioProgram, algorithm: str = "cc",
                         break
                     visited.add(key)
                     result.states += 1
-                    if result.states > max_states:
+                    if result.states > MAX_STATES:
                         raise SimulationError(
-                            f"exploration exceeded {max_states} distinct states")
+                            f"exploration exceeded {MAX_STATES} distinct states")
                     for action in actions[1:]:
                         fork = bundle.fork()
                         apply(fork, action)

@@ -79,7 +79,7 @@ def collect_metrics(sim, coordinator=None, placement="") -> MetricsReport:
     return MetricsReport(
         scenario=sim.scenario.name,
         algorithm=sim.protocol.name,
-        seed=sim.scheduler.seed,
+        seed=sim.seed,
         steps=sim.step,
         counts=counts,
         steps_to_safe_state=steps_to_safe,

@@ -2,7 +2,7 @@
 
 Logically concurrent ranks execute their operation streams under a
 single-threaded event-loop scheduler; every cross-rank effect passes through
-the scheduler, so identical (scenario, seed, mode) always produce identical
+the scheduler, so identical (scenario, seed) always produce identical
 event logs and metrics.
 
 Semantics implemented here:
@@ -39,6 +39,7 @@ from .scenario import WORLD, Op, ScenarioProgram
 
 _MASK64 = (1 << 64) - 1
 COORD = -1  # event-log rank id for the coordinator
+MAX_STEPS = 5_000_000  # step budget of one run
 
 # Rank execution stages.
 START = "start"
@@ -231,44 +232,6 @@ class RankState:
         self.checksum = checksum_fold(self.checksum, op_index, values)
 
 
-class Scheduler:
-    """Deterministic actor picker.
-
-    random: seeded uniform choice among enabled ranks. fixed-trace: replay an
-    explicit actor list. exhaustive-small: choices are forced externally by
-    the exploration driver, never through pick().
-    """
-
-    MODES = ("random", "fixed-trace", "exhaustive-small")
-
-    def __init__(self, seed: int = 0, mode: str = "random", script=None):
-        if mode not in self.MODES:
-            raise InvalidConfigurationError(f"unknown scheduler mode {mode!r}")
-        self.seed = seed
-        self.mode = mode
-        self.rng = random.Random(seed)
-        self.script = list(script) if script else None
-        self.script_pos = 0
-        self.choices = []
-
-    def pick(self, enabled):
-        if self.mode == "exhaustive-small":
-            raise SimulationError("exhaustive mode is driven externally")
-        if self.mode == "fixed-trace":
-            if self.script is None or self.script_pos >= len(self.script):
-                raise SimulationError("fixed-trace script exhausted")
-            choice = self.script[self.script_pos]
-            self.script_pos += 1
-            if choice not in enabled:
-                raise SimulationError(f"fixed-trace actor {choice} not enabled")
-        elif len(enabled) == 1:
-            choice = enabled[0]
-        else:
-            choice = self.rng.choice(enabled)
-        self.choices.append(choice)
-        return choice
-
-
 class Counters:
     """Exact message and wrapper accounting for one run."""
 
@@ -300,6 +263,7 @@ class ProtocolAdapter:
 
     name = "none"
     supports_checkpoint = False
+    policy = {}  # the snapshot's "policy" field, fixed per protocol
 
     def bind(self, sim):
         self.sim = sim
@@ -370,9 +334,6 @@ class ProtocolAdapter:
     def on_round_end(self, sim):
         """Clear round state; the coordinator then releases every rank."""
 
-    def policy(self) -> dict:
-        return {}
-
     def snapshot_rank(self, rank_id: int) -> dict:
         return {}
 
@@ -392,16 +353,15 @@ class Simulator:
     """Event-loop scheduler over rank state machines plus a protocol adapter."""
 
     def __init__(self, scenario: ScenarioProgram, protocol=None, seed: int = 0,
-                 mode: str = "random", script=None, record: bool = True,
-                 max_steps: int = 5_000_000):
+                 record: bool = True):
         if scenario.world_size < 1:
             raise InvalidConfigurationError("world size must be >= 1")
         scenario.validate()
         self.scenario = scenario
         self.world_size = scenario.world_size
         self.protocol = protocol or NullProtocol()
-        self.scheduler = Scheduler(seed, mode, script)
-        self.max_steps = max_steps
+        self.seed = seed
+        self.rng = random.Random(seed)
         self.step = 0
         self.halted = False
         self.trace = [] if record else None
@@ -436,22 +396,34 @@ class Simulator:
         while not self.halted:
             if self.coordinator is not None:
                 self.coordinator.before_step(self)
-            enabled = self.enabled_actors()
+            enabled = self.runnable()
             if not enabled:
-                if self.coordinator is not None and self.coordinator.handle_idle(self):
-                    continue
-                if all(r.finished for r in self.ranks):
-                    break
-                self._raise_deadlock()
-            actor = self.scheduler.pick(enabled)
-            self.step_actor(actor)
+                break
+            self.step_actor(enabled[0] if len(enabled) == 1 else self.rng.choice(enabled))
         return self
+
+    def runnable(self):
+        """The ranks that can step, letting the coordinator act while none can.
+
+        Returns [] once every rank has finished or the run has halted; raises
+        the deadlock error when no rank can ever step again.
+        """
+        enabled = self.enabled_actors()
+        while not enabled:
+            if self.coordinator is None or not self.coordinator.handle_idle(self):
+                if self.all_finished():
+                    return []
+                self._raise_deadlock()
+            if self.halted:
+                return []
+            enabled = self.enabled_actors()
+        return enabled
 
     def step_actor(self, rank_id: int):
         self._step_rank(self.ranks[rank_id])
         self.step += 1
-        if self.step > self.max_steps:
-            raise SimulationError(f"step budget {self.max_steps} exceeded")
+        if self.step > MAX_STEPS:
+            raise SimulationError(f"step budget {MAX_STEPS} exceeded")
 
     def all_finished(self):
         return all(r.finished for r in self.ranks)

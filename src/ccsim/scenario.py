@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import GenerationError, ScenarioError
 
@@ -19,6 +19,10 @@ WORLD = "world"
 
 COLLECTIVE_KINDS = ("barrier", "bcast", "reduce", "allreduce", "gather", "alltoall")
 REDUCE_OPS = ("sum", "max")
+
+# Generator mix constants.
+COMPUTE_RATIO = 0.15
+MAX_GROUP_SIZE = 5
 
 # Scheduler seed under which the built-in scenarios were validated to hit
 # their checkpoint trigger window. Runs are reproducible, so one verified
@@ -65,7 +69,28 @@ class Op:
         unknown = set(obj) - known - {"type"}
         if unknown:
             raise ScenarioError(f"unknown op fields: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name not in obj:
+                if f.default is MISSING:
+                    raise ScenarioError(f"op has no {f.name!r} field")
+            elif not (obj[f.name] is None and f.default is None
+                      or _typed(obj[f.name], _OP_FIELD_TYPES[f.name])):
+                raise ScenarioError(f"op field {f.name!r} cannot be {obj[f.name]!r}")
         return cls(**{k: v for k, v in obj.items() if k in known})
+
+
+# JSON type of each op field; a pair is a list of that element type.
+_OP_FIELD_TYPES = {
+    "rank": int, "op": str, "comm": str, "kind": str, "root": int, "reduce_op": str,
+    "peer": int, "tag": int, "data": (list, int), "request_id": str,
+    "request_ids": (list, str), "ticks": int, "new_comm": str,
+}
+
+
+def _typed(value, want) -> bool:
+    if isinstance(want, tuple):
+        return type(value) is list and all(type(x) is want[1] for x in value)
+    return type(value) is want
 
 
 def _json_line(line: str) -> dict:
@@ -132,9 +157,16 @@ class ScenarioProgram:
             raise ScenarioError(f"unsupported scenario version {header.get('version')}")
         if "world_size" not in header:
             raise ScenarioError("scenario header has no world_size")
+        comms = header.get("comms", {})
+        if (type(header["world_size"]) is not int or type(comms) is not dict
+                or not all(_typed(m, (list, int)) for m in comms.values())
+                or type(header.get("name", "")) is not str
+                or type(header.get("meta", {})) is not dict):
+            raise ScenarioError("scenario header needs an int world_size, comms mapping "
+                                "ids to lists of ranks, a str name and a dict meta")
         scenario = cls(
-            world_size=int(header["world_size"]),
-            comms={cid: tuple(m) for cid, m in header.get("comms", {}).items()},
+            world_size=header["world_size"],
+            comms={cid: tuple(m) for cid, m in comms.items()},
             name=header.get("name", "unnamed"),
             meta=header.get("meta", {}),
         )
@@ -377,15 +409,13 @@ class GenParams:
     ops: int = 60
     nonblocking_ratio: float = 0.0
     p2p_ratio: float = 0.0
-    compute_ratio: float = 0.15
-    max_group_size: int = 5
 
     def check(self):
         if not 1 <= self.ranks <= 64:
             raise GenerationError("ranks must be within [1, 64]")
         if self.groups < 0 or self.ops < 1:
             raise GenerationError("groups must be >= 0 and ops >= 1")
-        for name in ("nonblocking_ratio", "p2p_ratio", "compute_ratio"):
+        for name in ("nonblocking_ratio", "p2p_ratio"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise GenerationError(f"{name} must be within [0, 1]")
 
@@ -423,7 +453,7 @@ def _generate_once(rng, params, seed, attempt) -> ScenarioProgram:
     for i in range(params.groups):
         if n < 2:
             break
-        size = rng.randint(2, min(params.max_group_size, n))
+        size = rng.randint(2, min(MAX_GROUP_SIZE, n))
         members = tuple(sorted(rng.sample(range(n), size)))
         if members in seen_sets or len(members) == n:
             continue
@@ -523,7 +553,7 @@ def _generate_once(rng, params, seed, attempt) -> ScenarioProgram:
         else:
             budget -= emit_collective()
             rounds_since_completion += 1
-        if rng.random() < params.compute_ratio:
+        if rng.random() < COMPUTE_RATIO:
             r = rng.randrange(n)
             sc.programs[r].append(Op(rank=r, op="compute", ticks=rng.randint(1, 4)))
             budget -= 1

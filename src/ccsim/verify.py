@@ -287,8 +287,7 @@ def check_safe_state(snapshot, trace, scenario="", seed=None) -> Verdict:
 # --------------------------------------------------------------------------
 
 
-def check_replay_equivalence(scenario, algorithm, seed, placement,
-                             restart_seed=None) -> Verdict:
+def check_replay_equivalence(scenario, algorithm, seed, placement) -> Verdict:
     """Uninterrupted run vs. checkpoint + restart: final checksums must agree.
 
     Also asserts the resumed original run (release path) matches, which is
@@ -305,7 +304,7 @@ def check_replay_equivalence(scenario, algorithm, seed, placement,
                        {"problems": ["no snapshot taken"], **detail},
                        ck.scenario_name, seed)
     resumed_ok = ck.checksums == base.checksums
-    rs = driver.run_restart(ck.snapshot, seed=restart_seed, record=False)
+    rs = driver.run_restart(ck.snapshot, record=False)
     restarted_ok = rs.checksums == base.checksums
     detail["resumed_matches"] = resumed_ok
     detail["restarted_matches"] = restarted_ok

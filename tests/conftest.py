@@ -24,11 +24,10 @@ def scenario(world_size, comms=None, name="test", preamble=True):
     return sc
 
 
-def build(sc, algorithm="none", seed=0, placement=None, record=True, policy=None):
+def build(sc, algorithm="none", seed=0, placement=None, record=True):
     """Simulator plus coordinator wired for manual driving."""
     sc.validate()
-    sim = Simulator(sc, make_protocol(algorithm, policy), seed=seed,
-                    mode="exhaustive-small", record=record)
+    sim = Simulator(sc, make_protocol(algorithm), seed=seed, record=record)
     coordinator = None
     if algorithm != "none":
         coordinator = CheckpointCoordinator(placement)
@@ -48,13 +47,8 @@ def drive(sim, coordinator=None, pick=min, request_when=None, max_steps=100_000)
                 and coordinator is not None and request_when(sim)):
             coordinator.request_checkpoint(sim)
             requested = True
-        enabled = sim.enabled_actors()
+        enabled = sim.runnable()
         if not enabled:
-            if coordinator is not None and coordinator.handle_idle(sim):
-                if sim.halted:
-                    return sim
-                continue
-            assert sim.all_finished(), "drive() hit a deadlock"
             return sim
         sim.step_actor(pick(enabled))
         max_steps -= 1

@@ -81,7 +81,7 @@ class TestCommitSequencing:
         assert states[0].clock.get(g) == 2
         assert states[1].clock.get(g) == 2
         assert states[2].clock.get(g) == 0
-        # world: one comm_create (counted by default policy) + one barrier
+        # world: one comm_create (always counted) + one barrier
         assert all(states[r].clock.get(world_key(3)) == 2 for r in range(3))
 
     def test_same_member_set_shares_one_counter(self):
@@ -93,16 +93,6 @@ class TestCommitSequencing:
         key = world_key(2)
         # create + dup-barrier + world-barrier all land on the same ggid
         assert result.sim.protocol.states[0].clock.to_json() == {key.label(): 3}
-
-    def test_comm_create_policy_switch(self):
-        sc = scenario(2, comms={"g": (0, 1)})
-        for r in range(2):
-            sc.programs[r].append(op_coll(r))
-        counted = run(sc, "cc", seed=0)
-        uncounted = run(sc, "cc", seed=0, policy={"count_comm_create": False})
-        key = world_key(2)
-        assert counted.sim.protocol.states[0].clock.get(key) == 2
-        assert uncounted.sim.protocol.states[0].clock.get(key) == 1
 
     def test_nonblocking_increments_at_initiation(self):
         # rank 0 initiates three broadcasts back to back; its counter moves by

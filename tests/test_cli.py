@@ -1,11 +1,17 @@
 """Command-line front end: subcommands, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from ccsim.cli import main
 from ccsim.coordinator import SnapshotImage
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(*argv):
@@ -104,6 +110,11 @@ class TestRun:
         path.write_text('{"type":"scenario","version":1,"world_size":2}\n{"rank": 0,\n')
         assert run_cli("run", "--scenario", str(path)) == 1
         assert "not valid JSON" in capsys.readouterr().err
+        path.write_text('{"type":"scenario","version":1,"world_size":"two"}\n')
+        proc = subprocess.run([sys.executable, "-m", "ccsim.cli", "run", "--scenario", str(path)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
 
     def test_illegal_scenario_fails_verification(self, tmp_path, capsys):
         from ccsim.scenario import Op

@@ -232,13 +232,24 @@ class TestSnapshotImage:
             SnapshotImage.loads('{"version": 1, "algorithm": "cc"}')
 
     @pytest.mark.parametrize("corrupt", [
-        lambda rows: rows[0].update(rank=99),
-        lambda rows: rows[0].update(pc=-5),
-        lambda rows: rows.__delitem__(slice(3, None)),
-    ], ids=["rank-99", "pc-negative", "3-of-7-ranks"])
+        lambda im: im.per_rank[0].update(rank=99),
+        lambda im: im.per_rank[0].update(pc=-5),
+        lambda im: im.per_rank.__delitem__(slice(3, None)),
+        lambda im: im.comms_created.update(g12=(1, 99)),
+        lambda im: im.comms_created.update(g12=(1, 3)),
+        lambda im: im.comms_created.update(zz=(0, 1)),
+        lambda im: im.comms_created.pop("g12"),
+        lambda im: im.per_rank[1]["protocol"]["clock"].update({"a,b": 1}),
+        lambda im: im.per_rank[1]["protocol"]["clock"].update({"1,99": 1}),
+        lambda im: im.policy.update(count_comm_create=False),
+        lambda im: im.per_rank[0].update(protocol=[]),
+    ], ids=["rank-99", "pc-negative", "3-of-7-ranks", "comm-member-99", "comm-wrong-members",
+            "comm-undeclared", "comm-dropped", "clock-label-not-ranks",
+            "clock-label-outside-world", "policy-uncounted-comm-create",
+            "protocol-not-an-object"])
     def test_restart_rejects_malformed_per_rank(self, corrupt):
         image = run("fig2", algorithm="cc", seed=11, ckpt=("trigger", "fig2-instant")).snapshot
-        corrupt(image.per_rank)
+        corrupt(image)
         with pytest.raises(SnapshotLoadError):
             restart(image)
 

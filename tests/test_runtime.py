@@ -1,5 +1,7 @@
 """Deterministic runtime semantics."""
 
+import random
+
 import pytest
 
 from ccsim import (
@@ -330,24 +332,24 @@ class TestCostModel:
 
 
 class TestDeterminism:
-    def test_exhaustive_mode_refuses_internal_pick(self):
-        from ccsim import Scheduler, SimulationError
-
-        with pytest.raises(SimulationError):
-            Scheduler(0, "exhaustive-small").pick([0, 1])
-
-    def test_unknown_mode_rejected(self):
-        from ccsim import Scheduler
-
-        with pytest.raises(InvalidConfigurationError):
-            Scheduler(0, "bogus")
-
     def test_fixed_trace_replay(self):
         sc = scenario(3)
         for r in range(3):
             sc.programs[r] += [op_coll(r), op_coll(r)]
-        first = finished_sim(sc, seed=4)
-        replay = Simulator(sc, seed=0, mode="fixed-trace",
-                           script=first.scheduler.choices)
-        replay.run()
-        assert replay.trace_lines() == first.trace_lines()
+        rng = random.Random(4)
+        picked = []
+
+        def record(enabled):
+            picked.append(rng.choice(enabled))
+            return picked[-1]
+
+        def replay(enabled):
+            actor = next(script)
+            assert actor in enabled
+            return actor
+
+        first = drive(build(sc)[0], pick=record)
+        script = iter(picked)
+        again = drive(build(sc)[0], pick=replay)
+        assert next(script, None) is None
+        assert again.trace_lines() == first.trace_lines()

@@ -34,7 +34,19 @@ class TestFormat:
         '{"type":"scenario","version":1,"world_size":1}\n{"rank": 0, "op": ',
         '{"type":"scenario","version":1}',
         '["scenario"]',
-    ], ids=["bad-json-line", "no-world-size", "not-an-object"])
+        '{"type":"scenario","version":1,"world_size":"two"}',
+        '{"type":"scenario","version":1,"world_size":2,"comms":[[0,1]]}',
+        '{"type":"scenario","version":1,"world_size":2,"comms":{"g":5}}',
+        '{"type":"scenario","version":1,"world_size":2}\n{"rank":"0","op":"coll","kind":"barrier"}',
+        '{"type":"scenario","version":1,"world_size":1}\n{"op":"compute","ticks":1}',
+        '{"type":"scenario","version":1,"world_size":1}\n{"rank":0,"op":"compute","ticks":"3"}',
+        '{"type":"scenario","version":1,"world_size":2}\n{"rank":0,"op":"send","peer":1,"data":"ab"}'
+        '\n{"rank":1,"op":"recv","peer":0}',
+        '{"type":"scenario","version":1,"world_size":1}'
+        '\n{"rank":0,"op":"coll","kind":"allreduce","reduce_op":"sum","data":"x"}',
+    ], ids=["bad-json-line", "no-world-size", "not-an-object", "world-size-str",
+            "comms-list", "comm-members-int", "op-rank-str", "op-no-rank", "ticks-str",
+            "send-data-str", "coll-data-str"])
     def test_unreadable_text_rejected(self, text):
         with pytest.raises(ScenarioError):
             ScenarioProgram.loads(text)
