@@ -14,12 +14,12 @@ update un-reaches one of its groups or the coordinator releases the round.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .clock import CollectiveClock, GroupKey, TargetTable, compute_targets, reached_all_targets
 from .errors import ProtocolViolationError, SnapshotLoadError
 from .runtime import (
-    COMPLETE,
     COORD,
     CONSUMED,
     FINISHED,
@@ -53,14 +53,13 @@ class TargetUpdateMsg:
 class CcState:
     """Per-rank protocol state."""
 
-    __slots__ = ("clock", "targets", "ckpt_pending", "incomplete_requests",
-                 "update_queue", "update_sent_count", "update_recv_count")
+    __slots__ = ("clock", "targets", "ckpt_pending", "update_queue",
+                 "update_sent_count", "update_recv_count")
 
     def __init__(self):
         self.clock = CollectiveClock()
         self.targets = TargetTable()
         self.ckpt_pending = False
-        self.incomplete_requests = {}
         self.update_queue = []
         self.update_sent_count = 0
         self.update_recv_count = 0
@@ -93,15 +92,15 @@ class CollectiveClockProtocol(ProtocolAdapter):
         return view.record.key
 
     def begin_collective(self, rank):
-        """commit_begin: probe-park first, then bump the counter and targets."""
+        """commit_begin: probe-park first, then bump the counter and targets.
+
+        A non-blocking initiation commits exactly like a blocking call.
+        """
         st = self.states[rank.id]
         if st.ckpt_pending and reached_all_targets(st.clock, st.targets, rank.id):
             return PARK
         self._commit(rank, st, self._group_of(rank))
         return PROCEED
-
-    # Initiation commits the counter exactly like a blocking call.
-    begin_nonblocking = begin_collective
 
     def _commit(self, rank, st: CcState, g: GroupKey):
         seq = st.clock.increment(g)
@@ -147,14 +146,6 @@ class CollectiveClockProtocol(ProtocolAdapter):
             self.sim.counters.target_updates_sent += 1
             self.sim.emit(origin, "update_sent", group=g.label(), value=value, to=member)
 
-    # ------------------------------------------------------------ requests
-
-    def on_request_created(self, rank, req):
-        self.states[rank.id].incomplete_requests[req.req_id] = req
-
-    def on_request_consumed(self, rank, req):
-        self.states[rank.id].incomplete_requests.pop(req.req_id, None)
-
     # ------------------------------------------------------ probe channel
 
     def _apply_queue(self, rank_id: int, finished: bool = False) -> bool:
@@ -182,13 +173,10 @@ class CollectiveClockProtocol(ProtocolAdapter):
         return raised
 
     def parked_enabled(self, rank):
-        st = self.states[rank.id]
-        return bool(st.update_queue) or not st.ckpt_pending
+        return bool(self.states[rank.id].update_queue)
 
     def parked_step(self, rank) -> bool:
         st = self.states[rank.id]
-        if not st.ckpt_pending:
-            return True
         self._apply_queue(rank.id)
         return not reached_all_targets(st.clock, st.targets, rank.id)
 
@@ -245,16 +233,14 @@ class CollectiveClockProtocol(ProtocolAdapter):
         return sent == recv
 
     def drain(self, sim):
-        """Test every registered incomplete request; all must be complete.
+        """Test every unconsumed request; all must be complete.
 
         At a declared safe state every member of each initiated non-blocking
         collective has initiated it, so global completion already happened;
         requests stay unconsumed for the application.
         """
         for rank in sim.ranks:
-            st = self.states[rank.id]
-            for rid in sorted(st.incomplete_requests):
-                req = st.incomplete_requests[rid]
+            for rid, req in _live_requests(rank):
                 if req.state == PENDING:
                     inst = sim.instances.get(req.instance_id)
                     missing = sorted(set(inst.members) - inst.entered) if inst else "?"
@@ -277,11 +263,6 @@ class CollectiveClockProtocol(ProtocolAdapter):
                 raise ProtocolViolationError(
                     f"rank {rank.id} below target at declared safe state"
                 )
-            for rid, req in st.incomplete_requests.items():
-                if req.state not in (COMPLETE, CONSUMED):
-                    raise ProtocolViolationError(
-                        f"request {rid} not globally complete at safe state"
-                    )
 
     def final_targets(self) -> dict:
         merged = {}
@@ -299,22 +280,25 @@ class CollectiveClockProtocol(ProtocolAdapter):
     # ----------------------------------------------------------- snapshot
 
     def snapshot_rank(self, rank_id: int) -> dict:
-        st = self.states[rank_id]
         return {
-            "clock": st.clock.to_json(),
+            "clock": self.states[rank_id].clock.to_json(),
             "incomplete_requests": {
                 rid: {"state": req.state, "payload": req.payload,
                       "op_index": req.op_index}
-                for rid, req in sorted(st.incomplete_requests.items())
+                for rid, req in _live_requests(self.sim.ranks[rank_id])
             },
         }
 
     def restore_rank(self, rank, saved: dict):
         st = self.states[rank.id]
         st.clock = CollectiveClock.from_json(saved.get("clock", {}))
-        if any(g.members[0] < 0 or g.members[-1] >= self.sim.world_size
-               for g in st.clock.groups()):
-            raise SnapshotLoadError(f"rank {rank.id} clock names a group outside the world")
+        # At a safe state the clock counts the wrapped calls before the pc.
+        counted = Counter(GroupKey(self.sim.scenario.comm_members(op.comm))
+                          for op in rank.program[:rank.pc]
+                          if op.op in ("coll", "icoll", "comm_create"))
+        if st.clock != CollectiveClock(counted):
+            raise SnapshotLoadError(
+                f"rank {rank.id} clock {st.clock.to_json()} disagrees with its pc {rank.pc}")
         for rid, rec in saved.get("incomplete_requests", {}).items():
             req = RequestObject(rid, rank.id, None, rec["op_index"])
             req.state = rec["state"]
@@ -322,7 +306,6 @@ class CollectiveClockProtocol(ProtocolAdapter):
             if req.state == PENDING:
                 raise ProtocolViolationError(f"snapshot holds a pending request {rid}")
             rank.requests[rid] = req
-            st.incomplete_requests[rid] = req
 
     def state_key(self):
         return tuple(
@@ -330,12 +313,16 @@ class CollectiveClockProtocol(ProtocolAdapter):
                 tuple(sorted(st.clock.to_json().items())),
                 tuple(sorted(st.targets.to_json().items())),
                 st.ckpt_pending,
-                tuple(sorted(st.incomplete_requests)),
                 tuple((m.ggid.label(), m.new_target, m.origin) for m in st.update_queue),
                 st.update_sent_count, st.update_recv_count,
             )
             for st in self.states
         )
+
+
+def _live_requests(rank):
+    """The rank's unconsumed requests, by id."""
+    return sorted((rid, req) for rid, req in rank.requests.items() if req.state != CONSUMED)
 
 
 def _by_label(targets: dict) -> dict:

@@ -14,7 +14,7 @@ import sys
 
 from . import driver
 from .coordinator import SnapshotImage, TRIGGERS
-from .errors import SimulationError
+from .errors import SimulationError, UnsupportedOperationError
 from .explore import explore_small
 from .metrics import CSV_FIELDS
 from .scenario import BUILTIN_SCENARIOS, GenParams, generate_workload
@@ -74,8 +74,10 @@ def cmd_run(args) -> int:
     placement = _placement_from(args)
     scenario = driver.load_scenario(args.scenario)
     if args.exhaustive:
-        result = explore_small(scenario, algorithm=args.algo,
-                               include_checkpoint=placement is not None or args.algo != "none")
+        if placement is not None and args.algo == "none":
+            # the explorer tries every placement itself; a plain run fails the same way
+            raise UnsupportedOperationError("algorithm 'none' cannot take checkpoints")
+        result = explore_small(scenario, algorithm=args.algo)
         summary = {
             "paths": result.paths, "rounds_declared": result.rounds_declared,
             "max_depth": result.max_depth, "failures": result.failures[:5],

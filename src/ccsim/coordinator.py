@@ -346,6 +346,8 @@ def restart(image: SnapshotImage, seed: int | None = None, record: bool = True) 
             if type(rank.pc) is not int or not 0 <= rank.pc <= len(rank.program):
                 raise SnapshotLoadError(f"rank {rank.id} pc {rank.pc!r} is outside its program")
             rank.checksum = saved["checksum"]
+            if type(rank.checksum) is not int or not 0 <= rank.checksum < 2**64:
+                raise SnapshotLoadError(f"rank {rank.id} checksum {rank.checksum!r} is not 64-bit")
             rank.stage = FINISHED if rank.pc >= len(rank.program) else START
             protocol.restore_rank(rank, saved.get("protocol", {}))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

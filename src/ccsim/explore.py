@@ -12,13 +12,17 @@ other path-length artifacts excluded) and expands each distinct state once.
 Every reachable state is still visited, so a violation on any interleaving
 is a violation on some explored path.
 
+The search is stateless, as in VeriSoft (Godefroid, POPL 1997): a node on the
+depth-first stack is the path of actions that reaches it, and popping it
+replays that path on a fresh runtime from the root. A failure is reported
+under the full path of the branch that raised it.
+
 Bounded to at most 4 ranks and 12 events per rank; use generated campaigns
 for anything larger.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -49,16 +53,40 @@ class ExplorationResult:
 
 
 class _Bundle:
-    """One node of the search: a runtime, with its coordinator, and a path."""
+    """One node of the search: a runtime, with its coordinator, and the path
+    of actions it took from the root."""
 
     __slots__ = ("sim", "path")
 
-    def __init__(self, sim, path):
-        self.sim = sim
-        self.path = path
+    def __init__(self, scenario, algorithm):
+        self.sim = Simulator(scenario, make_protocol(algorithm))
+        if self.sim.protocol.supports_checkpoint:
+            # Requests on paths that never branched to CKPT_ACTION fire once
+            # every rank finished.
+            self.sim.coordinator = CheckpointCoordinator(placement=("at_step", math.inf))
+        self.path = []
 
-    def fork(self):
-        return _Bundle(copy.deepcopy(self.sim), list(self.path))
+    def fork(self, path):
+        """Drive this fresh node along path. The coordinator acts before each
+        action whenever no rank can step, exactly as on the first visit."""
+        for action in path:
+            self.sim.runnable()
+            self.apply(action)
+
+    def apply(self, action):
+        self.path.append(action)
+        if action == CKPT_ACTION:
+            self.sim.coordinator.request_checkpoint(self.sim)
+        else:
+            self.sim.step_actor(action)
+
+    def choices(self):
+        """The actions to branch on; [] when the path terminated."""
+        actions = self.sim.runnable()
+        coordinator = self.sim.coordinator
+        if actions and coordinator is not None and not coordinator.requested:
+            actions.append(CKPT_ACTION)
+        return actions
 
 
 def _rank_key(rank):
@@ -105,7 +133,6 @@ def _state_key(bundle: _Bundle):
 
 
 def explore_small(scenario: ScenarioProgram, algorithm: str = "cc",
-                  include_checkpoint: bool = True,
                   per_path_check=None) -> ExplorationResult:
     if scenario.world_size > MAX_RANKS:
         raise InvalidConfigurationError(
@@ -116,29 +143,6 @@ def explore_small(scenario: ScenarioProgram, algorithm: str = "cc",
 
     result = ExplorationResult()
     visited = set()
-
-    def make_root():
-        sim = Simulator(scenario, make_protocol(algorithm), record=False)
-        if include_checkpoint:
-            # Requests on paths that never branched to CKPT_ACTION fire once
-            # every rank finished.
-            sim.coordinator = CheckpointCoordinator(placement=("at_step", math.inf))
-        return _Bundle(sim, [])
-
-    def apply(bundle: _Bundle, action):
-        bundle.path.append(action)
-        if action == CKPT_ACTION:
-            bundle.sim.coordinator.request_checkpoint(bundle.sim)
-        else:
-            bundle.sim.step_actor(action)
-
-    def choices_of(bundle: _Bundle):
-        """The actions to branch on; [] when the path terminated."""
-        actions = bundle.sim.runnable()
-        coordinator = bundle.sim.coordinator
-        if actions and coordinator is not None and not coordinator.requested:
-            actions.append(CKPT_ACTION)
-        return actions
 
     def finish_path(bundle: _Bundle):
         result.paths += 1
@@ -159,18 +163,19 @@ def explore_small(scenario: ScenarioProgram, algorithm: str = "cc",
                 result.update_bound_worst = max(
                     result.update_bound_worst,
                     coordinator.updates_in_round / allowed)
-        verdict = check_hb_acyclic(bundle.sim.hb)
+        verdict = check_hb_acyclic(bundle.sim.trace)
         if not verdict.passed:
             raise SimulationError(f"happens-before cycle: {verdict.detail}")
         if per_path_check is not None:
             per_path_check(bundle.sim, coordinator)
 
-    stack = [make_root()]
+    stack = [[]]
     while stack:
-        bundle = stack.pop()
+        bundle = _Bundle(scenario, algorithm)
         try:
+            bundle.fork(stack.pop())
             while True:
-                actions = choices_of(bundle)
+                actions = bundle.choices()
                 if not actions:
                     finish_path(bundle)
                     break
@@ -184,12 +189,10 @@ def explore_small(scenario: ScenarioProgram, algorithm: str = "cc",
                         raise SimulationError(
                             f"exploration exceeded {MAX_STATES} distinct states")
                     for action in actions[1:]:
-                        fork = bundle.fork()
-                        apply(fork, action)
-                        stack.append(fork)
-                apply(bundle, actions[0])
+                        stack.append(bundle.path + [action])
+                bundle.apply(actions[0])
         except SimulationError as exc:
-            result.failures.append({"path": list(bundle.path), "error": str(exc)})
+            result.failures.append({"path": bundle.path, "error": str(exc)})
             if len(result.failures) > 25:
                 return result
     return result

@@ -279,15 +279,6 @@ class ProtocolAdapter:
     def finish_collective(self, rank):
         return PROCEED
 
-    def begin_nonblocking(self, rank):
-        return PROCEED
-
-    def on_request_created(self, rank, req):
-        pass
-
-    def on_request_consumed(self, rank, req):
-        pass
-
     def blocked_poll(self, rank):
         pass
 
@@ -302,9 +293,6 @@ class ProtocolAdapter:
 
     def parked_step(self, rank):
         self._never("parks ranks")
-
-    def stopped_enabled(self, rank):
-        self._never("stops ranks")
 
     def barrier_step(self, rank):
         self._never("inserts barriers")
@@ -376,7 +364,6 @@ class Simulator:
         self.instances = {}        # (comm_id, index) -> Instance
         self.pending_sends = {}    # (src, dst, tag, comm_id) -> deque[(data, op_index)]
         self.pending_recvs = {}    # (src, dst, tag, comm_id) -> deque[op_index]
-        self.hb = [[] for _ in range(self.world_size)]  # per rank: (group label, k)
 
         self.protocol.bind(self)
 
@@ -447,12 +434,12 @@ class Simulator:
             return rank.blocked_ref.complete or rank.blocked_ref.aborted
         if stage == BLOCKED_REQ:
             return self._requests_satisfied(rank) or self.protocol.blocked_has_input(rank)
-        if stage in (BLOCKED_SEND, BLOCKED_RECV):
-            return False  # the matching peer completes the rendezvous
+        if stage in (BLOCKED_SEND, BLOCKED_RECV, STOPPED):
+            # the matching peer completes a rendezvous; a stopped rank waits
+            # for the coordinator's release
+            return False
         if stage == PARKED:
             return self.protocol.parked_enabled(rank)
-        if stage == STOPPED:
-            return self.protocol.stopped_enabled(rank)
         # FINISHED: schedulable only to absorb late protocol messages
         return self.protocol.finished_has_input(rank)
 
@@ -485,9 +472,6 @@ class Simulator:
             if self.protocol.parked_step(rank):
                 self.emit(rank.id, "resume")
                 rank.stage = START
-        elif stage == STOPPED:
-            self.emit(rank.id, "resume")
-            rank.stage = START
         elif stage == FINISHED:
             self.protocol.finished_step(rank)
         else:
@@ -496,7 +480,7 @@ class Simulator:
     def _step_start(self, rank: RankState):
         op = rank.current_op()
         kind = op.op
-        if kind in ("coll", "comm_create"):
+        if kind in ("coll", "comm_create", "icoll"):
             outcome = self.protocol.begin_collective(rank)
             if outcome == PARK:
                 rank.stage = PARKED
@@ -507,15 +491,10 @@ class Simulator:
             elif outcome == BARRIER:
                 rank.stage = TB_BLOCKED
                 rank.block_info = f"trivial barrier {op.comm}"
+            elif kind == "icoll":
+                self._initiate_nonblocking(rank, op)
             else:
                 self._join_collective(rank, op)
-        elif kind == "icoll":
-            outcome = self.protocol.begin_nonblocking(rank)
-            if outcome == PARK:
-                rank.stage = PARKED
-                self.emit(rank.id, "park", at="begin", pc=rank.pc)
-            else:
-                self._initiate_nonblocking(rank, op)
         elif kind == "send":
             self._post_send(rank, op)
         elif kind == "recv":
@@ -576,7 +555,6 @@ class Simulator:
         k = rank.group_calls.get(label, 0) + 1
         rank.group_calls[label] = k
         inst.group_num[rank.id] = k
-        self.hb[rank.id].append((label, k))
         self.counters.wrapper_invocations += 1
         self.emit(rank.id, "coll_enter", comm=comm.comm_id, instance=index,
                   kind=inst.signature[0], group=label, num=k)
@@ -707,10 +685,9 @@ class Simulator:
         inst = self.get_instance(comm, index, op, blocking=False)
         inst.entered.add(rank.id)
         inst.inputs[rank.id] = op.data
-        req = RequestObject(op.request_id, rank.id, (comm.comm_id, index), rank.pc)
-        rank.requests[op.request_id] = req
+        rank.requests[op.request_id] = RequestObject(
+            op.request_id, rank.id, (comm.comm_id, index), rank.pc)
         inst.request_ids[rank.id] = op.request_id
-        self.protocol.on_request_created(rank, req)
         self.counters.wrapper_invocations += 1
         self.emit(rank.id, "icoll_init", comm=comm.comm_id, instance=index,
                   kind=inst.signature[0], request=op.request_id)
@@ -767,7 +744,6 @@ class Simulator:
         if req.payload is not None:
             rank.fold(req.op_index, req.payload)
         self.emit(rank.id, "req_consume", request=req.req_id)
-        self.protocol.on_request_consumed(rank, req)
 
     # ---------------------------------------------------- point-to-point
 

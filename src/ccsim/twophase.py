@@ -68,9 +68,13 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
     # ------------------------------------------------------------ wrappers
 
     def begin_collective(self, rank):
+        op = rank.current_op()
+        if op.op == "icoll":
+            raise UnsupportedOperationError(
+                "the two-phase-commit baseline does not support non-blocking collectives"
+            )
         if self.pending:
             return STOP
-        op = rank.current_op()
         view = rank.comms[op.comm]
         index = rank.comm_calls.get(op.comm, 0)  # peek; join increments later
         key = (op.comm, index)
@@ -107,14 +111,6 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
         if self.pending:
             self.sim.counters.drain_collectives += 1
         return PROCEED
-
-    def begin_nonblocking(self, rank):
-        raise UnsupportedOperationError(
-            "the two-phase-commit baseline does not support non-blocking collectives"
-        )
-
-    def stopped_enabled(self, rank):
-        return not self.pending
 
     # --------------------------------------------------------- round hooks
 

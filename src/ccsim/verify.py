@@ -85,19 +85,15 @@ def _find_cycle(adjacency: dict):
     return None
 
 
-def check_hb_acyclic(trace_or_lists, scenario="", seed=None) -> Verdict:
+def check_hb_acyclic(trace, scenario="", seed=None) -> Verdict:
     """Program-order edges per rank between consecutive blocking instances;
     the transitive closure is a DAG iff this base graph is."""
-    if trace_or_lists and isinstance(trace_or_lists[0], dict):
-        per_rank = hb_lists_from_trace(trace_or_lists)
-    else:
-        per_rank = trace_or_lists or []
     adjacency: dict = {}
-    for sequence in per_rank:
+    for sequence in hb_lists_from_trace(trace):
         for node in sequence:
-            adjacency.setdefault(tuple(node), set())
+            adjacency.setdefault(node, set())
         for a, b in zip(sequence, sequence[1:]):
-            adjacency[tuple(a)].add(tuple(b))
+            adjacency[a].add(b)
     cycle = _find_cycle(adjacency)
     detail = {"nodes": len(adjacency)}
     if cycle:

@@ -109,9 +109,8 @@ class TestCommitSequencing:
         sim, _ = build(sc, "cc")
         g = GroupKey((0, 1))
         drive_held(sim, {1: 1, 2: 1})  # rank 1 stops after the comm_create
-        st0 = sim.protocol.states[0]
-        assert st0.clock.get(g) == 3
-        assert all(st0.incomplete_requests[rid].state == PENDING for rid in reqs)
+        assert sim.protocol.states[0].clock.get(g) == 3
+        assert all(sim.ranks[0].requests[rid].state == PENDING for rid in reqs)
         drive(sim)
         assert all(r.state == CONSUMED for r in sim.ranks[0].requests.values())
 
@@ -215,6 +214,10 @@ class TestParking:
         assert sim.protocol.states[0].clock.get(world_key(2)) == 3
 
 
+def live_requests(rank):
+    return {rid for rid, req in rank.requests.items() if req.state != CONSUMED}
+
+
 class TestRequestBookkeeping:
     def test_consume_shrinks_incomplete_list(self):
         sc = scenario(2)
@@ -223,8 +226,8 @@ class TestRequestBookkeeping:
                                Op(rank=r, op="wait", request_id="q0")]
         sim, _ = build(sc, "cc")
         drive(sim)
-        for st in sim.protocol.states:
-            assert set(st.incomplete_requests) == {"q1"}
+        for rank in sim.ranks:
+            assert live_requests(rank) == {"q1"}
 
     def test_test_false_keeps_list(self):
         sc = scenario(3, comms={"g": (0, 1)})
@@ -235,11 +238,11 @@ class TestRequestBookkeeping:
                            Op(rank=1, op="wait", request_id="q0")]
         sim, _ = build(sc, "cc")
         drive_held(sim, {1: 1, 2: 1})  # rank 1 stops after its comm_create
-        assert set(sim.protocol.states[0].incomplete_requests) == {"q0"}
+        assert live_requests(sim.ranks[0]) == {"q0"}
         flags = [ev["detail"]["flag"] for ev in sim.trace if ev["event"] == "test"]
         assert flags == [False]
         drive(sim)
-        assert not sim.protocol.states[0].incomplete_requests
+        assert not live_requests(sim.ranks[0])
         assert sim.ranks[0].requests["q0"].state == CONSUMED
 
     def test_waitany_removes_exactly_one(self):
@@ -251,8 +254,8 @@ class TestRequestBookkeeping:
                     sc.programs[r].append(op_icoll(r, rid))
                 sc.programs[r].append(Op(rank=r, op="waitany", request_ids=reqs))
             result = run(sc, "cc", seed=seed, checks=False)
-            for st in result.sim.protocol.states:
-                assert len(st.incomplete_requests) == 2
+            for rank in result.sim.ranks:
+                assert len(live_requests(rank)) == 2
 
 
 class TestDrain:

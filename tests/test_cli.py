@@ -102,6 +102,20 @@ class TestRun:
         assert summary["pass"] is True
         assert summary["rounds_declared"] == summary["paths"]
 
+    def test_exhaustive_placement_without_checkpoints_fails(self, tmp_path, capsys):
+        from conftest import op_coll, scenario
+
+        sc = scenario(2)
+        for r in range(2):
+            sc.programs[r] += [op_coll(r), op_coll(r)]
+        sc.dump(tmp_path / "tiny.jsonl")
+        code = run_cli("run", "--scenario", str(tmp_path / "tiny.jsonl"), "--algo", "none",
+                       "--ckpt-at-step", "3", "--exhaustive")
+        assert code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "cannot take checkpoints" in out.err
+
     def test_missing_scenario_is_usage_error(self):
         assert run_cli("run", "--scenario", "does-not-exist.jsonl") == 2
 

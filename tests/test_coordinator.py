@@ -243,10 +243,14 @@ class TestSnapshotImage:
         lambda im: im.per_rank[1]["protocol"]["clock"].update({"1,99": 1}),
         lambda im: im.policy.update(count_comm_create=False),
         lambda im: im.per_rank[0].update(protocol=[]),
+        lambda im: im.per_rank[1].update(checksum="x"),
+        lambda im: im.per_rank[1].update(checksum=-1),
+        lambda im: im.per_rank[1]["protocol"]["clock"].update({"1,2": 99}),
     ], ids=["rank-99", "pc-negative", "3-of-7-ranks", "comm-member-99", "comm-wrong-members",
             "comm-undeclared", "comm-dropped", "clock-label-not-ranks",
             "clock-label-outside-world", "policy-uncounted-comm-create",
-            "protocol-not-an-object"])
+            "protocol-not-an-object", "checksum-str", "checksum-negative",
+            "clock-count-raised"])
     def test_restart_rejects_malformed_per_rank(self, corrupt):
         image = run("fig2", algorithm="cc", seed=11, ckpt=("trigger", "fig2-instant")).snapshot
         corrupt(image)

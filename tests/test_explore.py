@@ -1,8 +1,18 @@
 """Exhaustive small-instance exploration."""
 
+import math
+
 import pytest
 
-from ccsim import InvalidConfigurationError, explore_small
+from ccsim import (
+    CheckpointCoordinator,
+    InvalidConfigurationError,
+    SimulationError,
+    Simulator,
+    explore_small,
+    make_protocol,
+)
+from ccsim.explore import CKPT_ACTION
 from ccsim.scenario import Op
 
 from conftest import op_coll, op_icoll, scenario
@@ -68,14 +78,43 @@ class TestExhaustiveTpc:
         assert result.rounds_declared == result.paths
 
 
+class TestNoCheckpoint:
+    def test_protocol_without_checkpoints_explores_interleavings_only(self):
+        result = explore_small(tiny_two_group(), algorithm="none")
+        assert result.passed, result.failures[:2]
+        assert result.paths > 0
+        assert result.rounds_declared == 0
+
+
+def unequal_group_counts():
+    # rank 0 runs one more collective on the shared group than rank 1
+    sc = scenario(2, comms={"g": (0, 1)})
+    sc.programs[0] += [op_coll(0, comm="g"), op_coll(0, comm="g")]
+    sc.programs[1] += [op_coll(1, comm="g")]
+    return sc
+
+
 class TestFindsRealViolations:
     def test_unequal_group_counts_reported(self):
-        # rank 0 runs one more collective on the shared group than rank 1;
         # some interleavings deadlock, others trip the finished-below-target
         # check, and exploration must surface them rather than hang
-        sc = scenario(2, comms={"g": (0, 1)})
-        sc.programs[0] += [op_coll(0, comm="g"), op_coll(0, comm="g")]
-        sc.programs[1] += [op_coll(1, comm="g")]
-        result = explore_small(sc, algorithm="cc")
+        result = explore_small(unequal_group_counts(), algorithm="cc")
         assert not result.passed
         assert result.failures
+
+    def test_failures_replay_from_their_path(self):
+        sc = unequal_group_counts()
+        result = explore_small(sc, algorithm="cc")
+        assert result.failures
+        for failure in result.failures:
+            sim = Simulator(sc, make_protocol("cc"))
+            sim.coordinator = CheckpointCoordinator(placement=("at_step", math.inf))
+            with pytest.raises(SimulationError) as raised:
+                for action in failure["path"]:
+                    sim.runnable()
+                    if action == CKPT_ACTION:
+                        sim.coordinator.request_checkpoint(sim)
+                    else:
+                        sim.step_actor(action)
+                sim.runnable()
+            assert str(raised.value) == failure["error"]

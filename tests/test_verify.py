@@ -15,11 +15,18 @@ from ccsim import (
 from conftest import op_coll, scenario
 
 
+def coll_enters(per_rank):
+    """A trace of the coll_enter events of each rank's (group, num) sequence."""
+    return [{"step": 0, "rank": rank, "event": "coll_enter",
+             "detail": {"group": group, "num": num}}
+            for rank, sequence in enumerate(per_rank) for group, num in sequence]
+
+
 class TestHappensBefore:
     def test_single_group_chain_is_acyclic(self):
         per_rank = [[("0,1", 1), ("0,1", 2), ("0,1", 3)],
                     [("0,1", 1), ("0,1", 2), ("0,1", 3)]]
-        verdict = check_hb_acyclic(per_rank)
+        verdict = check_hb_acyclic(coll_enters(per_rank))
         assert verdict.passed
         assert verdict.detail["nodes"] == 3
 
@@ -32,13 +39,13 @@ class TestHappensBefore:
         # A before B on rank X, B before C on rank Y, C before A on rank Z
         a, b, c = ("gx", 1), ("gy", 1), ("gz", 1)
         per_rank = [[a, b], [b, c], [c, a]]
-        verdict = check_hb_acyclic(per_rank)
+        verdict = check_hb_acyclic(coll_enters(per_rank))
         assert not verdict.passed
         cycle = [tuple(n) for n in verdict.detail["cycle"]]
         assert set(cycle) >= {a, b, c}
 
     def test_two_rank_cycle_reported(self):
-        verdict = check_hb_acyclic([[("a", 1), ("b", 1)], [("b", 1), ("a", 1)]])
+        verdict = check_hb_acyclic(coll_enters([[("a", 1), ("b", 1)], [("b", 1), ("a", 1)]]))
         assert not verdict.passed
 
 
