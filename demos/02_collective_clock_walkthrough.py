@@ -55,8 +55,8 @@ def main():
     print("\n== final targets at the snapshot ==")
     for label, value in c.final_targets.items():
         print(f"    group {{{label}}}: {value}")
-    print(f"\n  update messages this round: {c.updates_in_round}")
-    print(f"  collectives executed during the drain: {c.drain_collectives}")
+    print(f"\n  update messages this round: {sim.counters.target_updates_sent}")
+    print(f"  collectives executed during the drain: {sim.counters.drain_collectives}")
     print(f"  steps from request to safe state: "
           f"{c.declared_step - c.requested_step}")
     print(f"  verifier verdicts: "

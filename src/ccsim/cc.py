@@ -17,9 +17,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .clock import CollectiveClock, GroupKey, TargetTable, compute_targets, reached_all_targets
+from .clock import (CollectiveClock, GroupKey, KeyValueStore, TargetTable, compute_targets,
+                    reached_all_targets)
 from .errors import ProtocolViolationError, SnapshotLoadError
 from .runtime import (
+    COMPLETE,
     COORD,
     CONSUMED,
     FINISHED,
@@ -200,8 +202,9 @@ class CollectiveClockProtocol(ProtocolAdapter):
 
     # --------------------------------------------------------- round hooks
 
-    def on_round_start(self, sim, store):
+    def on_round_start(self, sim):
         """Deliver the pending flag, gather every clock, install the maxima."""
+        store = KeyValueStore()
         for rank in sim.ranks:
             st = self.states[rank.id]
             st.ckpt_pending = True
@@ -300,12 +303,18 @@ class CollectiveClockProtocol(ProtocolAdapter):
             raise SnapshotLoadError(
                 f"rank {rank.id} clock {st.clock.to_json()} disagrees with its pc {rank.pc}")
         for rid, rec in saved.get("incomplete_requests", {}).items():
-            req = RequestObject(rid, rank.id, None, rec["op_index"])
-            req.state = rec["state"]
-            req.payload = rec["payload"]
-            if req.state == PENDING:
-                raise ProtocolViolationError(f"snapshot holds a pending request {rid}")
-            rank.requests[rid] = req
+            at, payload = rec["op_index"], rec["payload"]
+            op = rank.program[at] if type(at) is int and 0 <= at < rank.pc else None
+            if rec["state"] != COMPLETE or op is None or (op.op, op.request_id) != ("icoll", rid):
+                raise SnapshotLoadError(
+                    f"rank {rank.id} request {rid!r} is not a drained icoll before pc {rank.pc}")
+            silent = op.kind == "barrier" or (op.kind in ("reduce", "gather") and op.root != rank.id)
+            if not (payload is None if silent else
+                    type(payload) is list and all(type(x) is int for x in payload)):
+                raise SnapshotLoadError(
+                    f"rank {rank.id} request {rid!r} payload {payload!r} does not fit {op.kind}")
+            req = rank.requests[rid] = RequestObject(rid, rank.id, None, at)
+            req.state, req.payload = COMPLETE, payload
 
     def state_key(self):
         return tuple(

@@ -34,6 +34,10 @@ def _add_ckpt_flags(parser):
                         help="request a checkpoint at a named state predicate")
 
 
+def _seed_list(text):
+    return [int(s) for s in text.split(",")] if text else []
+
+
 def _placement_from(args):
     chosen = [
         ("at_step", args.ckpt_at_step),
@@ -125,12 +129,11 @@ def cmd_generate(args) -> int:
 
 def cmd_compare(args) -> int:
     scenario = driver.load_scenario(args.scenario)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
     placements = [None]
     placement = _placement_from(args)
     if placement is not None:
         placements.append(placement)
-    rows = driver.compare(scenario, seeds, algorithms=args.algos.split(","),
+    rows = driver.compare(scenario, args.seeds, algorithms=args.algos.split(","),
                           placements=placements)
     if args.format == "json":
         text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
@@ -216,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="metric table across algorithms")
     p_cmp.add_argument("--scenario", required=True)
-    p_cmp.add_argument("--seeds", default="0", help="comma-separated scheduler seeds")
+    p_cmp.add_argument("--seeds", type=_seed_list, default="0",
+                       help="comma-separated scheduler seeds")
     p_cmp.add_argument("--algos", default="none,cc,2pc")
     _add_ckpt_flags(p_cmp)
     p_cmp.add_argument("--metrics-out", default="-")
@@ -249,7 +253,7 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

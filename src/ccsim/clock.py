@@ -47,10 +47,6 @@ class GroupKey:
     def contains(self, rank: int) -> bool:
         return rank in self.members
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
     def label(self) -> str:
         """Serialization key: comma-joined sorted world ranks."""
         return ",".join(str(r) for r in self.members)

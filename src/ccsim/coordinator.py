@@ -17,9 +17,10 @@ import json
 from dataclasses import dataclass, field
 
 from .cc import CollectiveClockProtocol
-from .clock import GroupKey, KeyValueStore
+from .clock import GroupKey
 from .errors import (
     ProtocolViolationError,
+    ScenarioError,
     SimulationError,
     SnapshotLoadError,
     UnsupportedOperationError,
@@ -43,15 +44,16 @@ SNAPSHOT_VERSION = 1
 
 @dataclass
 class SnapshotImage:
-    """Whole-run restartable image, serialized as versioned JSON."""
+    """Whole-run restartable image, serialized as versioned JSON. An image
+    shares its scenario with the run that took it: nothing changes a
+    ``ScenarioProgram`` once a ``Simulator`` runs it."""
 
     version: int
     algorithm: str
     seed: int
     step: int
     round_id: int
-    world_size: int
-    scenario_jsonl: str
+    scenario: ScenarioProgram
     comms_created: dict
     per_rank: list
     initial_targets: dict
@@ -65,8 +67,8 @@ class SnapshotImage:
             "seed": self.seed,
             "step": self.step,
             "round_id": self.round_id,
-            "world_size": self.world_size,
-            "scenario_jsonl": self.scenario_jsonl,
+            "world_size": self.scenario.world_size,
+            "scenario_jsonl": self.scenario.dumps(),
             "comms_created": {k: list(v) for k, v in sorted(self.comms_created.items())},
             "per_rank": self.per_rank,
             "initial_targets": self.initial_targets,
@@ -86,21 +88,27 @@ class SnapshotImage:
         try:
             if obj["version"] != SNAPSHOT_VERSION:
                 raise SnapshotLoadError(f"unsupported snapshot version {obj['version']}")
+            if any(type(obj[k]) is not int for k in ("seed", "step", "round_id", "world_size")):
+                raise SnapshotLoadError("snapshot seed, step, round_id and world_size must be ints")
+            scenario = ScenarioProgram.loads(obj["scenario_jsonl"])  # AttributeError if not text
+            if obj["world_size"] != scenario.world_size:
+                raise SnapshotLoadError("world size disagrees with embedded scenario")
             return cls(
                 version=obj["version"],
                 algorithm=obj["algorithm"],
                 seed=obj["seed"],
                 step=obj["step"],
                 round_id=obj["round_id"],
-                world_size=obj["world_size"],
-                scenario_jsonl=obj["scenario_jsonl"],
+                scenario=scenario,
                 comms_created={k: tuple(v) for k, v in obj["comms_created"].items()},
                 per_rank=obj["per_rank"],
                 initial_targets=obj["initial_targets"],
                 final_targets=obj["final_targets"],
                 policy=obj.get("policy", {}),
             )
-        except (KeyError, TypeError) as exc:
+        except ScenarioError as exc:
+            raise SnapshotLoadError(f"embedded scenario unreadable: {exc}") from exc
+        except (AttributeError, KeyError, TypeError) as exc:
             raise SnapshotLoadError(f"corrupt snapshot image: {exc!r}") from exc
 
     @classmethod
@@ -116,7 +124,10 @@ class SnapshotImage:
     @classmethod
     def load(cls, path) -> "SnapshotImage":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())
+            try:
+                return cls.loads(fh.read())
+            except UnicodeDecodeError as exc:
+                raise SnapshotLoadError(f"snapshot file is not UTF-8 text: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -177,13 +188,9 @@ class CheckpointCoordinator:
         self.round_id = 0
         self.requested_step = None
         self.declared_step = None
-        self.store = None
         self.initial_targets = {}
         self.final_targets = {}
         self.snapshot = None
-        self.updates_before_round = 0
-        self.drain_collectives = 0
-        self.updates_in_round = 0
 
     # ------------------------------------------------------------- hooks
 
@@ -210,10 +217,8 @@ class CheckpointCoordinator:
         self.requested = True
         self.round_id += 1
         self.requested_step = sim.step
-        self.updates_before_round = sim.counters.target_updates_sent
         sim.emit(COORD, "ckpt_request", round=self.round_id, step=sim.step)
-        self.store = KeyValueStore()
-        self.initial_targets = sim.protocol.on_round_start(sim, self.store)
+        self.initial_targets = sim.protocol.on_round_start(sim)
         return self.round_id
 
     def handle_idle(self, sim) -> bool:
@@ -238,8 +243,6 @@ class CheckpointCoordinator:
     def declare_safe_state(self, sim):
         self.declared = True
         self.declared_step = sim.step
-        self.updates_in_round = sim.counters.target_updates_sent - self.updates_before_round
-        self.drain_collectives = sim.counters.drain_collectives
         sim.protocol.drain(sim)
         self._assert_safe(sim)
         self.final_targets = sim.protocol.final_targets()
@@ -298,8 +301,7 @@ def build_snapshot(sim, coordinator: CheckpointCoordinator) -> SnapshotImage:
         seed=sim.seed,
         step=sim.step,
         round_id=coordinator.round_id,
-        world_size=sim.world_size,
-        scenario_jsonl=sim.scenario.dumps(),
+        scenario=sim.scenario,
         comms_created=created,
         per_rank=per_rank,
         initial_targets=dict(coordinator.initial_targets),
@@ -325,17 +327,11 @@ def restart(image: SnapshotImage, seed: int | None = None, record: bool = True) 
     saved program counter, and drained requests come back globally complete
     so a later application-side wait returns immediately.
     """
-    try:
-        scenario = ScenarioProgram.loads(image.scenario_jsonl)
-    except Exception as exc:
-        raise SnapshotLoadError(f"embedded scenario unreadable: {exc}") from exc
-    if image.world_size != scenario.world_size:
-        raise SnapshotLoadError("world size disagrees with embedded scenario")
     protocol = make_protocol(image.algorithm)
     if image.policy != protocol.policy:
         raise SnapshotLoadError(
             f"snapshot policy {image.policy!r} is not {protocol.name!r}'s {protocol.policy!r}")
-    sim = Simulator(scenario, protocol, seed=image.seed if seed is None else seed,
+    sim = Simulator(image.scenario, protocol, seed=image.seed if seed is None else seed,
                     record=record)
     try:
         if sorted(saved["rank"] for saved in image.per_rank) != list(range(sim.world_size)):
@@ -355,12 +351,12 @@ def restart(image: SnapshotImage, seed: int | None = None, record: bool = True) 
     # At a safe state a communicator exists iff the ranks are past its creation.
     created = {op.new_comm for rank in sim.ranks for op in rank.program[:rank.pc]
                if op.op == "comm_create"}
-    if image.comms_created != {cid: scenario.comms[cid] for cid in created}:
+    if image.comms_created != {cid: sim.scenario.comms[cid] for cid in created}:
         raise SnapshotLoadError(
             f"created communicators {sorted(image.comms_created)} disagree with the "
             f"embedded scenario at the saved program counters ({sorted(created)})")
     for cid in sorted(created):
-        shared = sim.comm_records[cid] = CommRecord(cid, scenario.comms[cid])
+        shared = sim.comm_records[cid] = CommRecord(cid, sim.scenario.comms[cid])
         for m in shared.members:
             sim.ranks[m].comms[cid] = CommView(shared, m)
     sim.emit(COORD, "restart", round=image.round_id, from_step=image.step)

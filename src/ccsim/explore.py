@@ -155,14 +155,15 @@ def explore_small(scenario: ScenarioProgram, algorithm: str = "cc",
             max_group = max(
                 (len(rec.members) for rec in bundle.sim.comm_records.values()),
                 default=1)
-            allowed = coordinator.drain_collectives * max(max_group - 1, 0)
-            if coordinator.updates_in_round > allowed:
+            counters = bundle.sim.counters
+            allowed = counters.drain_collectives * max(max_group - 1, 0)
+            if counters.target_updates_sent > allowed:
                 raise SimulationError(
-                    f"update cascade {coordinator.updates_in_round} exceeds bound {allowed}")
+                    f"update cascade {counters.target_updates_sent} exceeds bound {allowed}")
             if allowed:
                 result.update_bound_worst = max(
                     result.update_bound_worst,
-                    coordinator.updates_in_round / allowed)
+                    counters.target_updates_sent / allowed)
         verdict = check_hb_acyclic(bundle.sim.trace)
         if not verdict.passed:
             raise SimulationError(f"happens-before cycle: {verdict.detail}")

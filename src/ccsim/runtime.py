@@ -135,10 +135,6 @@ class CommRecord:
         self.members = tuple(members)
         self.key = GroupKey(self.members)
 
-    @property
-    def size(self):
-        return len(self.members)
-
     def __repr__(self):
         return f"CommRecord({self.comm_id}:{self.members})"
 
@@ -146,10 +142,9 @@ class CommRecord:
 class CommView:
     """Per-rank opaque handle onto a shared communicator record."""
 
-    __slots__ = ("handle", "record", "local_rank")
+    __slots__ = ("record", "local_rank")
 
     def __init__(self, record: CommRecord, rank: int):
-        self.handle = f"{record.comm_id}@r{rank}"
         self.record = record
         self.local_rank = record.members.index(rank)
 
@@ -172,7 +167,7 @@ class Instance:
 
     __slots__ = (
         "comm_id", "index", "members", "signature", "blocking",
-        "entered", "returned", "complete", "complete_step", "inputs",
+        "entered", "returned", "complete", "inputs",
         "outputs", "new_comm", "request_ids", "group_num", "aborted",
     )
 
@@ -185,7 +180,6 @@ class Instance:
         self.entered = set()
         self.returned = set()
         self.complete = False
-        self.complete_step = None
         self.inputs = {}
         self.outputs = {}
         self.new_comm = None
@@ -302,7 +296,7 @@ class ProtocolAdapter:
 
     # ------------------------------------------------ coordinator rounds
 
-    def on_round_start(self, sim, store) -> dict:
+    def on_round_start(self, sim) -> dict:
         """Start a round; returns the initial targets, by group label."""
         return {}
 
@@ -566,7 +560,6 @@ class Simulator:
 
     def _complete_instance(self, inst: Instance, completer: int):
         inst.complete = True
-        inst.complete_step = self.step
         if inst.blocking:
             nums = set(inst.group_num.values())
             if len(nums) != 1:
@@ -574,8 +567,7 @@ class Simulator:
                     f"members disagree on instance numbering for {inst.describe()}: {inst.group_num}"
                 )
         self._compute_outputs(inst)
-        cost_kind = "comm_create" if inst.signature[0] == "comm_create" else inst.signature[0]
-        self.counters.app_messages += collective_cost(cost_kind, len(inst.members))
+        self.counters.app_messages += collective_cost(inst.signature[0], len(inst.members))
         self.counters.collectives_completed += 1
         self.emit(completer, "coll_complete" if inst.blocking else "icoll_complete",
                   comm=inst.comm_id, instance=inst.index, kind=inst.signature[0])
@@ -770,7 +762,7 @@ class Simulator:
         sendq = self.pending_sends.get(key)
         self.emit(rank.id, "recv_post", peer=op.peer, tag=op.tag, comm=op.comm)
         if sendq:
-            data, send_pc = sendq.popleft()
+            data, _ = sendq.popleft()
             sender = self.ranks[op.peer]
             self._complete_match(key, sender, rank, data, rank.pc)
         else:

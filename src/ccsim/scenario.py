@@ -16,6 +16,8 @@ from .errors import GenerationError, ScenarioError
 
 SCENARIO_VERSION = 1
 WORLD = "world"
+# The loader builds one program list per rank before it reads any op.
+MAX_WORLD_SIZE = 1024
 
 COLLECTIVE_KINDS = ("barrier", "bcast", "reduce", "allreduce", "gather", "alltoall")
 REDUCE_OPS = ("sum", "max")
@@ -164,6 +166,8 @@ class ScenarioProgram:
                 or type(header.get("meta", {})) is not dict):
             raise ScenarioError("scenario header needs an int world_size, comms mapping "
                                 "ids to lists of ranks, a str name and a dict meta")
+        if header["world_size"] > MAX_WORLD_SIZE:
+            raise ScenarioError(f"world_size {header['world_size']} is above {MAX_WORLD_SIZE}")
         scenario = cls(
             world_size=header["world_size"],
             comms={cid: tuple(m) for cid, m in comms.items()},
@@ -181,7 +185,10 @@ class ScenarioProgram:
     @classmethod
     def load(cls, path) -> "ScenarioProgram":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())
+            try:
+                return cls.loads(fh.read())
+            except UnicodeDecodeError as exc:
+                raise ScenarioError(f"scenario file is not UTF-8 text: {exc}") from exc
 
     def dump(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -114,7 +114,7 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
 
     # --------------------------------------------------------- round hooks
 
-    def on_round_start(self, sim, store):
+    def on_round_start(self, sim):
         self.pending = True
         # Decide every in-progress trivial barrier. Complete ones were
         # already committed when their last member entered; the rest abort.

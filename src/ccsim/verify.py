@@ -174,7 +174,7 @@ def check_crossing_legality(scenario: ScenarioProgram, seed=None) -> Verdict:
 
 def _members_of(snapshot, comm_id):
     if comm_id == WORLD:
-        return tuple(range(snapshot.world_size))
+        return tuple(range(snapshot.scenario.world_size))
     return tuple(snapshot.comms_created[comm_id])
 
 

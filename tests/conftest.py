@@ -24,6 +24,15 @@ def scenario(world_size, comms=None, name="test", preamble=True):
     return sc
 
 
+def drained_request_scenario():
+    """Two ranks: an ibarrier q0, a world barrier, then the wait on q0. A cc
+    checkpoint at step 2 (seed 3) drains q0 before rank 0 reaches its wait."""
+    sc = scenario(2)
+    for r in range(2):
+        sc.programs[r] += [op_icoll(r, "q0"), op_coll(r), Op(rank=r, op="wait", request_id="q0")]
+    return sc
+
+
 def build(sc, algorithm="none", seed=0, placement=None, record=True):
     """Simulator plus coordinator wired for manual driving."""
     sc.validate()

@@ -129,8 +129,8 @@ class TestCriterion4SafeStateSoundness:
                 # criterion 7 rides on the same campaign
                 max_group = max(len(rec.members)
                                 for rec in result.sim.comm_records.values())
-                allowed = result.coordinator.drain_collectives * (max_group - 1)
-                if result.coordinator.updates_in_round > allowed:
+                allowed = result.sim.counters.drain_collectives * (max_group - 1)
+                if result.sim.counters.target_updates_sent > allowed:
                     bound_violations += 1
                 rounds += 1
         elapsed = time.time() - t0
@@ -225,10 +225,10 @@ class TestCriterion7CascadeBound:
 
     def test_fig2_cascade_within_bound(self):
         result = run("fig2", algorithm="cc", seed=11, ckpt=("trigger", "fig2-instant"))
-        c = result.coordinator
+        counters = result.sim.counters
         max_group = max(len(rec.members)
                         for rec in result.sim.comm_records.values())
-        assert c.updates_in_round <= c.drain_collectives * (max_group - 1)
+        assert counters.target_updates_sent <= counters.drain_collectives * (max_group - 1)
 
 
 class TestCriterion8Determinism:

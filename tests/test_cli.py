@@ -148,6 +148,24 @@ class TestRun:
                        "--ckpt-at-step", "1", "--ckpt-random", "2") == 1
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["compare", "--scenario", "fig2", "--seeds", "x"], 2),
+    (["run", "--scenario", "{dir}"], 2),
+    (["restart", "--snapshot-in", "{dir}"], 2),
+    (["run", "--scenario", "{latin1}"], 1),
+    (["restart", "--snapshot-in", "{latin1}"], 1),
+], ids=["seeds-not-ints", "scenario-dir", "snapshot-dir", "scenario-not-utf8",
+        "snapshot-not-utf8"])
+def test_bad_input_exits_without_traceback(tmp_path, argv, code):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes('{"name": "caf\u00e9"}\n'.encode("latin-1"))
+    argv = [a.format(dir=tmp_path, latin1=latin1) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "ccsim.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == code and "Traceback" not in proc.stderr, proc.stderr
+
+
 class TestCompare:
     def test_table_and_zero_overhead_gate(self, generated, tmp_path):
         out = tmp_path / "cmp.csv"

@@ -1,5 +1,7 @@
 """Checkpoint rounds, targets, snapshots, restart."""
 
+import json
+
 import pytest
 
 from ccsim import (
@@ -18,7 +20,7 @@ from ccsim import (
 from ccsim.runtime import FINISHED, PARKED, STOPPED
 from ccsim.scenario import Op
 
-from conftest import build, drive_held, op_coll, op_icoll, scenario
+from conftest import build, drained_request_scenario, drive_held, op_coll, op_icoll, scenario
 
 
 class TestKeyValueStore:
@@ -139,7 +141,6 @@ class TestRounds:
         result = run(sc, "cc", seed=2, ckpt=("at_step", 0))
         assert result.coordinator.declared
         assert result.coordinator.initial_targets == {}
-        assert all(seq == 0 for (_, _), seq in result.coordinator.store.reports.items())
         assert result.sim.all_finished()
 
     def test_request_after_program_end_is_immediately_safe(self):
@@ -257,6 +258,35 @@ class TestSnapshotImage:
         with pytest.raises(SnapshotLoadError):
             restart(image)
 
+    @pytest.mark.parametrize("field, value", [
+        ("comms_created", []), ("seed", []), ("step", "3"), ("round_id", None),
+        ("world_size", 8), ("scenario_jsonl", 7), ("scenario_jsonl", "{}"),
+    ], ids=["comms-list", "seed-list", "step-str", "round-null", "world-size-mismatch",
+            "scenario-int", "scenario-no-header"])
+    def test_load_rejects_malformed_header(self, field, value):
+        image = run("fig2", algorithm="cc", seed=11, ckpt=("trigger", "fig2-instant")).snapshot
+        obj = json.loads(image.dumps())
+        obj[field] = value
+        with pytest.raises(SnapshotLoadError):
+            SnapshotImage.loads(json.dumps(obj))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda reqs: reqs["q0"].update(payload=[]),
+        lambda reqs: reqs["q0"].update(payload="x"),
+        lambda reqs: reqs["q0"].update(state="consumed"),
+        lambda reqs: reqs["q0"].update(state="pending"),
+        lambda reqs: reqs["q0"].update(op_index=1),
+        lambda reqs: reqs["q0"].update(op_index=2),
+        lambda reqs: reqs["q0"].update(op_index="0"),
+        lambda reqs: reqs.update(q9=reqs.pop("q0")),
+    ], ids=["payload-on-barrier", "payload-str", "state-consumed", "state-pending",
+            "op-index-not-icoll", "op-index-at-pc", "op-index-str", "other-request-id"])
+    def test_restart_rejects_malformed_request(self, corrupt):
+        image = _drained_request_image()
+        corrupt(image.per_rank[0]["protocol"]["incomplete_requests"])
+        with pytest.raises(SnapshotLoadError):
+            restart(image)
+
     def test_restart_rebuilds_identical_group_keys(self):
         result = self._snapshot()
         sim = restart(result.snapshot)
@@ -323,3 +353,11 @@ class TestSnapshotImage:
         sim.run()
         assert sim.coordinator.declared
         assert sim.checksums() == base.checksums
+
+
+def _drained_request_image():
+    image = run(drained_request_scenario(), "cc", seed=3, ckpt=("at_step", 2)).snapshot
+    assert image.per_rank[0]["pc"] == 2
+    assert image.per_rank[0]["protocol"]["incomplete_requests"]["q0"] == {
+        "state": "globally_complete", "payload": None, "op_index": 0}
+    return image

@@ -44,9 +44,10 @@ class TestFormat:
         '\n{"rank":1,"op":"recv","peer":0}',
         '{"type":"scenario","version":1,"world_size":1}'
         '\n{"rank":0,"op":"coll","kind":"allreduce","reduce_op":"sum","data":"x"}',
+        '{"type":"scenario","version":1,"world_size":1025}',
     ], ids=["bad-json-line", "no-world-size", "not-an-object", "world-size-str",
             "comms-list", "comm-members-int", "op-rank-str", "op-no-rank", "ticks-str",
-            "send-data-str", "coll-data-str"])
+            "send-data-str", "coll-data-str", "world-size-above-limit"])
     def test_unreadable_text_rejected(self, text):
         with pytest.raises(ScenarioError):
             ScenarioProgram.loads(text)
