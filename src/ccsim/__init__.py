@@ -6,24 +6,15 @@ two-phase-commit baseline), a coordinator with snapshot/restart, an offline
 verifier, and a workload harness.
 """
 
-from .clock import (
-    CollectiveClock,
-    GroupKey,
-    KeyValueStore,
-    TargetTable,
-    compute_ggid,
-    compute_targets,
-    reached_all_targets,
-)
+from .clock import GroupKey, by_label, reached_all_targets
 from .coordinator import CheckpointCoordinator, SnapshotImage, make_protocol, restart
-from .cc import CcState, CollectiveClockProtocol, UPDATE_TAG, TargetUpdateMsg
+from .cc import CcState, CollectiveClockProtocol, TargetUpdateMsg
 from .driver import RunResult, compare, load_scenario, run, run_restart
 from .errors import (
     CollectiveMismatchError,
     DeadlockError,
     GenerationError,
     InvalidConfigurationError,
-    MissingReportError,
     ProtocolViolationError,
     ScenarioError,
     SimulationError,

@@ -5,20 +5,24 @@ group before entering the operation and re-checks targets after returning.
 With no checkpoint pending this is pure local bookkeeping: the wrapped run
 sends exactly the same inter-rank messages as the unwrapped one.
 
-While a checkpoint is pending, a rank whose counter overtakes the known
-target for a group raises the target and notifies the other members over an
-internal communicator (a duplicate of world, reserved tag). A rank that has
-reached every target parks in a probe loop and resumes only when an incoming
-update un-reaches one of its groups or the coordinator releases the round.
+SEQ and TARGET are ``Counter`` tables (see clock.py). At the round's start
+every rank's TARGET becomes the per-group maximum of all SEQ tables. While a
+checkpoint is pending, a rank whose counter overtakes the known target for a
+group raises the target and notifies the other members over an internal
+communicator (a duplicate of world, reserved tag), modelled by each rank's
+``CcState.update_queue``. A rank that has reached every target parks in a
+probe loop and resumes only when an incoming update un-reaches one of its
+groups or the coordinator releases the round.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from .clock import (CollectiveClock, GroupKey, KeyValueStore, TargetTable, compute_targets,
-                    reached_all_targets)
+from .clock import GroupKey, by_label, reached_all_targets
 from .errors import ProtocolViolationError, SnapshotLoadError
 from .runtime import (
     COMPLETE,
@@ -29,15 +33,9 @@ from .runtime import (
     PARKED,
     PENDING,
     PROCEED,
-    CommRecord,
     ProtocolAdapter,
     RequestObject,
 )
-
-# Reserved tag for target updates on the internal communicator.
-UPDATE_TAG = 0x75706474
-INTERNAL_COMM_ID = "__internal__"
-
 
 @dataclass
 class TargetUpdateMsg:
@@ -47,10 +45,6 @@ class TargetUpdateMsg:
     new_target: int
     origin: int
 
-    def to_json(self):
-        return {"ggid": self.ggid.label(), "new_target": self.new_target,
-                "origin": self.origin, "tag": UPDATE_TAG}
-
 
 class CcState:
     """Per-rank protocol state."""
@@ -59,8 +53,8 @@ class CcState:
                  "update_sent_count", "update_recv_count")
 
     def __init__(self):
-        self.clock = CollectiveClock()
-        self.targets = TargetTable()
+        self.clock = Counter()
+        self.targets = Counter()
         self.ckpt_pending = False
         self.update_queue = []
         self.update_sent_count = 0
@@ -79,12 +73,10 @@ class CollectiveClockProtocol(ProtocolAdapter):
     def __init__(self):
         self.sim = None
         self.states = []
-        self.internal_comm = None
 
     def bind(self, sim):
         super().bind(sim)
         self.states = [CcState() for _ in range(sim.world_size)]
-        self.internal_comm = CommRecord(INTERNAL_COMM_ID, range(sim.world_size))
 
     # ------------------------------------------------------------ wrappers
 
@@ -105,12 +97,13 @@ class CollectiveClockProtocol(ProtocolAdapter):
         return PROCEED
 
     def _commit(self, rank, st: CcState, g: GroupKey):
-        seq = st.clock.increment(g)
+        st.clock[g] += 1
+        seq = st.clock[g]
         self.sim.emit(rank.id, "seq_inc", group=g.label(), value=seq)
         if st.ckpt_pending:
             self.sim.counters.drain_collectives += 1
-            if seq > st.targets.get(g):
-                st.targets.raise_to(g, seq)
+            if seq > st.targets[g]:
+                st.targets[g] = seq
                 self.sim.emit(rank.id, "target_raise", group=g.label(), value=seq)
                 self._send_updates(rank.id, st, g, seq)
 
@@ -159,8 +152,9 @@ class CollectiveClockProtocol(ProtocolAdapter):
         while st.update_queue:
             msg = st.update_queue.pop(0)
             st.update_recv_count += 1
-            applied = st.targets.raise_to(msg.ggid, msg.new_target)
+            applied = msg.new_target > st.targets[msg.ggid]
             if applied:
+                st.targets[msg.ggid] = msg.new_target
                 self.sim.counters.target_updates_applied += 1
                 raised = True
             else:
@@ -203,16 +197,12 @@ class CollectiveClockProtocol(ProtocolAdapter):
     # --------------------------------------------------------- round hooks
 
     def on_round_start(self, sim):
-        """Deliver the pending flag, gather every clock, install the maxima."""
-        store = KeyValueStore()
-        for rank in sim.ranks:
-            st = self.states[rank.id]
-            st.ckpt_pending = True
-            store.add_report(rank.id, st.clock.copy())
-        targets = compute_targets(store, sim.world_size)
+        """Deliver the pending flag and install the per-group maxima of every clock."""
+        targets = reduce(or_, (st.clock for st in self.states), Counter())
         for st in self.states:
-            st.targets.install(targets)
-        initial = _by_label(targets)
+            st.ckpt_pending = True
+            st.targets = targets.copy()
+        initial = by_label(targets)
         sim.emit(COORD, "targets_computed", targets=initial)
         return initial
 
@@ -268,12 +258,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
                 )
 
     def final_targets(self) -> dict:
-        merged = {}
-        for st in self.states:
-            for g, v in st.targets.items():
-                if v > merged.get(g, 0):
-                    merged[g] = v
-        return _by_label(merged)
+        return by_label(reduce(or_, (st.targets for st in self.states), Counter()))
 
     def on_round_end(self, sim):
         for st in self.states:
@@ -284,7 +269,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
 
     def snapshot_rank(self, rank_id: int) -> dict:
         return {
-            "clock": self.states[rank_id].clock.to_json(),
+            "clock": by_label(self.states[rank_id].clock),
             "incomplete_requests": {
                 rid: {"state": req.state, "payload": req.payload,
                       "op_index": req.op_index}
@@ -293,21 +278,29 @@ class CollectiveClockProtocol(ProtocolAdapter):
         }
 
     def restore_rank(self, rank, saved: dict):
-        st = self.states[rank.id]
-        st.clock = CollectiveClock.from_json(saved.get("clock", {}))
         # At a safe state the clock counts the wrapped calls before the pc.
-        counted = Counter(GroupKey(self.sim.scenario.comm_members(op.comm))
-                          for op in rank.program[:rank.pc]
-                          if op.op in ("coll", "icoll", "comm_create"))
-        if st.clock != CollectiveClock(counted):
+        clock = Counter(GroupKey(self.sim.scenario.comm_members(op.comm))
+                        for op in rank.program[:rank.pc]
+                        if op.op in ("coll", "icoll", "comm_create"))
+        if saved.get("clock", {}) != by_label(clock):
             raise SnapshotLoadError(
-                f"rank {rank.id} clock {st.clock.to_json()} disagrees with its pc {rank.pc}")
-        for rid, rec in saved.get("incomplete_requests", {}).items():
+                f"rank {rank.id} clock {saved.get('clock')!r} disagrees with its pc {rank.pc}")
+        self.states[rank.id].clock = clock
+        records = saved.get("incomplete_requests", {})
+        for rid, rec in records.items():
             at, payload = rec["op_index"], rec["payload"]
             op = rank.program[at] if type(at) is int and 0 <= at < rank.pc else None
             if rec["state"] != COMPLETE or op is None or (op.op, op.request_id) != ("icoll", rid):
                 raise SnapshotLoadError(
                     f"rank {rank.id} request {rid!r} is not a drained icoll before pc {rank.pc}")
+            # A wait or waitall before the pc consumed the request; a waitany, one of its ids.
+            for w in rank.program[at + 1:rank.pc]:
+                if (w.op == "wait" and w.request_id == rid
+                        or w.op == "waitall" and rid in w.request_ids
+                        or w.op == "waitany" and rid in w.request_ids
+                        and records.keys() >= set(w.request_ids)):
+                    raise SnapshotLoadError(
+                        f"rank {rank.id} request {rid!r} was consumed before pc {rank.pc}")
             silent = op.kind == "barrier" or (op.kind in ("reduce", "gather") and op.root != rank.id)
             if not (payload is None if silent else
                     type(payload) is list and all(type(x) is int for x in payload)):
@@ -319,8 +312,8 @@ class CollectiveClockProtocol(ProtocolAdapter):
     def state_key(self):
         return tuple(
             (
-                tuple(sorted(st.clock.to_json().items())),
-                tuple(sorted(st.targets.to_json().items())),
+                frozenset(st.clock.items()),
+                frozenset(st.targets.items()),
                 st.ckpt_pending,
                 tuple((m.ggid.label(), m.new_target, m.origin) for m in st.update_queue),
                 st.update_sent_count, st.update_recv_count,
@@ -332,8 +325,3 @@ class CollectiveClockProtocol(ProtocolAdapter):
 def _live_requests(rank):
     """The rank's unconsumed requests, by id."""
     return sorted((rid, req) for rid, req in rank.requests.items() if req.state != CONSUMED)
-
-
-def _by_label(targets: dict) -> dict:
-    """Targets keyed by group label, in member order."""
-    return {g.label(): v for g, v in sorted(targets.items(), key=lambda kv: kv[0].members)}

@@ -146,19 +146,19 @@ def _fig2_instant(sim) -> bool:
     g12, g23, g345, g56 = (GroupKey((1, 2)), GroupKey((2, 3)),
                            GroupKey((3, 4, 5)), GroupKey((5, 6)))
     return (
-        st[1].clock.get(g12) == 5
-        and st[2].clock.get(g12) == 5 and st[2].clock.get(g23) == 7
-        and st[3].clock.get(g23) == 6 and st[3].clock.get(g345) == 2
-        and st[4].clock.get(g345) == 2
-        and st[5].clock.get(g345) == 2 and st[5].clock.get(g56) == 3
-        and st[6].clock.get(g56) == 3
+        st[1].clock[g12] == 5
+        and st[2].clock[g12] == 5 and st[2].clock[g23] == 7
+        and st[3].clock[g23] == 6 and st[3].clock[g345] == 2
+        and st[4].clock[g345] == 2
+        and st[5].clock[g345] == 2 and st[5].clock[g56] == 3
+        and st[6].clock[g56] == 3
     )
 
 
 def _bcast_started(sim) -> bool:
     st = _cc_states(sim)
     world = GroupKey(tuple(range(sim.world_size)))
-    return st[0].clock.get(world) == 1 and st[2].clock.get(world) == 0
+    return st[0].clock[world] == 1 and st[2].clock[world] == 0
 
 
 TRIGGERS = {

@@ -41,9 +41,5 @@ class UnsupportedOperationError(SimulationError):
     """Operation not supported by the selected algorithm (2PC + non-blocking)."""
 
 
-class MissingReportError(SimulationError):
-    """A checkpoint round cannot compute targets: some rank never reported."""
-
-
 class SnapshotLoadError(SimulationError):
     """Snapshot image is corrupt or has an incompatible version."""

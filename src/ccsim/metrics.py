@@ -10,7 +10,12 @@ two-phase baseline.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
+
+from .clock import by_label
 
 CSV_FIELDS = (
     "scenario", "algorithm", "seed", "steps", "app_messages", "p2p_messages",
@@ -71,11 +76,7 @@ def collect_metrics(sim, coordinator=None, placement="") -> MetricsReport:
         final_targets = dict(coordinator.final_targets)
     final_seq = {}
     if sim.protocol.name == "cc":
-        for st in sim.protocol.states:
-            for g, v in st.clock.items():
-                if v > final_seq.get(g.label(), 0):
-                    final_seq[g.label()] = v
-        final_seq = dict(sorted(final_seq.items()))
+        final_seq = by_label(reduce(or_, (st.clock for st in sim.protocol.states), Counter()))
     return MetricsReport(
         scenario=sim.scenario.name,
         algorithm=sim.protocol.name,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .clock import GroupKey
 from .scenario import ScenarioProgram, WORLD
 
 
@@ -263,12 +264,12 @@ def check_safe_state(snapshot, trace, scenario="", seed=None) -> Verdict:
             continue
         rank = row["rank"]
         for label, tgt in targets.items():
-            members = [int(x) for x in label.split(",")]
+            members = GroupKey.from_label(label).members
             if rank in members and clock.get(label, 0) != tgt:
                 problems.append(f"rank {rank} SEQ {clock.get(label, 0)} != TARGET {tgt} "
                                 f"for group {{{label}}}")
         for label, seq in clock.items():
-            members = [int(x) for x in label.split(",")]
+            members = GroupKey.from_label(label).members
             if rank in members and seq > 0 and targets.get(label, 0) != seq:
                 problems.append(f"rank {rank} group {{{label}}} SEQ {seq} missing from targets")
         for rid, rec in row.get("protocol", {}).get("incomplete_requests", {}).items():
@@ -332,8 +333,8 @@ def check_clock_skew(trace, scenario="", seed=None) -> Verdict:
             continue
         if label in skip:
             continue
-        members = [int(x) for x in label.split(",")]
-        values.setdefault(label, {m: 0 for m in members})
+        if label not in values:
+            values[label] = dict.fromkeys(GroupKey.from_label(label).members, 0)
         values[label][ev["rank"]] = ev["detail"]["value"]
         spread = max(values[label].values()) - min(values[label].values())
         if spread > worst:

@@ -5,6 +5,7 @@ import pytest
 from ccsim import (
     GroupKey,
     ProtocolViolationError,
+    by_label,
     run,
 )
 from ccsim.runtime import COMPLETE, CONSUMED, PARKED, PENDING
@@ -15,23 +16,6 @@ from conftest import build, drive, drive_held, op_coll, op_icoll, scenario
 
 def world_key(n):
     return GroupKey(tuple(range(n)))
-
-
-class TestUpdateWireFormat:
-    def test_message_json_fields(self):
-        from ccsim import TargetUpdateMsg, UPDATE_TAG
-
-        msg = TargetUpdateMsg(GroupKey((3, 4, 5)), 3, 3)
-        assert msg.to_json() == {"ggid": "3,4,5", "new_target": 3, "origin": 3,
-                                 "tag": UPDATE_TAG}
-
-    def test_internal_channel_duplicates_world(self):
-        sc = scenario(3)
-        for r in range(3):
-            sc.programs[r].append(op_coll(r))
-        sim, _ = build(sc, "cc")
-        assert sim.protocol.internal_comm.key == sim.comm_records["world"].key
-        assert sim.protocol.internal_comm.comm_id not in sim.comm_records
 
 
 class TestZeroOverhead:
@@ -78,11 +62,11 @@ class TestCommitSequencing:
         result = run(sc, "cc", seed=0)
         g = GroupKey((0, 1))
         states = result.sim.protocol.states
-        assert states[0].clock.get(g) == 2
-        assert states[1].clock.get(g) == 2
-        assert states[2].clock.get(g) == 0
+        assert states[0].clock[g] == 2
+        assert states[1].clock[g] == 2
+        assert states[2].clock[g] == 0
         # world: one comm_create (always counted) + one barrier
-        assert all(states[r].clock.get(world_key(3)) == 2 for r in range(3))
+        assert all(states[r].clock[world_key(3)] == 2 for r in range(3))
 
     def test_same_member_set_shares_one_counter(self):
         # a full-subset duplicate of world counts on world's own group
@@ -92,7 +76,7 @@ class TestCommitSequencing:
         result = run(sc, "cc", seed=0)
         key = world_key(2)
         # create + dup-barrier + world-barrier all land on the same ggid
-        assert result.sim.protocol.states[0].clock.to_json() == {key.label(): 3}
+        assert by_label(result.sim.protocol.states[0].clock) == {key.label(): 3}
 
     def test_nonblocking_increments_at_initiation(self):
         # rank 0 initiates three broadcasts back to back; its counter moves by
@@ -109,7 +93,7 @@ class TestCommitSequencing:
         sim, _ = build(sc, "cc")
         g = GroupKey((0, 1))
         drive_held(sim, {1: 1, 2: 1})  # rank 1 stops after the comm_create
-        assert sim.protocol.states[0].clock.get(g) == 3
+        assert sim.protocol.states[0].clock[g] == 3
         assert all(sim.ranks[0].requests[rid].state == PENDING for rid in reqs)
         drive(sim)
         assert all(r.state == CONSUMED for r in sim.ranks[0].requests.values())
@@ -124,7 +108,7 @@ class TestTargetUpdates:
         # rank 0 enters its second barrier alone, then the request arrives:
         # rank 1's catch-up increments land exactly on the target
         drive_held(sim, {1: 1})
-        assert sim.protocol.states[0].clock.get(world_key(2)) == 2
+        assert sim.protocol.states[0].clock[world_key(2)] == 2
         coordinator.request_checkpoint(sim)
         assert coordinator.initial_targets == {"0,1": 2}
         drive(sim, coordinator)
@@ -159,8 +143,8 @@ class TestParking:
         # h#1, rank 2 before h#1
         drive_held(sim, {0: 5, 1: 4, 2: 3})
         g, h, w2 = GroupKey((0, 1)), GroupKey((1, 2)), GroupKey((0, 2))
-        assert sim.protocol.states[0].clock.get(w2) == 1
-        assert sim.protocol.states[2].clock.get(w2) == 0
+        assert sim.protocol.states[0].clock[w2] == 1
+        assert sim.protocol.states[2].clock[w2] == 0
         coordinator.request_checkpoint(sim)
         assert coordinator.initial_targets == {"0,1": 1, "0,1,2": 3, "0,2": 1}
         drive_held(sim, {2: 3})  # rank 1 parks; rank 0 stays inside w2#1
@@ -172,8 +156,8 @@ class TestParking:
         assert sim.counters.target_updates_applied == 1
         assert any(ev["event"] == "resume" for ev in sim.trace)
         assert sim.all_finished()
-        assert sim.protocol.states[1].clock.get(g) == 2
-        assert sim.protocol.states[1].clock.get(h) == 1
+        assert sim.protocol.states[1].clock[g] == 2
+        assert sim.protocol.states[1].clock[h] == 1
 
     def test_begin_park_precedes_fresh_group_increment(self):
         # a reached rank parks at commit_begin before bumping the counter, so
@@ -195,7 +179,7 @@ class TestParking:
         assert snap == {0: 3, 1: 3, 2: 2}  # h never started
         drive(sim, coordinator)
         assert sim.all_finished()
-        assert sim.protocol.states[2].clock.get(GroupKey((1, 2))) == 1
+        assert sim.protocol.states[2].clock[GroupKey((1, 2))] == 1
 
     def test_parked_until_release_when_no_update_comes(self):
         sc = scenario(2)
@@ -211,7 +195,7 @@ class TestParking:
         assert parks and releases
         assert max(p["step"] for p in parks) <= releases[0]["step"]
         assert sim.all_finished()
-        assert sim.protocol.states[0].clock.get(world_key(2)) == 3
+        assert sim.protocol.states[0].clock[world_key(2)] == 3
 
 
 def live_requests(rank):
@@ -306,8 +290,8 @@ class TestCommCreateDuringDrain:
         # the creation completes, then rank 1 runs ahead into the final world
         # collective while ranks 0 and 2 are held before their x collective
         drive_held(sim, {0: 2, 2: 2})
-        assert sim.protocol.states[1].clock.get(world_key(3)) == 3
-        assert sim.protocol.states[0].clock.to_json() == {"0,1,2": 2}
+        assert sim.protocol.states[1].clock[world_key(3)] == 3
+        assert by_label(sim.protocol.states[0].clock) == {"0,1,2": 2}
         coordinator.request_checkpoint(sim)
         assert coordinator.initial_targets == {"0,1,2": 3}
         drive(sim, coordinator)
@@ -341,8 +325,8 @@ class TestStaleUpdates:
         # rush into their second private collectives
         drive_held(sim, {0: 4, 1: 4})
         h, k = GroupKey((0, 2)), GroupKey((1, 3))
-        assert sim.protocol.states[2].clock.get(h) == 2
-        assert sim.protocol.states[3].clock.get(k) == 2
+        assert sim.protocol.states[2].clock[h] == 2
+        assert sim.protocol.states[3].clock[k] == 2
         coordinator.request_checkpoint(sim)
         assert "0,1" not in coordinator.initial_targets
         drive(sim, coordinator)

@@ -1,18 +1,16 @@
 """Checkpoint rounds, targets, snapshots, restart."""
 
 import json
+from collections import Counter
 
 import pytest
 
 from ccsim import (
-    CollectiveClock,
     GroupKey,
-    KeyValueStore,
-    MissingReportError,
     ProtocolViolationError,
     SnapshotImage,
     SnapshotLoadError,
-    compute_targets,
+    by_label,
     restart,
     run,
     run_restart,
@@ -23,47 +21,35 @@ from ccsim.scenario import Op
 from conftest import build, drained_request_scenario, drive_held, op_coll, op_icoll, scenario
 
 
-class TestKeyValueStore:
-    def test_one_report_per_rank(self):
-        store = KeyValueStore()
-        store.add_report(0, CollectiveClock({GroupKey((0, 1)): 3}))
-        with pytest.raises(ProtocolViolationError):
-            store.add_report(0, CollectiveClock())
+def _round_start(world_size, clocks):
+    """cc's round start on a world whose rank r holds SEQ table ``clocks[r]``;
+    returns the initial targets by label, and the protocol."""
+    sim, _ = build(scenario(world_size), "cc")
+    for r, clock in clocks.items():
+        sim.protocol.states[r].clock = Counter(clock)
+    return sim.protocol.on_round_start(sim), sim
 
-    def test_compute_targets_takes_maxima(self):
+
+class TestRoundTargets:
+    def test_targets_take_maxima(self):
         g = GroupKey((0, 1, 2))
-        store = KeyValueStore()
-        store.add_report(0, CollectiveClock({g: 3}))
-        store.add_report(1, CollectiveClock({g: 5}))
-        store.add_report(2, CollectiveClock({g: 4}))
-        assert compute_targets(store, 3) == {g: 5}
+        initial, sim = _round_start(3, {0: {g: 3}, 1: {g: 5}, 2: {g: 4}})
+        assert initial == {"0,1,2": 5}
+        assert all(st.targets == Counter({g: 5}) for st in sim.protocol.states)
+        sim.protocol.on_round_end(sim)
+        assert all(not st.targets for st in sim.protocol.states)
 
     def test_nonparticipant_contributes_zero(self):
-        g = GroupKey((0, 1))
-        store = KeyValueStore()
-        store.add_report(0, CollectiveClock({g: 2}))
-        store.add_report(1, CollectiveClock())
-        store.add_report(2, CollectiveClock())
-        assert compute_targets(store, 3) == {g: 2}
-
-    def test_missing_report_stalls_with_diagnostic(self):
-        store = KeyValueStore()
-        store.add_report(0, CollectiveClock())
-        with pytest.raises(MissingReportError, match=r"\[1, 2\]"):
-            compute_targets(store, 3)
+        initial, _ = _round_start(3, {0: {GroupKey((0, 1)): 2}})
+        assert initial == {"0,1": 2}
 
     def test_fig2a_targets(self):
-        store = KeyValueStore()
         g12, g23, g345, g56 = (GroupKey((1, 2)), GroupKey((2, 3)),
                                GroupKey((3, 4, 5)), GroupKey((5, 6)))
-        store.add_report(0, CollectiveClock())
-        store.add_report(1, CollectiveClock({g12: 5}))
-        store.add_report(2, CollectiveClock({g12: 5, g23: 7}))
-        store.add_report(3, CollectiveClock({g23: 6, g345: 2}))
-        store.add_report(4, CollectiveClock({g345: 2}))
-        store.add_report(5, CollectiveClock({g345: 2, g56: 3}))
-        store.add_report(6, CollectiveClock({g56: 3}))
-        assert compute_targets(store, 7) == {g12: 5, g23: 7, g345: 2, g56: 3}
+        initial, _ = _round_start(7, {
+            1: {g12: 5}, 2: {g12: 5, g23: 7}, 3: {g23: 6, g345: 2},
+            4: {g345: 2}, 5: {g345: 2, g56: 3}, 6: {g56: 3}})
+        assert initial == {"1,2": 5, "2,3": 7, "3,4,5": 2, "5,6": 3}
 
 
 def _cc_round(steps, programs=((op_coll(0),), (op_coll(1),))):
@@ -270,20 +256,37 @@ class TestSnapshotImage:
         with pytest.raises(SnapshotLoadError):
             SnapshotImage.loads(json.dumps(obj))
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda reqs: reqs["q0"].update(payload=[]),
-        lambda reqs: reqs["q0"].update(payload="x"),
-        lambda reqs: reqs["q0"].update(state="consumed"),
-        lambda reqs: reqs["q0"].update(state="pending"),
-        lambda reqs: reqs["q0"].update(op_index=1),
-        lambda reqs: reqs["q0"].update(op_index=2),
-        lambda reqs: reqs["q0"].update(op_index="0"),
-        lambda reqs: reqs.update(q9=reqs.pop("q0")),
+    @pytest.mark.parametrize("step, corrupt", [
+        (2, lambda reqs: reqs[0]["q0"].update(payload=[])),
+        (2, lambda reqs: reqs[0]["q0"].update(payload="x")),
+        (2, lambda reqs: reqs[0]["q0"].update(state="consumed")),
+        (2, lambda reqs: reqs[0]["q0"].update(state="pending")),
+        (2, lambda reqs: reqs[0]["q0"].update(op_index=1)),
+        (2, lambda reqs: reqs[0]["q0"].update(op_index=2)),
+        (2, lambda reqs: reqs[0]["q0"].update(op_index="0")),
+        (2, lambda reqs: reqs[0].update(q9=reqs[0].pop("q0"))),
+        # rank 1 is at pc 3, past its wait on q0
+        (5, lambda reqs: reqs[1].update(q0=reqs[0]["q0"])),
     ], ids=["payload-on-barrier", "payload-str", "state-consumed", "state-pending",
-            "op-index-not-icoll", "op-index-at-pc", "op-index-str", "other-request-id"])
-    def test_restart_rejects_malformed_request(self, corrupt):
-        image = _drained_request_image()
-        corrupt(image.per_rank[0]["protocol"]["incomplete_requests"])
+            "op-index-not-icoll", "op-index-at-pc", "op-index-str", "other-request-id",
+            "waited-before-pc"])
+    def test_restart_rejects_malformed_request(self, step, corrupt):
+        image = _drained_request_image(step)
+        corrupt([row["protocol"]["incomplete_requests"] for row in image.per_rank])
+        with pytest.raises(SnapshotLoadError):
+            restart(image)
+
+    def test_restart_rejects_request_consumed_by_waitany(self):
+        sc = scenario(2)
+        for r in range(2):
+            sc.programs[r] += [op_icoll(r, "q0"), op_icoll(r, "q1"), op_coll(r),
+                               Op(rank=r, op="waitany", request_ids=["q0", "q1"])]
+        image = run(sc, "cc", seed=0, ckpt=("at_step", 7)).snapshot
+        reqs = [row["protocol"]["incomplete_requests"] for row in image.per_rank]
+        assert [row["pc"] for row in image.per_rank] == [3, 4]
+        assert sorted(reqs[0]) == ["q0", "q1"] and sorted(reqs[1]) == ["q1"]
+        restart(image)
+        reqs[1]["q0"] = reqs[0]["q0"]
         with pytest.raises(SnapshotLoadError):
             restart(image)
 
@@ -291,8 +294,6 @@ class TestSnapshotImage:
         result = self._snapshot()
         sim = restart(result.snapshot)
         for cid, record in result.sim.comm_records.items():
-            if cid == "__internal__":
-                continue
             assert sim.comm_records[cid].key == record.key
 
     def test_restart_resumes_and_matches(self):
@@ -332,7 +333,7 @@ class TestSnapshotImage:
         result = self._snapshot()
         sim = restart(result.snapshot)
         for row in result.snapshot.per_rank:
-            assert sim.protocol.states[row["rank"]].clock.to_json() == \
+            assert by_label(sim.protocol.states[row["rank"]].clock) == \
                 row["protocol"]["clock"]
 
     def test_second_round_on_restarted_runtime(self):
@@ -355,8 +356,8 @@ class TestSnapshotImage:
         assert sim.checksums() == base.checksums
 
 
-def _drained_request_image():
-    image = run(drained_request_scenario(), "cc", seed=3, ckpt=("at_step", 2)).snapshot
+def _drained_request_image(step=2):
+    image = run(drained_request_scenario(), "cc", seed=3, ckpt=("at_step", step)).snapshot
     assert image.per_rank[0]["pc"] == 2
     assert image.per_rank[0]["protocol"]["incomplete_requests"]["q0"] == {
         "state": "globally_complete", "payload": None, "op_index": 0}
