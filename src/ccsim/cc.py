@@ -140,6 +140,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
             st.update_sent_count += 1
             self.sim.counters.target_updates_sent += 1
             self.sim.emit(origin, "update_sent", group=g.label(), value=value, to=member)
+        self.sim.wake(g.members)
 
     # ------------------------------------------------------ probe channel
 
@@ -279,8 +280,8 @@ class CollectiveClockProtocol(ProtocolAdapter):
 
     def restore_rank(self, rank, saved: dict):
         # At a safe state the clock counts the wrapped calls before the pc.
-        clock = Counter(GroupKey(self.sim.scenario.comm_members(op.comm))
-                        for op in rank.program[:rank.pc]
+        keys = self.sim.group_keys
+        clock = Counter(keys[op.comm] for op in rank.program[:rank.pc]
                         if op.op in ("coll", "icoll", "comm_create"))
         if saved.get("clock", {}) != by_label(clock):
             raise SnapshotLoadError(
@@ -308,6 +309,11 @@ class CollectiveClockProtocol(ProtocolAdapter):
                     f"rank {rank.id} request {rid!r} payload {payload!r} does not fit {op.kind}")
             req = rank.requests[rid] = RequestObject(rid, rank.id, None, at)
             req.state, req.payload = COMPLETE, payload
+        # Every other request started before the pc was consumed: it is the null request.
+        for at, op in enumerate(rank.program[:rank.pc]):
+            if op.op == "icoll" and op.request_id not in records:
+                req = rank.requests[op.request_id] = RequestObject(op.request_id, rank.id, None, at)
+                req.state = CONSUMED
 
     def state_key(self):
         return tuple(

@@ -1,9 +1,12 @@
 """Group identity and per-group logical clocks.
 
 A communicator is identified globally by the *set* of world ranks behind it
-(its group). Two communicators over the same rank set share one identity and
-therefore one sequence counter, no matter where or in what order they were
-created. Equality is decided on the canonical member tuple.
+(its group) and its ordinal among the declared communicators over that set:
+world first, then the rest by sorted id (``ScenarioProgram.group_keys``).
+Every rank derives the same ordinal from the scenario, so two communicators
+over one rank set keep two sequence counters even when ranks start their
+collectives in different orders. Equality is decided on the canonical member
+tuple and the ordinal.
 
 A rank's SEQ and TARGET tables are plain ``collections.Counter`` objects keyed
 by ``GroupKey``: an absent group counts 0, a commit is ``clock[g] += 1`` and
@@ -20,42 +23,52 @@ from .errors import ProtocolViolationError
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_ZERO_BYTES = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(9))  # k zero bytes
 
 
 def fnv1a64(parts) -> int:
-    """FNV-1a over a sequence of integers, reduced to 64 bits.
+    """FNV-1a over the 8-byte little-endian two's complement of each integer,
+    reduced to 64 bits.
 
     Stable across runs and platforms (unlike built-in hash()), so it is safe
-    to persist in traces and snapshots.
+    to persist in traces and snapshots. A zero byte only multiplies by the
+    prime, so each value's high zero bytes are folded in one multiplication.
     """
     h = _FNV_OFFSET
     for value in parts:
-        for byte in int(value).to_bytes(8, "little", signed=True):
-            h ^= byte
-            h = (h * _FNV_PRIME) & _MASK64
+        data = int(value).to_bytes(8, "little", signed=True).rstrip(b"\0")
+        for byte in data:
+            h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+        h = (h * _ZERO_BYTES[8 - len(data)]) & _MASK64
     return h
 
 
 @dataclass(frozen=True)
 class GroupKey:
-    """Canonical identity of a set of world ranks.
+    """Canonical identity of a communicator's group.
 
     ``members`` is sorted and deduplicated at construction; equality and
-    hashing use that tuple alone.
+    hashing use that tuple and ``ordinal``. The label is built once, here.
     """
 
     members: tuple[int, ...]
+    ordinal: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
+        members = tuple(sorted(set(self.members)))
+        label = ",".join(str(r) for r in members)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_label", f"{label}#{self.ordinal}" if self.ordinal else label)
 
     def label(self) -> str:
-        """Serialization key: comma-joined sorted world ranks."""
-        return ",".join(str(r) for r in self.members)
+        """Serialization key: comma-joined sorted world ranks, then ``#ordinal``
+        when the ordinal is not 0."""
+        return self._label
 
     @classmethod
     def from_label(cls, label: str) -> "GroupKey":
-        return cls(tuple(int(x) for x in label.split(",")))
+        members, _, ordinal = label.partition("#")
+        return cls(tuple(int(x) for x in members.split(",")), int(ordinal or 0))
 
     def __repr__(self):
         return f"GroupKey({{{self.label()}}})"
@@ -63,7 +76,8 @@ class GroupKey:
 
 def by_label(counts) -> dict:
     """A SEQ or TARGET table keyed by group label, in member order."""
-    return {g.label(): v for g, v in sorted(counts.items(), key=lambda kv: kv[0].members)}
+    return {g.label(): v for g, v in
+            sorted(counts.items(), key=lambda kv: (kv[0].members, kv[0].ordinal))}
 
 
 def reached_all_targets(clock, targets, rank: int) -> bool:

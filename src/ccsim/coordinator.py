@@ -31,8 +31,6 @@ from .runtime import (
     PARKED,
     START,
     STOPPED,
-    CommRecord,
-    CommView,
     NullProtocol,
     Simulator,
 )
@@ -219,6 +217,8 @@ class CheckpointCoordinator:
         self.requested_step = sim.step
         sim.emit(COORD, "ckpt_request", round=self.round_id, step=sim.step)
         self.initial_targets = sim.protocol.on_round_start(sim)
+        # The pending flag and aborted barriers change what every rank may do.
+        sim.wake(range(sim.world_size))
         return self.round_id
 
     def handle_idle(self, sim) -> bool:
@@ -356,8 +356,6 @@ def restart(image: SnapshotImage, seed: int | None = None, record: bool = True) 
             f"created communicators {sorted(image.comms_created)} disagree with the "
             f"embedded scenario at the saved program counters ({sorted(created)})")
     for cid in sorted(created):
-        shared = sim.comm_records[cid] = CommRecord(cid, sim.scenario.comms[cid])
-        for m in shared.members:
-            sim.ranks[m].comms[cid] = CommView(shared, m)
+        sim.install_comm(cid)
     sim.emit(COORD, "restart", round=image.round_id, from_step=image.step)
     return sim

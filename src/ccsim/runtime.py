@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import deque
 
 from .clock import GroupKey, fnv1a64
@@ -130,10 +131,10 @@ class CommRecord:
 
     __slots__ = ("comm_id", "members", "key")
 
-    def __init__(self, comm_id: str, members):
+    def __init__(self, comm_id: str, members, key: GroupKey):
         self.comm_id = comm_id
         self.members = tuple(members)
-        self.key = GroupKey(self.members)
+        self.key = key
 
     def __repr__(self):
         return f"CommRecord({self.comm_id}:{self.members})"
@@ -168,7 +169,7 @@ class Instance:
     __slots__ = (
         "comm_id", "index", "members", "signature", "blocking",
         "entered", "returned", "complete", "inputs",
-        "outputs", "new_comm", "request_ids", "group_num", "aborted",
+        "outputs", "new_comm", "request_ids", "aborted",
     )
 
     def __init__(self, comm_id, index, members, signature, blocking):
@@ -184,7 +185,6 @@ class Instance:
         self.outputs = {}
         self.new_comm = None
         self.request_ids = {}
-        self.group_num = {}
         self.aborted = False  # only used for trivial barriers
 
     def describe(self):
@@ -350,14 +350,16 @@ class Simulator:
         self.counters = Counters()
         self.coordinator = None
 
-        self.comm_records = {WORLD: CommRecord(WORLD, range(self.world_size))}
+        self.group_keys = scenario.group_keys()
+        self.comm_records = {}
         self.ranks = [RankState(r, list(scenario.programs[r])) for r in range(self.world_size)]
-        for rank in self.ranks:
-            rank.comms[WORLD] = CommView(self.comm_records[WORLD], rank.id)
+        self.install_comm(WORLD)
 
         self.instances = {}        # (comm_id, index) -> Instance
         self.pending_sends = {}    # (src, dst, tag, comm_id) -> deque[(data, op_index)]
         self.pending_recvs = {}    # (src, dst, tag, comm_id) -> deque[op_index]
+        self._ready = []           # rank-sorted ids found enabled at their last check
+        self._dirty = set(range(self.world_size))  # ranks to check again
 
         self.protocol.bind(self)
 
@@ -371,7 +373,29 @@ class Simulator:
     # --------------------------------------------------------- main loop
 
     def enabled_actors(self):
-        return [r.id for r in self.ranks if self._enabled(r)]
+        """The enabled ranks, in rank order. Only ranks marked by ``wake``
+        since the last call are checked again; a copy is returned, because
+        callers may append to it."""
+        ready, ranks, enabled = self._ready, self.ranks, self._enabled
+        for rid in self._dirty:
+            at = bisect_left(ready, rid)
+            listed = at < len(ready) and ready[at] == rid
+            if enabled(ranks[rid]):
+                if not listed:
+                    ready.insert(at, rid)
+            elif listed:
+                del ready[at]
+        self._dirty.clear()
+        return ready[:]
+
+    def wake(self, rank_ids):
+        """Mark ranks whose enabledness may have changed.
+
+        The stepped rank is always checked again. Any other change to a rank's
+        enabledness must wake it: a completed instance, a matched rendezvous,
+        a protocol message, a round start or a release.
+        """
+        self._dirty.update(rank_ids)
 
     def run(self):
         while not self.halted:
@@ -401,6 +425,7 @@ class Simulator:
         return enabled
 
     def step_actor(self, rank_id: int):
+        self._dirty.add(rank_id)
         self._step_rank(self.ranks[rank_id])
         self.step += 1
         if self.step > MAX_STEPS:
@@ -548,7 +573,6 @@ class Simulator:
         label = comm.key.label()
         k = rank.group_calls.get(label, 0) + 1
         rank.group_calls[label] = k
-        inst.group_num[rank.id] = k
         self.counters.wrapper_invocations += 1
         self.emit(rank.id, "coll_enter", comm=comm.comm_id, instance=index,
                   kind=inst.signature[0], group=label, num=k)
@@ -560,12 +584,7 @@ class Simulator:
 
     def _complete_instance(self, inst: Instance, completer: int):
         inst.complete = True
-        if inst.blocking:
-            nums = set(inst.group_num.values())
-            if len(nums) != 1:
-                raise CollectiveMismatchError(
-                    f"members disagree on instance numbering for {inst.describe()}: {inst.group_num}"
-                )
+        self.wake(inst.members)
         self._compute_outputs(inst)
         self.counters.app_messages += collective_cost(inst.signature[0], len(inst.members))
         self.counters.collectives_completed += 1
@@ -625,15 +644,21 @@ class Simulator:
         else:
             raise CollectiveMismatchError(f"unknown collective kind {kind!r}")
 
-    def _create_comm(self, inst: Instance):
-        members = inst.signature[2]
-        record = self.comm_records.get(inst.new_comm)
+    def install_comm(self, comm_id: str) -> CommRecord:
+        """Create a communicator's shared record, unless it exists, and give
+        each member a handle onto it."""
+        record = self.comm_records.get(comm_id)
         if record is None:
-            record = CommRecord(inst.new_comm, members)
-            self.comm_records[inst.new_comm] = record
-        for m in members:
-            self.ranks[m].comms[inst.new_comm] = CommView(record, m)
-        self.emit(min(inst.entered), "comm_created", comm=inst.new_comm, members=list(members))
+            record = self.comm_records[comm_id] = CommRecord(
+                comm_id, self.scenario.comm_members(comm_id), self.group_keys[comm_id])
+        for m in record.members:
+            self.ranks[m].comms[comm_id] = CommView(record, m)
+        return record
+
+    def _create_comm(self, inst: Instance):
+        record = self.install_comm(inst.new_comm)
+        self.emit(min(inst.entered), "comm_created", comm=inst.new_comm,
+                  members=list(record.members))
 
     def _step_collective_return(self, rank: RankState):
         inst = rank.blocked_ref
@@ -776,6 +801,7 @@ class Simulator:
         self.counters.app_messages += 1
         self.counters.p2p_messages += 1
         self.emit(receiver.id, "p2p_match", src=src, dst=dst, tag=tag, comm=comm_id)
+        self.wake((src, dst))
         for peer in (sender, receiver):
             peer.block_info = ""
             self._advance(peer)
@@ -796,6 +822,7 @@ class Simulator:
 
     def release_rank(self, rank: RankState):
         """Coordinator hook: wake a parked or stopped rank after a round."""
+        self.wake((rank.id,))
         if rank.stage in (PARKED, STOPPED):
             rank.stage = START if rank.pc < len(rank.program) else FINISHED
             self.emit(rank.id, "resume")

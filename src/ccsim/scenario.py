@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 
+from .clock import GroupKey
 from .errors import GenerationError, ScenarioError
 
 SCENARIO_VERSION = 1
@@ -128,6 +130,17 @@ class ScenarioProgram:
         if comm_id == WORLD:
             return tuple(range(self.world_size))
         return self.comms[comm_id]
+
+    def group_keys(self) -> dict:
+        """Each communicator's clock identity, world included: its member set
+        and its ordinal among the communicators over that set, world first,
+        then the declared ones by sorted id."""
+        keys, used = {}, Counter()
+        for cid in (WORLD, *sorted(self.comms)):
+            members = frozenset(self.comm_members(cid))
+            keys[cid] = GroupKey(tuple(members), used[members])
+            used[members] += 1
+        return keys
 
     # ---------------------------------------------------------------- io
 

@@ -89,6 +89,7 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
         self.sim.emit(rank.id, "tb_enter", comm=op.comm, instance=index)
         if len(tb.entered) == len(tb.members):
             tb.complete = True
+            self.sim.wake(tb.members)
             self.sim.counters.tpc_barrier_messages += barrier_cost(len(tb.members))
             self.sim.emit(rank.id, "tb_complete", comm=op.comm, instance=index,
                           cost=barrier_cost(len(tb.members)))

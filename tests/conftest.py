@@ -33,6 +33,18 @@ def drained_request_scenario():
     return sc
 
 
+def same_member_set_scenario():
+    """Two ranks, communicators a and b over the same two ranks, whose
+    non-blocking collectives the ranks start in opposite orders."""
+    sc = scenario(2, comms={"a": (0, 1), "b": (0, 1)}, name="x-same-set")
+    p = sc.programs
+    p[0] += [op_icoll(0, "qa", comm="a"), op_icoll(0, "qb", comm="b"),
+             Op(rank=0, op="waitall", request_ids=["qa", "qb"])]
+    p[1] += [op_icoll(1, "qb", comm="b"), op_icoll(1, "qa", comm="a"),
+             Op(rank=1, op="waitall", request_ids=["qa", "qb"])]
+    return sc
+
+
 def build(sc, algorithm="none", seed=0, placement=None, record=True):
     """Simulator plus coordinator wired for manual driving."""
     sc.validate()

@@ -19,7 +19,7 @@ from ccsim import (
 )
 from ccsim.scenario import Op
 
-from conftest import op_coll, op_icoll, scenario
+from conftest import op_coll, op_icoll, same_member_set_scenario, scenario
 
 
 def report(criterion, passed, detail):
@@ -171,7 +171,13 @@ class TestCriterion5Exhaustive:
                  ar(1, "b", 6)]
         q[2] += [ar(2, "b", 7), op_coll(2), Op(rank=2, op="compute", ticks=2),
                  op_coll(2), ar(2, "b", 8)]
-        return [("cc", two_groups), ("cc", mixed), ("2pc", blocking)]
+        # a sub-communicator over every rank duplicates the world's member set
+        world_dup = scenario(3, comms={"d": (0, 1, 2)}, name="x-world-dup")
+        for r, order in ((0, ("world", "d")), (1, ("d", "world")), (2, ("world", "d"))):
+            world_dup.programs[r] += [op_icoll(r, "q" + c, comm=c) for c in order]
+            world_dup.programs[r].append(Op(rank=r, op="waitall", request_ids=["qworld", "qd"]))
+        return [("cc", two_groups), ("cc", mixed), ("2pc", blocking),
+                ("cc", same_member_set_scenario()), ("cc", world_dup)]
 
     def test_all_interleavings_and_placements(self):
         t0 = time.time()

@@ -68,15 +68,17 @@ class TestCommitSequencing:
         # world: one comm_create (always counted) + one barrier
         assert all(states[r].clock[world_key(3)] == 2 for r in range(3))
 
-    def test_same_member_set_shares_one_counter(self):
-        # a full-subset duplicate of world counts on world's own group
+    def test_same_member_set_counts_per_communicator(self):
+        # a duplicate of world keeps its own counter, labelled by its ordinal
         sc = scenario(2, comms={"dup": (0, 1)})
         for r in range(2):
             sc.programs[r] += [op_coll(r, comm="dup"), op_coll(r)]
         result = run(sc, "cc", seed=0)
-        key = world_key(2)
-        # create + dup-barrier + world-barrier all land on the same ggid
-        assert by_label(result.sim.protocol.states[0].clock) == {key.label(): 3}
+        dup = GroupKey((0, 1), 1)
+        assert dup.label() == "0,1#1" and GroupKey.from_label("0,1#1") == dup
+        # create + world-barrier on world's group, the dup-barrier on dup's
+        assert by_label(result.sim.protocol.states[0].clock) == {
+            world_key(2).label(): 2, dup.label(): 1}
 
     def test_nonblocking_increments_at_initiation(self):
         # rank 0 initiates three broadcasts back to back; its counter moves by

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccsim import CcState, GroupKey, ProtocolViolationError, by_label, reached_all_targets
+from ccsim import (
+    CcState,
+    GroupKey,
+    ProtocolViolationError,
+    ScenarioProgram,
+    by_label,
+    reached_all_targets,
+)
+from ccsim.clock import fnv1a64
 
 
 class TestGroupKey:
@@ -24,6 +32,18 @@ class TestGroupKey:
         g = GroupKey((6, 1, 3))
         assert g.label() == "1,3,6"
         assert GroupKey.from_label(g.label()) == g
+
+    def test_ordinal_label_roundtrip(self):
+        # the second and later communicators over one member set carry "#ordinal"
+        g = GroupKey((1, 0), 2)
+        assert g.label() == "0,1#2"
+        assert GroupKey.from_label("0,1#2") == g
+        assert g != GroupKey((0, 1)) and GroupKey((0, 1), 0).label() == "0,1"
+
+    def test_group_keys_number_repeated_member_sets(self):
+        sc = ScenarioProgram(world_size=2, comms={"b": (1, 0), "a": (0, 1), "s": (1,)})
+        assert {cid: k.label() for cid, k in sc.group_keys().items()} == {
+            "world": "0,1", "a": "0,1#1", "b": "0,1#2", "s": "1"}
 
     @given(st.lists(st.sets(st.integers(0, 63), min_size=1), min_size=2, max_size=40))
     @settings(max_examples=300, deadline=None)
@@ -79,3 +99,17 @@ class TestReachedAllTargets:
         targets = Counter({g: 2})
         with pytest.raises(ProtocolViolationError):
             reached_all_targets(clock, targets, 0)
+
+
+def _fnv1a64_bytewise(parts):
+    h = 0xCBF29CE484222325
+    for value in parts:
+        for byte in int(value).to_bytes(8, "little", signed=True):
+            h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
+    return h
+
+
+@given(st.lists(st.one_of(st.integers(-300, 300), st.integers(-2**63, 2**63 - 1)), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_fnv1a64_matches_bytewise_definition(parts):
+    assert fnv1a64(parts) == _fnv1a64_bytewise(parts)

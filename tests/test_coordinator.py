@@ -329,6 +329,20 @@ class TestSnapshotImage:
         assert restarted.checksums == base.checksums
         assert restarted.sim.all_finished()
 
+    def test_restart_keeps_requests_consumed_before_the_pc(self):
+        # q0 is waited on before the world barrier and tested after it: a
+        # restart past the wait must bring q0 back as the null request
+        sc = scenario(2)
+        for r in range(2):
+            sc.programs[r] += [op_icoll(r, "q0"), Op(rank=r, op="wait", request_id="q0"),
+                               op_coll(r), Op(rank=r, op="test", request_id="q0")]
+        base = run(sc, "cc", seed=0)
+        for step in range(12):
+            ck = run(sc, "cc", seed=0, ckpt=("at_step", step))
+            restarted = run_restart(ck.snapshot)
+            assert restarted.sim.all_finished(), step
+            assert restarted.checksums == base.checksums, step
+
     def test_restored_clocks_match_snapshot(self):
         result = self._snapshot()
         sim = restart(result.snapshot)

@@ -13,12 +13,16 @@ from ccsim import (
     StuckP2pError,
     barrier_cost,
     collective_cost,
+    explore_small,
+    generate_workload,
+    run,
+    run_restart,
     translate_ranks,
 )
 from ccsim.runtime import CONSUMED, PENDING
 from ccsim.scenario import Op
 
-from conftest import build, drive, op_coll, op_icoll, scenario
+from conftest import build, drive, op_coll, op_icoll, same_member_set_scenario, scenario
 
 
 def finished_sim(sc, seed=0):
@@ -54,7 +58,10 @@ class TestCommCreate:
         sim = finished_sim(sc)
         dup = sim.ranks[2].comms["dup"]
         assert translate_ranks(dup) == [0, 1, 2, 3]
-        assert dup.record.key == sim.comm_records["world"].key
+        world = sim.comm_records["world"].key
+        # same member set, its own clock identity: the second communicator over it
+        assert dup.record.key.members == world.members
+        assert (world.ordinal, dup.record.key.ordinal) == (0, 1)
 
     def test_subset_translation(self):
         sc = scenario(7, comms={"mid": (3, 4, 5)})
@@ -353,3 +360,46 @@ class TestDeterminism:
         again = drive(build(sc)[0], pick=replay)
         assert next(script, None) is None
         assert again.trace_lines() == first.trace_lines()
+
+
+class TestReadySet:
+    """The incremental ready set equals a full scan at every scheduler step."""
+
+    @pytest.fixture(autouse=True)
+    def full_scan_oracle(self, monkeypatch):
+        incremental = Simulator.enabled_actors
+
+        def checked(sim):
+            ready = incremental(sim)
+            assert ready == [r.id for r in sim.ranks if sim._enabled(r)], sim.step
+            return ready
+
+        monkeypatch.setattr(Simulator, "enabled_actors", checked)
+
+    def test_generated_runs_rounds_and_restarts(self):
+        updates = aborts = 0
+        for seed in range(18):
+            for algorithm in ("cc", "2pc"):
+                sc = generate_workload(
+                    seed, ranks=8 + seed % 9, groups=1 + seed % 3, ops=90,
+                    nonblocking_ratio=0.4 if algorithm == "cc" else 0.0, p2p_ratio=0.24)
+                base = run(sc, algorithm, seed=seed, record=False, checks=False)
+                ck = run(sc, algorithm, seed=seed, ckpt=("at_step", base.sim.step // 2),
+                         checks=False)
+                updates += ck.sim.counters.target_updates_sent
+                aborts += sum(ev["event"] == "tb_abort" for ev in ck.sim.trace)
+                restarted = run_restart(ck.snapshot, record=False, checks=False)
+                assert ck.checksums == restarted.checksums == base.checksums
+        # the rounds exercised the cc cascade and aborted 2pc barriers
+        assert updates > 0 and aborts > 0
+
+    def test_explored_reproductions(self):
+        # unfenced point-to-point: some checkpoint placements deadlock
+        unfenced = scenario(3, comms={"g": (1, 2)})
+        u = unfenced.programs
+        u[0].append(Op(rank=0, op="recv", peer=1))
+        u[1] += [op_coll(1, comm="g"), Op(rank=1, op="send", peer=0, data=[1])]
+        u[2].append(op_coll(2, comm="g"))
+        assert explore_small(same_member_set_scenario(), "cc").passed
+        for algorithm in ("cc", "2pc"):
+            assert not explore_small(unfenced, algorithm).passed
