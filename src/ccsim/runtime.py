@@ -376,14 +376,14 @@ class Simulator:
         """The enabled ranks, in rank order. Only ranks marked by ``wake``
         since the last call are checked again; a copy is returned, because
         callers may append to it."""
-        ready, ranks, enabled = self._ready, self.ranks, self._enabled
+        ready, ranks = self._ready, self.ranks
         for rid in self._dirty:
+            rank = ranks[rid]
             at = bisect_left(ready, rid)
-            listed = at < len(ready) and ready[at] == rid
-            if enabled(ranks[rid]):
-                if not listed:
+            if rank.stage == START or self._enabled(rank):  # START: the common case, no call
+                if at == len(ready) or ready[at] != rid:
                     ready.insert(at, rid)
-            elif listed:
+            elif at < len(ready) and ready[at] == rid:
                 del ready[at]
         self._dirty.clear()
         return ready[:]
