@@ -97,8 +97,8 @@ class CollectiveClockProtocol(ProtocolAdapter):
         return PROCEED
 
     def _commit(self, rank, st: CcState, g: GroupKey):
-        st.clock[g] += 1
-        seq = st.clock[g]
+        seq = st.clock[g] + 1
+        st.clock[g] = seq
         self.sim.emit(rank.id, "seq_inc", group=g.label(), value=seq)
         if st.ckpt_pending:
             self.sim.counters.drain_collectives += 1

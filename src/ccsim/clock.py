@@ -48,7 +48,8 @@ class GroupKey:
     """Canonical identity of a communicator's group.
 
     ``members`` is sorted and deduplicated at construction; equality and
-    hashing use that tuple and ``ordinal``. The label is built once, here.
+    hashing use that tuple and ``ordinal``. The label and the hash are built
+    once, here: a key is looked up in a SEQ or TARGET table on every commit.
     """
 
     members: tuple[int, ...]
@@ -59,6 +60,10 @@ class GroupKey:
         label = ",".join(str(r) for r in members)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "_label", f"{label}#{self.ordinal}" if self.ordinal else label)
+        object.__setattr__(self, "_hash", hash((members, self.ordinal)))
+
+    def __hash__(self):
+        return self._hash
 
     def label(self) -> str:
         """Serialization key: comma-joined sorted world ranks, then ``#ordinal``

@@ -9,9 +9,10 @@ to identical bytes.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from collections import Counter
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .clock import GroupKey
 from .errors import GenerationError, ScenarioError
@@ -55,40 +56,48 @@ class Op:
 
     def to_json_obj(self) -> dict:
         obj = {"rank": self.rank, "op": self.op}
-        for f in fields(self):
-            if f.name in ("rank", "op"):
-                continue
-            value = getattr(self, f.name)
-            if f.name == "comm" and value == WORLD:
-                continue
-            if f.name == "tag" and value == 0:
-                continue
+        for name, value in zip(_OP_OPTIONAL, _optional_values(self)):
             if value is not None:
-                obj[f.name] = value
+                obj[name] = value
+        if obj.get("comm") == WORLD:
+            del obj["comm"]
+        if obj.get("tag") == 0:
+            del obj["tag"]
         return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Op":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known - {"type"}
+        unknown = obj.keys() - _OP_FIELD_TYPES.keys()
+        unknown.discard("type")
         if unknown:
             raise ScenarioError(f"unknown op fields: {sorted(unknown)}")
-        for f in fields(cls):
-            if f.name not in obj:
-                if f.default is MISSING:
-                    raise ScenarioError(f"op has no {f.name!r} field")
-            elif not (obj[f.name] is None and f.default is None
-                      or _typed(obj[f.name], _OP_FIELD_TYPES[f.name])):
-                raise ScenarioError(f"op field {f.name!r} cannot be {obj[f.name]!r}")
-        return cls(**{k: v for k, v in obj.items() if k in known})
+        for name in _OP_REQUIRED:
+            if name not in obj:
+                raise ScenarioError(f"op has no {name!r} field")
+        for name, value in obj.items():
+            want = _OP_FIELD_TYPES.get(name)  # None only for "type"
+            if type(value) is not want and want is not None and not (
+                    value is None and name in _OP_NULLABLE or _typed(value, want)):
+                raise ScenarioError(f"op field {name!r} cannot be {value!r}")
+        if "type" in obj:
+            obj = {k: v for k, v in obj.items() if k != "type"}
+        return cls(**obj)
 
 
-# JSON type of each op field; a pair is a list of that element type.
+# The codec's tables, built once. JSON type of each op field; a pair is a
+# list of that element type.
 _OP_FIELD_TYPES = {
     "rank": int, "op": str, "comm": str, "kind": str, "root": int, "reduce_op": str,
     "peer": int, "tag": int, "data": (list, int), "request_id": str,
     "request_ids": (list, str), "ticks": int, "new_comm": str,
 }
+_OP_REQUIRED = ("rank", "op")
+_OP_OPTIONAL = tuple(f.name for f in fields(Op) if f.name not in _OP_REQUIRED)
+_OP_NULLABLE = frozenset(f.name for f in fields(Op) if f.default is None)
+_optional_values = operator.attrgetter(*_OP_OPTIONAL)
+# Every line is encoded with sorted keys and compact separators, so a fixed
+# scenario always serializes to identical bytes.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _typed(value, want) -> bool:
@@ -154,18 +163,17 @@ class ScenarioProgram:
         }
         if self.meta:
             header["meta"] = self.meta
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        for program in self.programs:
-            for op in program:
-                lines.append(json.dumps(op.to_json_obj(), sort_keys=True, separators=(",", ":")))
+        lines = [_encode(header)]
+        lines += [_encode(op.to_json_obj()) for program in self.programs for op in program]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def loads(cls, text: str) -> "ScenarioProgram":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
+        lines = text.splitlines()
+        start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
+        if start is None:
             raise ScenarioError("empty scenario file")
-        header = _json_line(lines[0])
+        header = _json_line(lines[start])
         if header.get("type") != "scenario":
             raise ScenarioError("first line must be the scenario header")
         if header.get("version") != SCENARIO_VERSION:
@@ -187,10 +195,17 @@ class ScenarioProgram:
             name=header.get("name", "unnamed"),
             meta=header.get("meta", {}),
         )
-        for line in lines[1:]:
-            op = Op.from_json_obj(_json_line(line))
-            if not 0 <= op.rank < scenario.world_size:
-                raise ScenarioError(f"op rank {op.rank} outside world of {scenario.world_size}")
+        # Op errors name their 1-based line in the file, blank lines counted.
+        for number, line in enumerate(lines[start + 1:], start + 2):
+            if not line.strip():
+                continue
+            try:
+                op = Op.from_json_obj(_json_line(line))
+                if not 0 <= op.rank < scenario.world_size:
+                    raise ScenarioError(
+                        f"op rank {op.rank} outside world of {scenario.world_size}")
+            except ScenarioError as exc:
+                raise ScenarioError(f"line {number}: {exc}") from exc
             scenario.programs[op.rank].append(op)
         scenario.validate()
         return scenario
@@ -223,6 +238,7 @@ class ScenarioProgram:
                 raise ScenarioError(f"communicator {cid} member outside world")
 
         creators: dict[str, set] = {cid: set() for cid in self.comms}
+        users: dict[str, set] = {cid: set() for cid in self.comms}
         for rank, program in enumerate(self.programs):
             known_reqs: set = set()
             created_here: set = set()
@@ -230,6 +246,8 @@ class ScenarioProgram:
                 if op.rank != rank:
                     raise ScenarioError(f"op rank {op.rank} filed under program {rank}")
                 self._validate_op(op, known_reqs, created_here, creators)
+                if op.op != "comm_create" and op.comm in users:
+                    users[op.comm].add(rank)
 
         for cid, ranks_seen in creators.items():
             parent = tuple(range(self.world_size))  # creation is collective over world
@@ -237,11 +255,7 @@ class ScenarioProgram:
                 missing = sorted(set(parent) - ranks_seen)
                 raise ScenarioError(f"comm_create({cid}) missing on ranks {missing}")
             members = set(self.comms[cid])
-            used_by = {
-                op.rank
-                for op in self.ops()
-                if op.comm == cid and op.op != "comm_create"
-            }
+            used_by = users[cid]
             if used_by and not ranks_seen:
                 raise ScenarioError(f"communicator {cid} used but never created")
             if not used_by <= members:

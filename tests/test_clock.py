@@ -40,6 +40,20 @@ class TestGroupKey:
         assert GroupKey.from_label("0,1#2") == g
         assert g != GroupKey((0, 1)) and GroupKey((0, 1), 0).label() == "0,1"
 
+    @given(st.sets(st.integers(0, 63), min_size=1), st.integers(0, 3), st.randoms())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_keys_hash_alike_and_share_a_counter_entry(self, members, ordinal, rnd):
+        order = list(members)
+        rnd.shuffle(order)
+        a = GroupKey(tuple(sorted(members)), ordinal)
+        b = GroupKey(tuple(order + order[:1]), ordinal)
+        c = GroupKey.from_label(b.label())
+        assert hash(a) == hash(b) == hash(c)
+        clock = Counter()
+        for key in (a, b, c):
+            clock[key] += 1
+        assert list(clock.items()) == [(a, 3)] and clock[c] == 3
+
     def test_group_keys_number_repeated_member_sets(self):
         sc = ScenarioProgram(world_size=2, comms={"b": (1, 0), "a": (0, 1), "s": (1,)})
         assert {cid: k.label() for cid, k in sc.group_keys().items()} == {

@@ -256,6 +256,17 @@ class TestSnapshotImage:
         with pytest.raises(SnapshotLoadError):
             SnapshotImage.loads(json.dumps(obj))
 
+    def test_load_names_the_embedded_scenario_line(self):
+        image = run("fig2", algorithm="cc", seed=11, ckpt=("trigger", "fig2-instant")).snapshot
+        obj = json.loads(image.dumps())
+        lines = obj["scenario_jsonl"].splitlines()
+        lines[4] = lines[4].replace('"rank":', '"x":1,"rank":')
+        lines[4:4] = [""]
+        obj["scenario_jsonl"] = "\n".join(lines)
+        with pytest.raises(SnapshotLoadError,
+                           match=r"^embedded scenario unreadable: line 6: unknown op fields: \['x'\]$"):
+            SnapshotImage.loads(json.dumps(obj))
+
     @pytest.mark.parametrize("step, corrupt", [
         (2, lambda reqs: reqs[0]["q0"].update(payload=[])),
         (2, lambda reqs: reqs[0]["q0"].update(payload="x")),

@@ -1,5 +1,9 @@
 """Scenario format, validation, and the workload generator."""
 
+import copy
+import json
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +71,120 @@ class TestFormat:
         assert ScenarioProgram.load(path).dumps() == sc.dumps()
 
 
+def _reference_dumps(sc):
+    """The scenario encoding spelled out field by field: rank and op always,
+    every other field unless None, comm unless "world", tag unless 0; each
+    line one json.dumps with sorted keys and compact separators."""
+    def line(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    header = {"type": "scenario", "version": 1, "name": sc.name,
+              "world_size": sc.world_size,
+              "comms": {cid: list(m) for cid, m in sorted(sc.comms.items())}}
+    if sc.meta:
+        header["meta"] = sc.meta
+    lines = [line(header)]
+    for op in sc.ops():
+        obj = {"rank": op.rank, "op": op.op}
+        for f in fields(op):
+            value = getattr(op, f.name)
+            if f.name in ("rank", "op") or value is None:
+                continue
+            if (f.name, value) in (("comm", "world"), ("tag", 0)):
+                continue
+            obj[f.name] = value
+        lines.append(line(obj))
+    return "\n".join(lines) + "\n"
+
+
+def _every_field_scenario():
+    """Two ranks whose ops between them set every optional op field."""
+    sc = scenario(2, comms={"g": (0, 1)})
+    for r in range(2):
+        sc.programs[r] += [
+            Op(rank=r, op="icoll", comm="g", kind="bcast", root=0,
+               data=[5] if r == 0 else [], request_id="q0"),
+            Op(rank=r, op="icoll", kind="allreduce", reduce_op="max", data=[r], request_id="q1"),
+            Op(rank=r, op="waitall", request_ids=["q0", "q1"]),
+            Op(rank=r, op="compute", ticks=3),
+            Op(rank=r, op="send", peer=1 - r, tag=4, data=[]) if r == 0
+            else Op(rank=r, op="recv", peer=0, tag=4),
+            Op(rank=r, op="coll", comm="world", kind="barrier", tag=0),
+        ]
+    sc.validate()
+    return sc
+
+
+class TestCodec:
+    @given(seed=st.integers(0, 2**32), ranks=st.integers(1, 12),
+           groups=st.integers(0, 4), ops=st.integers(1, 120),
+           nb=st.sampled_from([0.0, 0.25, 0.5]),
+           p2p=st.sampled_from([0.0, 0.2, 0.4]))
+    @settings(max_examples=40, deadline=None)
+    def test_generated_dumps_match_reference_encoding(self, seed, ranks, groups, ops, nb, p2p):
+        sc = generate_workload(seed, ranks=ranks, groups=groups, ops=ops,
+                               nonblocking_ratio=nb, p2p_ratio=p2p)
+        text = sc.dumps()
+        assert text == _reference_dumps(sc)
+        assert ScenarioProgram.loads(text) == sc
+
+    @pytest.mark.parametrize("make", [_every_field_scenario, lambda: builtin_scenario("fig2"),
+                                      lambda: builtin_scenario("bcast-invariant2")],
+                             ids=["every-field", "fig2", "bcast-invariant2"])
+    def test_built_dumps_match_reference_encoding(self, make):
+        sc = make()
+        text = sc.dumps()
+        assert text == _reference_dumps(sc)
+        assert ScenarioProgram.loads(text) == sc
+
+    def test_every_optional_field_is_written(self):
+        keys = set()
+        for line in _every_field_scenario().dumps().splitlines()[1:]:
+            keys |= json.loads(line).keys()
+        assert keys == {f.name for f in fields(Op)}
+
+    @pytest.mark.parametrize("line, field", [
+        ('{"rank":0,"op":"compute","ticks":1,"flavor":1}', "flavor"),
+        ('{"op":"compute","ticks":1}', "rank"),
+        ('{"rank":0,"ticks":1}', "op"),
+        ('{"rank":0,"op":"compute","ticks":1,"comm":null}', "comm"),
+        ('{"rank":0,"op":"compute","ticks":1,"tag":null}', "tag"),
+        ('{"rank":true,"op":"compute","ticks":1}', "rank"),
+        ('{"rank":0,"op":"compute","ticks":1,"data":[1,"2"]}', "data"),
+        ('{"rank":0,"op":"waitall","request_ids":["q0",1]}', "request_ids"),
+    ], ids=["unknown-key", "no-rank", "no-op", "comm-null", "tag-null", "rank-bool",
+            "data-str-element", "request-ids-int-element"])
+    def test_single_fault_names_its_field(self, line, field):
+        with pytest.raises(ScenarioError, match=f"'{field}'"):
+            Op.from_json_obj(json.loads(line))
+        with pytest.raises(ScenarioError, match=f"line 2: .*'{field}'"):
+            ScenarioProgram.loads('{"type":"scenario","version":1,"world_size":1}\n' + line)
+
+    @pytest.mark.parametrize("obj", [
+        {"type": "op", "rank": 0, "op": "compute", "ticks": 2, "comm": "world"},
+        {"rank": 0, "op": "coll", "kind": "barrier"},
+        {"type": "op", "rank": 0, "op": "compute", "ticks": "2"},
+    ], ids=["with-type", "plain", "bad-ticks"])
+    def test_from_json_obj_leaves_its_argument_unchanged(self, obj):
+        before = copy.deepcopy(obj)
+        try:
+            Op.from_json_obj(obj)
+        except ScenarioError:
+            pass
+        assert obj == before and list(obj) == list(before)
+
+    def test_op_errors_name_their_line(self):
+        text = ('\n{"type":"scenario","version":1,"world_size":2}\n\n'
+                '{"rank":0,"op":"compute","ticks":1}\n  \n'
+                '{"rank":1,"op":"compute","ticks":"3"}\n')
+        with pytest.raises(ScenarioError, match=r"^line 6: op field 'ticks' cannot be '3'$"):
+            ScenarioProgram.loads(text)
+        with pytest.raises(ScenarioError, match=r"^line 4: op rank 5 outside world of 2$"):
+            ScenarioProgram.loads(text.replace('"rank":0', '"rank":5'))
+        with pytest.raises(ScenarioError, match=r"^line 4: scenario line is not valid JSON"):
+            ScenarioProgram.loads(text.replace('"rank":0', '"rank":'))
+
+
 class TestValidation:
     def test_duplicate_members_rejected(self):
         with pytest.raises(ScenarioError):
@@ -93,6 +211,17 @@ class TestValidation:
         sc = scenario(3, comms={"g": (0, 1)})
         sc.programs[2].append(op_coll(2, comm="g"))
         with pytest.raises(ScenarioError):
+            sc.validate()
+
+    def test_nonmember_local_op_on_communicator_rejected(self):
+        # compute names no members, so only the per-communicator user check sees it
+        sc = scenario(3, comms={"g": (0, 1)})
+        sc.programs[2].append(Op(rank=2, op="compute", comm="g", ticks=1))
+        with pytest.raises(ScenarioError, match=r"non-members use communicator g: \[2\]"):
+            sc.validate()
+        sc = scenario(3, comms={"g": (0, 1)}, preamble=False)
+        sc.programs[2].append(Op(rank=2, op="compute", comm="g", ticks=1))
+        with pytest.raises(ScenarioError, match="communicator g used but never created"):
             sc.validate()
 
     def test_root_must_be_member(self):
