@@ -60,6 +60,14 @@ class CcState:
         self.update_sent_count = 0
         self.update_recv_count = 0
 
+    def fork(self):
+        twin = CcState.__new__(CcState)
+        twin.clock, twin.targets = self.clock.copy(), self.targets.copy()
+        twin.ckpt_pending, twin.update_queue = self.ckpt_pending, list(self.update_queue)
+        twin.update_sent_count, twin.update_recv_count = \
+            self.update_sent_count, self.update_recv_count
+        return twin
+
 
 class CollectiveClockProtocol(ProtocolAdapter):
     """Adapter wiring the collective clock into the runtime's wrapper seam."""
@@ -77,6 +85,11 @@ class CollectiveClockProtocol(ProtocolAdapter):
     def bind(self, sim):
         super().bind(sim)
         self.states = [CcState() for _ in range(sim.world_size)]
+
+    def fork(self, sim, memo):
+        twin = super().fork(sim, memo)
+        twin.states = [st.fork() for st in self.states]
+        return twin
 
     # ------------------------------------------------------------ wrappers
 

@@ -83,7 +83,8 @@ def cmd_run(args) -> int:
             raise UnsupportedOperationError("algorithm 'none' cannot take checkpoints")
         result = explore_small(scenario, algorithm=args.algo)
         summary = {
-            "paths": result.paths, "rounds_declared": result.rounds_declared,
+            "paths": result.paths, "states": result.states, "forks": result.forks,
+            "dedup_hits": result.dedup_hits, "rounds_declared": result.rounds_declared,
             "max_depth": result.max_depth, "failures": result.failures[:5],
             "pass": result.passed,
         }

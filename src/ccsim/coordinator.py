@@ -190,6 +190,14 @@ class CheckpointCoordinator:
         self.final_targets = {}
         self.snapshot = None
 
+    def fork(self):
+        """A copy for a forked runtime. Every round field is a scalar or a
+        value that is replaced whole, never changed in place, so a shallow
+        copy is independent."""
+        twin = object.__new__(CheckpointCoordinator)
+        twin.__dict__.update(self.__dict__)
+        return twin
+
     # ------------------------------------------------------------- hooks
 
     def before_step(self, sim):

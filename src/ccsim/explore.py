@@ -12,9 +12,16 @@ other path-length artifacts excluded) and expands each distinct state once.
 Every reachable state is still visited, so a violation on any interleaving
 is a violation on some explored path.
 
-The search is stateless, as in VeriSoft (Godefroid, POPL 1997): a node on the
-depth-first stack is the path of actions that reaches it, and popping it
-replays that path on a fresh runtime from the root. A failure is reported
+The search is stateful: the depth-first stack holds, for each branching node
+on the current path, a frozen copy of that node and the actions not yet taken
+from it. Each sibling but the last continues a fork of the frozen copy
+(``Simulator.fork``); the last continues the frozen copy itself. A fork
+copies every container a step can change (ranks, instances, requests, p2p
+queues, counters, the scheduler's rng and ready set, the adapter's per-rank
+state and the coordinator's round fields) and shares the rest: the scenario,
+its ops and programs, group keys, communicator records and views, and the
+already-emitted trace events. Nothing writes to those once a runtime is
+built, so a branch never sees its sibling's steps. A failure is reported
 under the full path of the branch that raised it.
 
 Bounded to at most 4 ranks and 12 events per rank; use generated campaigns
@@ -46,6 +53,8 @@ class ExplorationResult:
     max_depth: int = 0
     failures: list = field(default_factory=list)
     update_bound_worst: float = 0.0
+    forks: int = 0        # node copies made
+    dedup_hits: int = 0   # branching nodes cut because their state was seen
 
     @property
     def passed(self):
@@ -58,20 +67,22 @@ class _Bundle:
 
     __slots__ = ("sim", "path")
 
-    def __init__(self, scenario, algorithm):
-        self.sim = Simulator(scenario, make_protocol(algorithm))
-        if self.sim.protocol.supports_checkpoint:
+    def __init__(self, sim, path):
+        self.sim = sim
+        self.path = path
+
+    @classmethod
+    def root(cls, scenario, algorithm):
+        sim = Simulator(scenario, make_protocol(algorithm))
+        if sim.protocol.supports_checkpoint:
             # Requests on paths that never branched to CKPT_ACTION fire once
             # every rank finished.
-            self.sim.coordinator = CheckpointCoordinator(placement=("at_step", math.inf))
-        self.path = []
+            sim.coordinator = CheckpointCoordinator(placement=("at_step", math.inf))
+        return cls(sim, [])
 
-    def fork(self, path):
-        """Drive this fresh node along path. The coordinator acts before each
-        action whenever no rank can step, exactly as on the first visit."""
-        for action in path:
-            self.sim.runnable()
-            self.apply(action)
+    def fork(self):
+        """An independent copy of this node."""
+        return _Bundle(self.sim.fork(), list(self.path))
 
     def apply(self, action):
         self.path.append(action)
@@ -132,6 +143,34 @@ def _state_key(bundle: _Bundle):
     )
 
 
+def _finish_path(result: ExplorationResult, bundle: _Bundle, per_path_check):
+    """Count a terminated path and check it; raises SimulationError."""
+    result.paths += 1
+    result.max_depth = max(result.max_depth, len(bundle.path))
+    coordinator = bundle.sim.coordinator
+    if coordinator is not None:
+        if not coordinator.declared:
+            raise SimulationError("checkpoint round never declared a safe state")
+        result.rounds_declared += 1
+        max_group = max(
+            (len(rec.members) for rec in bundle.sim.comm_records.values()),
+            default=1)
+        counters = bundle.sim.counters
+        allowed = counters.drain_collectives * max(max_group - 1, 0)
+        if counters.target_updates_sent > allowed:
+            raise SimulationError(
+                f"update cascade {counters.target_updates_sent} exceeds bound {allowed}")
+        if allowed:
+            result.update_bound_worst = max(
+                result.update_bound_worst,
+                counters.target_updates_sent / allowed)
+    verdict = check_hb_acyclic(bundle.sim.trace)
+    if not verdict.passed:
+        raise SimulationError(f"happens-before cycle: {verdict.detail}")
+    if per_path_check is not None:
+        per_path_check(bundle.sim, coordinator)
+
+
 def explore_small(scenario: ScenarioProgram, algorithm: str = "cc",
                   per_path_check=None) -> ExplorationResult:
     if scenario.world_size > MAX_RANKS:
@@ -143,57 +182,41 @@ def explore_small(scenario: ScenarioProgram, algorithm: str = "cc",
 
     result = ExplorationResult()
     visited = set()
-
-    def finish_path(bundle: _Bundle):
-        result.paths += 1
-        result.max_depth = max(result.max_depth, len(bundle.path))
-        coordinator = bundle.sim.coordinator
-        if coordinator is not None:
-            if not coordinator.declared:
-                raise SimulationError("checkpoint round never declared a safe state")
-            result.rounds_declared += 1
-            max_group = max(
-                (len(rec.members) for rec in bundle.sim.comm_records.values()),
-                default=1)
-            counters = bundle.sim.counters
-            allowed = counters.drain_collectives * max(max_group - 1, 0)
-            if counters.target_updates_sent > allowed:
-                raise SimulationError(
-                    f"update cascade {counters.target_updates_sent} exceeds bound {allowed}")
-            if allowed:
-                result.update_bound_worst = max(
-                    result.update_bound_worst,
-                    counters.target_updates_sent / allowed)
-        verdict = check_hb_acyclic(bundle.sim.trace)
-        if not verdict.passed:
-            raise SimulationError(f"happens-before cycle: {verdict.detail}")
-        if per_path_check is not None:
-            per_path_check(bundle.sim, coordinator)
-
-    stack = [[]]
-    while stack:
-        bundle = _Bundle(scenario, algorithm)
+    stack = []  # (frozen branching node, its actions not yet taken)
+    bundle, action = _Bundle.root(scenario, algorithm), None
+    while True:
         try:
-            bundle.fork(stack.pop())
+            if action is not None:
+                bundle.apply(action)
             while True:
                 actions = bundle.choices()
                 if not actions:
-                    finish_path(bundle)
+                    _finish_path(result, bundle, per_path_check)
                     break
                 if len(actions) > 1:
                     key = _state_key(bundle)
                     if key in visited:
+                        result.dedup_hits += 1
                         break
                     visited.add(key)
                     result.states += 1
                     if result.states > MAX_STATES:
                         raise SimulationError(
                             f"exploration exceeded {MAX_STATES} distinct states")
-                    for action in actions[1:]:
-                        stack.append(bundle.path + [action])
+                    result.forks += 1
+                    stack.append((bundle.fork(), actions[1:]))
                 bundle.apply(actions[0])
         except SimulationError as exc:
             result.failures.append({"path": bundle.path, "error": str(exc)})
             if len(result.failures) > 25:
                 return result
-    return result
+        if not stack:
+            return result
+        node, remaining = stack[-1]
+        action = remaining.pop()
+        if remaining:
+            result.forks += 1
+            bundle = node.fork()
+        else:
+            stack.pop()
+            bundle = node

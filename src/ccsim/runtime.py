@@ -122,6 +122,11 @@ class RequestObject:
         """True iff a test would set the completion flag."""
         return self.state in (COMPLETE, CONSUMED)
 
+    def fork(self):
+        twin = RequestObject(self.req_id, self.owner, self.instance_id, self.op_index)
+        twin.state, twin.payload = self.state, self.payload
+        return twin
+
     def __repr__(self):
         return f"RequestObject({self.req_id}@r{self.owner}:{self.state})"
 
@@ -190,6 +195,20 @@ class Instance:
     def describe(self):
         return f"{self.comm_id}#{self.index}:{self.signature[0]}"
 
+    def fork(self, memo):
+        """This instance's copy in a forked runtime. memo maps the id() of an
+        original to its copy, so every holder of one instance (the instance
+        table, ranks' blocked_ref, an adapter's table) gets the same copy."""
+        twin = memo.get(id(self))
+        if twin is None:
+            twin = memo[id(self)] = Instance(
+                self.comm_id, self.index, self.members, self.signature, self.blocking)
+            twin.entered, twin.returned = set(self.entered), set(self.returned)
+            twin.complete, twin.aborted, twin.new_comm = self.complete, self.aborted, self.new_comm
+            twin.inputs, twin.outputs = dict(self.inputs), dict(self.outputs)
+            twin.request_ids = dict(self.request_ids)
+        return twin
+
 
 class RankState:
     """Execution state of one simulated process."""
@@ -225,6 +244,19 @@ class RankState:
     def fold(self, op_index, values):
         self.checksum = checksum_fold(self.checksum, op_index, values)
 
+    def fork(self, memo):
+        """A copy for a forked runtime; the program list is shared, because
+        nothing writes to it."""
+        twin = RankState.__new__(RankState)
+        twin.id, twin.program, twin.pc, twin.stage = self.id, self.program, self.pc, self.stage
+        twin.blocked_ref = None if self.blocked_ref is None else self.blocked_ref.fork(memo)
+        twin.blocked_req, twin.compute_left = self.blocked_req, self.compute_left
+        twin.comms, twin.comm_calls = dict(self.comms), dict(self.comm_calls)
+        twin.requests = {rid: req.fork() for rid, req in self.requests.items()}
+        twin.checksum, twin.group_calls = self.checksum, dict(self.group_calls)
+        twin.block_info = self.block_info
+        return twin
+
 
 class Counters:
     """Exact message and wrapper accounting for one run."""
@@ -248,6 +280,11 @@ class Counters:
         d["protocol_messages"] = self.protocol_messages
         return d
 
+    def fork(self):
+        twin = Counters.__new__(Counters)
+        twin.__dict__.update(self.__dict__)
+        return twin
+
 
 class ProtocolAdapter:
     """The seam between the runtime and a checkpoint protocol: every hook the
@@ -261,6 +298,15 @@ class ProtocolAdapter:
 
     def bind(self, sim):
         self.sim = sim
+
+    def fork(self, sim, memo):
+        """An independent adapter in this one's state, bound to sim, the fork
+        of this adapter's runtime; memo is the runtime's Instance memo (see
+        Instance.fork). Adapters with per-rank state copy it in an override."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin.sim = sim
+        return twin
 
     def _never(self, what):
         raise ProtocolViolationError(f"protocol {self.name!r} never {what}")
@@ -362,6 +408,30 @@ class Simulator:
         self._dirty = set(range(self.world_size))  # ranks to check again
 
         self.protocol.bind(self)
+
+    def fork(self):
+        """An independent runtime in this one's state: stepping either leaves
+        the other unchanged. Each part copies its own mutable state; what no
+        step changes stays shared: the scenario, its ops and programs, the
+        group keys, communicator records and views, and the trace's events
+        (the trace list itself is copied)."""
+        twin = Simulator.__new__(Simulator)
+        twin.scenario, twin.world_size, twin.seed = self.scenario, self.world_size, self.seed
+        twin.rng = random.Random.__new__(random.Random)  # no re-seed from the OS
+        twin.rng.setstate(self.rng.getstate())
+        twin.step, twin.halted = self.step, self.halted
+        twin.trace = None if self.trace is None else list(self.trace)
+        twin.counters = self.counters.fork()
+        twin.coordinator = None if self.coordinator is None else self.coordinator.fork()
+        twin.group_keys, twin.comm_records = self.group_keys, dict(self.comm_records)
+        memo = {}
+        twin.ranks = [rank.fork(memo) for rank in self.ranks]
+        twin.instances = {key: inst.fork(memo) for key, inst in self.instances.items()}
+        twin.pending_sends = {key: deque(q) for key, q in self.pending_sends.items()}
+        twin.pending_recvs = {key: deque(q) for key, q in self.pending_recvs.items()}
+        twin._ready, twin._dirty = list(self._ready), set(self._dirty)
+        twin.protocol = self.protocol.fork(twin, memo)
+        return twin
 
     # ------------------------------------------------------------- events
 

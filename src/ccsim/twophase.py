@@ -48,6 +48,12 @@ class TpcState:
         self.in_trivial_barrier = False
         self.aborted_barrier_log = []
 
+    def fork(self):
+        twin = TpcState()
+        twin.in_trivial_barrier = self.in_trivial_barrier
+        twin.aborted_barrier_log = list(self.aborted_barrier_log)
+        return twin
+
 
 class TwoPhaseCommitProtocol(ProtocolAdapter):
     """Adapter for the barrier-insertion baseline."""
@@ -64,6 +70,14 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
     def bind(self, sim):
         super().bind(sim)
         self.states = [TpcState() for _ in range(sim.world_size)]
+
+    def fork(self, sim, memo):
+        # An aborted or completed trivial barrier has left tb_instances but may
+        # still be a rank's blocked_ref: the memo keeps it one object.
+        twin = super().fork(sim, memo)
+        twin.states = [st.fork() for st in self.states]
+        twin.tb_instances = {key: tb.fork(memo) for key, tb in self.tb_instances.items()}
+        return twin
 
     # ------------------------------------------------------------ wrappers
 

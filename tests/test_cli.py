@@ -102,6 +102,22 @@ class TestRun:
         assert summary["pass"] is True
         assert summary["rounds_declared"] == summary["paths"]
 
+    def test_exhaustive_summary_counts_states_forks_and_dedup_hits(self, tmp_path, capsys):
+        from ccsim import explore_small
+        from conftest import op_coll, scenario
+
+        sc = scenario(3)
+        for r in range(3):
+            sc.programs[r] += [op_coll(r), op_coll(r)]
+        sc.dump(tmp_path / "tiny.jsonl")
+        assert run_cli("run", "--scenario", str(tmp_path / "tiny.jsonl"), "--algo", "2pc",
+                       "--exhaustive") == 0
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        result = explore_small(sc, "2pc")
+        assert (summary["states"], summary["forks"], summary["dedup_hits"]) == \
+            (result.states, result.forks, result.dedup_hits)
+        assert result.states > 0 and result.dedup_hits > 0 and result.forks >= result.states
+
     def test_exhaustive_placement_without_checkpoints_fails(self, tmp_path, capsys):
         from conftest import op_coll, scenario
 

@@ -1,21 +1,30 @@
 """Exhaustive small-instance exploration."""
 
+import contextlib
+import hashlib
 import math
+import random
+from collections import deque
 
 import pytest
 
+import test_acceptance
 from ccsim import (
     CheckpointCoordinator,
     InvalidConfigurationError,
+    ScenarioProgram,
     SimulationError,
     Simulator,
+    explore,
     explore_small,
     make_protocol,
 )
-from ccsim.explore import CKPT_ACTION
+from ccsim.clock import GroupKey
+from ccsim.explore import CKPT_ACTION, ExplorationResult, _Bundle, _finish_path
+from ccsim.runtime import TB_BLOCKED
 from ccsim.scenario import Op
 
-from conftest import op_coll, op_icoll, scenario
+from conftest import op_coll, op_icoll, same_member_set_scenario, scenario
 
 
 def tiny_two_group():
@@ -118,3 +127,265 @@ class TestFindsRealViolations:
                         sim.step_actor(action)
                 sim.runnable()
             assert str(raised.value) == failure["error"]
+
+
+def item2_reproduction():
+    """Unfenced point-to-point next to a barrier on a sub-group (ROADMAP item
+    2): some checkpoint placements deadlock under both protocols."""
+    sc = scenario(3, comms={"g": (1, 2)}, name="item2")
+    sc.programs[0].append(Op(rank=0, op="recv", peer=1))
+    sc.programs[1] += [op_coll(1, comm="g"), Op(rank=1, op="send", peer=0, data=[7])]
+    sc.programs[2].append(op_coll(2, comm="g"))
+    return sc
+
+
+def data_collectives():
+    """Two ranks: a non-blocking allreduce spans a blocking bcast, so forks
+    happen while an instance with outputs is still incomplete."""
+    sc = scenario(2, name="x-data")
+    for r in range(2):
+        sc.programs[r] += [
+            op_icoll(r, "q0", kind="allreduce", reduce_op="sum", data=[r + 1]),
+            op_coll(r, kind="bcast", root=1, data=[7] if r == 1 else None),
+            Op(rank=r, op="wait", request_id="q0")]
+    return sc
+
+
+def criterion5_cases():
+    """(algorithm, scenario) for each case of the criterion-5 acceptance test."""
+    return test_acceptance.TestCriterion5Exhaustive()._cases()
+
+
+def replayed(sc, algorithm, path):
+    """A fresh runtime driven from the root along path; the coordinator acts
+    before each action, and at the end, whenever no rank can step, as on the
+    explorer's visit."""
+    bundle = _Bundle.root(sc, algorithm)
+    for action in path:
+        bundle.sim.runnable()
+        bundle.apply(action)
+    bundle.sim.runnable()
+    return bundle
+
+
+def replay_search(sc, algorithm, per_path_check=None):
+    """The explorer before it forked nodes: stateless, VeriSoft-style. Each
+    stack entry is an action path, replayed on a fresh runtime from the root.
+    Kept here as the oracle of explore_small; ``forks`` counts the paths
+    pushed, one per node copy that a search run to its end makes."""
+    result, visited, stack = ExplorationResult(), set(), [[]]
+    while stack:
+        bundle = _Bundle.root(sc, algorithm)
+        try:
+            for action in stack.pop():
+                bundle.sim.runnable()
+                bundle.apply(action)
+            while True:
+                actions = bundle.choices()
+                if not actions:
+                    _finish_path(result, bundle, per_path_check)
+                    break
+                if len(actions) > 1:
+                    key = explore._state_key(bundle)
+                    if key in visited:
+                        result.dedup_hits += 1
+                        break
+                    visited.add(key)
+                    result.states += 1
+                    result.forks += len(actions) - 1
+                    stack.extend(bundle.path + [action] for action in actions[1:])
+                bundle.apply(actions[0])
+        except SimulationError as exc:
+            result.failures.append({"path": bundle.path, "error": str(exc)})
+            if len(result.failures) > 25:
+                return result
+    return result
+
+
+def value(obj):
+    """Everything obj holds, as plain data that compares by value: a fork
+    must equal a replay in every field, not only in those the state key
+    reads. The scenario is shared by every runtime and stands for itself."""
+    if obj is None or isinstance(obj, (bool, int, float, str, Op, GroupKey, ScenarioProgram)):
+        return obj
+    if isinstance(obj, (list, tuple, deque)):
+        return [value(x) for x in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
+    if isinstance(obj, dict):
+        return {key: value(v) for key, v in obj.items()}
+    if isinstance(obj, random.Random):
+        return obj.getstate()
+    fields = getattr(type(obj), "__slots__", None) or vars(obj)
+    return (type(obj).__name__,
+            {name: getattr(obj, name) if name in _PLAIN else value(getattr(obj, name))
+             for name in fields if name != "sim"})
+
+
+_PLAIN = {"trace", "program"}  # lists of plain dicts and of Ops: == compares their values
+
+
+def _observed(bundle):
+    """What a fork and a replay must agree on after continuing: state key,
+    trace, checksums, counters and the coordinator's round fields."""
+    sim = bundle.sim
+    return (explore._state_key(bundle), sim.trace, sim.checksums(),
+            sim.counters.to_dict(), value(sim.coordinator))
+
+
+def _continue_both(fork, replay, action):
+    """Apply action to both, then the same first choices up to the next
+    branching node or the end: both must get there in the same state, or
+    raise the same error."""
+    errors = []
+    for bundle in (fork, replay):
+        try:
+            bundle.apply(action)
+            while len(actions := bundle.choices()) == 1:
+                bundle.apply(actions[0])
+        except SimulationError as exc:
+            errors.append(str(exc))
+    assert len(errors) in (0, 2) and errors[:1] == errors[1:], (fork.path, errors)
+    assert fork.path == replay.path
+    assert _observed(fork) == _observed(replay), fork.path
+
+
+class TestFork:
+    """Simulator.fork against a fresh runtime replayed along the same path."""
+
+    # Every criterion-5 case, x-world-dup included, is also checked at every
+    # branching node and path end against the whole replay search (TestReplayOracle).
+    CASES = {"x-same-set": ("cc", same_member_set_scenario),
+             "item2/cc": ("cc", item2_reproduction), "item2/2pc": ("2pc", item2_reproduction),
+             "unequal/cc": ("cc", unequal_group_counts), "x-data/cc": ("cc", data_collectives)}
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_fork_continues_like_a_replay_at_every_branching_node(self, name, monkeypatch):
+        algorithm, build = self.CASES[name]
+        sc = build()
+        checked = set()
+        real_fork = _Bundle.fork
+
+        def checked_fork(node):
+            path = tuple(node.path)
+            if path not in checked:  # the first fork of each branching node
+                checked.add(path)
+                before, fork = value(node.sim), real_fork(node)
+                assert value(fork.sim) == value(replayed(sc, algorithm, path).sim) == before
+                actions = fork.choices()
+                with contextlib.suppress(SimulationError):
+                    fork.apply(actions[0])
+                # checked before the fork reads its wake marks: a shared dirty set shows here
+                assert value(node.sim) == before, path
+                for action in actions:
+                    _continue_both(real_fork(node), replayed(sc, algorithm, path), action)
+                assert value(node.sim) == before, path  # the forks left it alone
+            return real_fork(node)
+
+        monkeypatch.setattr(_Bundle, "fork", checked_fork)
+        result = explore_small(sc, algorithm)
+        assert len(checked) == result.states > 0
+
+    def test_aborted_barrier_held_by_two_ranks_stays_one_object(self):
+        sc = scenario(3)
+        for r in range(3):
+            sc.programs[r] += [op_coll(r), op_coll(r)]
+        node = _Bundle.root(sc, "2pc")
+        for action in (0, 1, CKPT_ACTION):  # ranks 0 and 1 enter the barrier, 2 never does
+            node.sim.runnable()
+            node.apply(action)
+        held = [rank.blocked_ref for rank in node.sim.ranks[:2]]
+        assert held[0] is held[1] and held[0].aborted
+        assert not node.sim.protocol.tb_instances  # held only by the ranks
+        node.sim.runnable()
+        before = value(node.sim)
+        fork = node.fork()
+        twins = [rank.blocked_ref for rank in fork.sim.ranks[:2]]
+        assert twins[0] is twins[1] and twins[0] is not held[0]
+        assert value(fork.sim) == before
+        _continue_both(fork, replayed(sc, "2pc", node.path), 0)  # rank 0 leaves it, stopped
+        assert fork.sim.ranks[0].blocked_ref is None and twins[0] is fork.sim.ranks[1].blocked_ref
+        assert value(node.sim) == before
+
+    def test_queued_updates_are_copied(self, monkeypatch):
+        nodes = []
+        real_key = explore._state_key
+
+        def keep(bundle):
+            if not nodes and any(st.update_queue for st in bundle.sim.protocol.states):
+                nodes.append(bundle.fork())
+            return real_key(bundle)
+
+        monkeypatch.setattr(explore, "_state_key", keep)
+        explore_small(same_member_set_scenario(), "cc")
+        (node,) = nodes
+        waiting = next(r for r, st in enumerate(node.sim.protocol.states) if st.update_queue)
+        before = value(node.sim)
+        fork = node.fork()
+        assert fork.sim.protocol.states[waiting].update_queue \
+            is not node.sim.protocol.states[waiting].update_queue
+        assert value(fork.sim) == before
+        _continue_both(fork, replayed(same_member_set_scenario(), "cc", node.path), waiting)
+        assert not fork.sim.protocol.states[waiting].update_queue  # applied in the fork
+        assert value(node.sim) == before
+
+    def test_forked_runs_draw_like_the_original(self):
+        sc = next(sc for _, sc in criterion5_cases() if sc.name == "x-world-dup")
+        node = replayed(sc, "cc", [0, 1, CKPT_ACTION])
+        before = value(node.sim)
+        runs = [node.fork().sim.run(), node.fork().sim.run(),
+                replayed(sc, "cc", node.path).sim.run()]
+        assert value(runs[0]) == value(runs[1]) == value(runs[2])
+        assert value(node.sim) == before
+
+
+def _fingerprint(sim, coordinator):
+    """What a path's end shows a per-path check, as comparable data."""
+    trace = hashlib.sha256("\n".join(sim.trace_lines()).encode()).hexdigest()
+    coord = None if coordinator is None else value(coordinator)
+    return trace, sim.checksums(), sim.step, sim.counters.to_dict(), coord
+
+
+class TestReplayOracle:
+    """explore_small against the root-replay search it replaced."""
+
+    @pytest.mark.parametrize("case", range(5), ids=[
+        sc.name for _, sc in criterion5_cases()])
+    def test_criterion5_case_matches_replay_search(self, case, monkeypatch):
+        algorithm, sc = criterion5_cases()[case]
+        self._compare(sc, algorithm, monkeypatch)
+
+    @pytest.mark.parametrize("algorithm", ["cc", "2pc"])
+    def test_failing_cases_match_replay_search(self, algorithm, monkeypatch):
+        result = self._compare(item2_reproduction(), algorithm, monkeypatch)
+        assert result.failures
+        if algorithm == "cc":
+            assert self._compare(unequal_group_counts(), algorithm, monkeypatch).failures
+
+    @staticmethod
+    def _compare(sc, algorithm, monkeypatch):
+        real_key = explore._state_key
+        runs = []
+        for search in (explore_small, replay_search):
+            nodes, ends = [], []
+
+            def key(bundle):
+                nodes.append((tuple(bundle.path), real_key(bundle)))
+                return nodes[-1][1]
+
+            monkeypatch.setattr(explore, "_state_key", key)
+            result = search(sc, algorithm, lambda sim, coord: ends.append(_fingerprint(sim, coord)))
+            runs.append((result, nodes, ends))
+        (new, new_nodes, new_ends), (old, old_nodes, old_ends) = runs
+
+        def summary(r):
+            return (r.states, r.paths, r.rounds_declared, r.max_depth, r.failures,
+                    r.update_bound_worst, r.dedup_hits)
+
+        assert summary(new) == summary(old)
+        if len(new.failures) <= 25:  # a search cut at the failure cap leaves nodes unforked
+            assert new.forks == old.forks
+        assert new_nodes == old_nodes  # every branching node, in the same order
+        assert new_ends == old_ends    # every per_path_check call, in the same order
+        assert len(new_ends) == new.paths and new.paths + len(new.failures) > 0
+        return new
