@@ -49,13 +49,11 @@ class TargetUpdateMsg:
 class CcState:
     """Per-rank protocol state."""
 
-    __slots__ = ("clock", "targets", "ckpt_pending", "update_queue",
-                 "update_sent_count", "update_recv_count")
+    __slots__ = ("clock", "targets", "update_queue", "update_sent_count", "update_recv_count")
 
     def __init__(self):
         self.clock = Counter()
         self.targets = Counter()
-        self.ckpt_pending = False
         self.update_queue = []
         self.update_sent_count = 0
         self.update_recv_count = 0
@@ -63,7 +61,7 @@ class CcState:
     def fork(self):
         twin = CcState.__new__(CcState)
         twin.clock, twin.targets = self.clock.copy(), self.targets.copy()
-        twin.ckpt_pending, twin.update_queue = self.ckpt_pending, list(self.update_queue)
+        twin.update_queue = list(self.update_queue)
         twin.update_sent_count, twin.update_recv_count = \
             self.update_sent_count, self.update_recv_count
         return twin
@@ -104,7 +102,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
         A non-blocking initiation commits exactly like a blocking call.
         """
         st = self.states[rank.id]
-        if st.ckpt_pending and reached_all_targets(st.clock, st.targets, rank.id):
+        if self.sim.round_pending and reached_all_targets(st.clock, st.targets, rank.id):
             return PARK
         self._commit(rank, st, self._group_of(rank))
         return PROCEED
@@ -113,7 +111,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
         seq = st.clock[g] + 1
         st.clock[g] = seq
         self.sim.emit(rank.id, "seq_inc", group=g.label(), value=seq)
-        if st.ckpt_pending:
+        if self.sim.round_pending:
             self.sim.counters.drain_collectives += 1
             if seq > st.targets[g]:
                 st.targets[g] = seq
@@ -129,7 +127,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
         parked rank. The park then happens at the next wrapper entry.
         """
         st = self.states[rank.id]
-        if st.ckpt_pending and reached_all_targets(st.clock, st.targets, rank.id):
+        if self.sim.round_pending and reached_all_targets(st.clock, st.targets, rank.id):
             if self._p2p_before_next_wrapper(rank):
                 return PROCEED
             return PARK
@@ -192,13 +190,13 @@ class CollectiveClockProtocol(ProtocolAdapter):
 
     def blocked_has_input(self, rank):
         st = self.states[rank.id]
-        if not st.update_queue or not st.ckpt_pending:
+        if not st.update_queue or not self.sim.round_pending:
             return False
         return reached_all_targets(st.clock, st.targets, rank.id)
 
     def blocked_poll(self, rank):
         st = self.states[rank.id]
-        if st.ckpt_pending and st.update_queue and \
+        if self.sim.round_pending and st.update_queue and \
                 reached_all_targets(st.clock, st.targets, rank.id):
             self._apply_queue(rank.id)
 
@@ -211,10 +209,9 @@ class CollectiveClockProtocol(ProtocolAdapter):
     # --------------------------------------------------------- round hooks
 
     def on_round_start(self, sim):
-        """Deliver the pending flag and install the per-group maxima of every clock."""
+        """Install the per-group maxima of every clock as every rank's targets."""
         targets = reduce(or_, (st.clock for st in self.states), Counter())
         for st in self.states:
-            st.ckpt_pending = True
             st.targets = targets.copy()
         initial = by_label(targets)
         sim.emit(COORD, "targets_computed", targets=initial)
@@ -225,7 +222,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
         for rank in sim.ranks:
             st = self.states[rank.id]
             if rank.stage == FINISHED:
-                if st.ckpt_pending and not reached_all_targets(st.clock, st.targets, rank.id):
+                if sim.round_pending and not reached_all_targets(st.clock, st.targets, rank.id):
                     raise ProtocolViolationError(
                         f"rank {rank.id} finished its program below a target; "
                         "some member runs more collectives on a shared group"
@@ -276,7 +273,6 @@ class CollectiveClockProtocol(ProtocolAdapter):
 
     def on_round_end(self, sim):
         for st in self.states:
-            st.ckpt_pending = False
             st.targets.clear()
 
     # ----------------------------------------------------------- snapshot
@@ -320,12 +316,12 @@ class CollectiveClockProtocol(ProtocolAdapter):
                     type(payload) is list and all(type(x) is int for x in payload)):
                 raise SnapshotLoadError(
                     f"rank {rank.id} request {rid!r} payload {payload!r} does not fit {op.kind}")
-            req = rank.requests[rid] = RequestObject(rid, rank.id, None, at)
+            req = rank.requests[rid] = RequestObject(rid, None, at)
             req.state, req.payload = COMPLETE, payload
         # Every other request started before the pc was consumed: it is the null request.
         for at, op in enumerate(rank.program[:rank.pc]):
             if op.op == "icoll" and op.request_id not in records:
-                req = rank.requests[op.request_id] = RequestObject(op.request_id, rank.id, None, at)
+                req = rank.requests[op.request_id] = RequestObject(op.request_id, None, at)
                 req.state = CONSUMED
 
     def state_key(self):
@@ -333,7 +329,6 @@ class CollectiveClockProtocol(ProtocolAdapter):
             (
                 frozenset(st.clock.items()),
                 frozenset(st.targets.items()),
-                st.ckpt_pending,
                 tuple((m.ggid.label(), m.new_target, m.origin) for m in st.update_queue),
                 st.update_sent_count, st.update_recv_count,
             )

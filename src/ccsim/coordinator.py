@@ -1,12 +1,13 @@
 """Checkpoint orchestration.
 
 The coordinator is a distinguished actor in the same deterministic event
-loop: it starts a round (the protocol's round-start hook delivers the pending
-flag and, for cc, gathers counter reports and installs targets, all in one
-scheduler event, like a checkpoint thread would). Whenever no rank can step,
-it asks the protocol's ``quiescent`` check, the one safe-state gate; once
-that holds it drains incomplete requests, takes the snapshot, and either
-releases the ranks or halts the run. It knows protocol state only through
+loop: it starts a round (the protocol's round-start hook, for cc, gathers
+counter reports and installs targets, all in one scheduler event, like a
+checkpoint thread would). Its ``requested`` and ``declared`` flags are the
+one record that a round is pending (``Simulator.round_pending``). Whenever no
+rank can step, it asks the protocol's ``quiescent`` check, the one safe-state
+gate; once that holds it drains incomplete requests, takes the snapshot, and
+either releases the ranks or halts the run. It knows protocol state only through
 the adapter hooks declared on ``runtime.ProtocolAdapter``. All coordinator
 traffic is control-plane: it never appears in simulated message counts.
 """
@@ -225,7 +226,7 @@ class CheckpointCoordinator:
         self.requested_step = sim.step
         sim.emit(COORD, "ckpt_request", round=self.round_id, step=sim.step)
         self.initial_targets = sim.protocol.on_round_start(sim)
-        # The pending flag and aborted barriers change what every rank may do.
+        # The pending round and aborted barriers change what every rank may do.
         sim.wake(range(sim.world_size))
         return self.round_id
 
@@ -272,9 +273,6 @@ class CheckpointCoordinator:
                 raise ProtocolViolationError(
                     f"safe state declared with rank {rank.id} in stage {rank.stage}"
                 )
-        for queue in list(sim.pending_sends.values()) + list(sim.pending_recvs.values()):
-            if queue:
-                raise ProtocolViolationError("point-to-point traffic in flight at safe state")
         for inst in sim.instances.values():
             if not inst.entered:
                 continue
@@ -335,7 +333,10 @@ def restart(image: SnapshotImage, seed: int | None = None, record: bool = True) 
     saved program counter, and drained requests come back globally complete
     so a later application-side wait returns immediately.
     """
-    protocol = make_protocol(image.algorithm)
+    try:
+        protocol = make_protocol(image.algorithm)
+    except SimulationError as exc:
+        raise SnapshotLoadError(f"snapshot names an {exc}") from exc
     if image.policy != protocol.policy:
         raise SnapshotLoadError(
             f"snapshot policy {image.policy!r} is not {protocol.name!r}'s {protocol.policy!r}")

@@ -16,9 +16,9 @@ The search is stateful: the depth-first stack holds, for each branching node
 on the current path, a frozen copy of that node and the actions not yet taken
 from it. Each sibling but the last continues a fork of the frozen copy
 (``Simulator.fork``); the last continues the frozen copy itself. A fork
-copies every container a step can change (ranks, instances, requests, p2p
-queues, counters, the scheduler's rng and ready set, the adapter's per-rank
-state and the coordinator's round fields) and shares the rest: the scenario,
+copies every container a step can change (ranks, instances, requests,
+counters, the scheduler's rng and ready set, the adapter's per-rank state and
+the coordinator's round fields) and shares the rest: the scenario,
 its ops and programs, group keys, communicator records and views, and the
 already-emitted trace events. Nothing writes to those once a runtime is
 built, so a branch never sees its sibling's steps. A failure is reported
@@ -121,13 +121,6 @@ def _instance_key(inst):
 def _state_key(bundle: _Bundle):
     sim = bundle.sim
     coordinator = sim.coordinator
-    p2p = []
-    for key, queue in sorted(sim.pending_sends.items()):
-        if queue:
-            p2p.append((key, tuple((tuple(d), pc) for d, pc in queue)))
-    for key, queue in sorted(sim.pending_recvs.items()):
-        if queue:
-            p2p.append((key, tuple(queue)))
     coord = None
     if coordinator is not None:
         coord = (coordinator.requested, coordinator.declared,
@@ -135,7 +128,6 @@ def _state_key(bundle: _Bundle):
     return (
         tuple(_rank_key(r) for r in sim.ranks),
         tuple(sorted((key, _instance_key(inst)) for key, inst in sim.instances.items())),
-        tuple(p2p),
         tuple(sorted(sim.comm_records)),
         tuple(getattr(sim.counters, name) for name in sim.counters.FIELDS),
         sim.protocol.state_key(),

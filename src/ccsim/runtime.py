@@ -11,8 +11,9 @@ Semantics implemented here:
   member has entered;
 * a non-blocking collective becomes globally complete at exactly the step
   where its last member initiates, independent of any other operation;
-* point-to-point uses rendezvous sends matched FIFO per
-  (sender, receiver, tag, communicator);
+* point-to-point is rendezvous: a send or recv blocks until the peer posts
+  the matching half, so a pair has at most one open post and its order is
+  the program order;
 * a consumed request behaves like the null request and tests true forever.
 
 Checkpoint protocols plug in through a small adapter interface; the runtime
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from collections import deque
 
 from .clock import GroupKey, fnv1a64
 from .errors import (
@@ -104,11 +104,10 @@ def checksum_fold(acc: int, op_index: int, values) -> int:
 class RequestObject:
     """Handle for one initiated non-blocking collective on one rank."""
 
-    __slots__ = ("req_id", "owner", "state", "payload", "instance_id", "op_index")
+    __slots__ = ("req_id", "state", "payload", "instance_id", "op_index")
 
-    def __init__(self, req_id, owner, instance_id, op_index):
+    def __init__(self, req_id, instance_id, op_index):
         self.req_id = req_id
-        self.owner = owner
         self.state = PENDING
         self.payload = None
         self.instance_id = instance_id
@@ -123,12 +122,12 @@ class RequestObject:
         return self.state in (COMPLETE, CONSUMED)
 
     def fork(self):
-        twin = RequestObject(self.req_id, self.owner, self.instance_id, self.op_index)
+        twin = RequestObject(self.req_id, self.instance_id, self.op_index)
         twin.state, twin.payload = self.state, self.payload
         return twin
 
     def __repr__(self):
-        return f"RequestObject({self.req_id}@r{self.owner}:{self.state})"
+        return f"RequestObject({self.req_id}:{self.state})"
 
 
 class CommRecord:
@@ -216,7 +215,7 @@ class RankState:
     __slots__ = (
         "id", "program", "pc", "stage", "blocked_ref", "blocked_req",
         "compute_left", "comms", "comm_calls", "requests", "checksum",
-        "group_calls", "block_info",
+        "group_calls",
     )
 
     def __init__(self, rank_id: int, program):
@@ -232,7 +231,6 @@ class RankState:
         self.requests = {}
         self.checksum = 0
         self.group_calls = {}
-        self.block_info = ""
 
     def current_op(self) -> Op:
         return self.program[self.pc]
@@ -240,6 +238,21 @@ class RankState:
     @property
     def finished(self):
         return self.stage == FINISHED
+
+    def block_reason(self) -> str:
+        """What a blocked rank waits for, as a deadlock report names it."""
+        stage = self.stage
+        if stage == BLOCKED_COLL:
+            return f"in {self.blocked_ref.describe()}"
+        if stage == BLOCKED_REQ:
+            return "{} on {}".format(*self.blocked_req)
+        if stage == TB_BLOCKED:
+            return f"trivial barrier {self.current_op().comm}"
+        if stage == BLOCKED_SEND:
+            return f"send to {self.current_op().peer} tag {self.current_op().tag}"
+        if stage == BLOCKED_RECV:
+            return f"recv from {self.current_op().peer} tag {self.current_op().tag}"
+        return ""
 
     def fold(self, op_index, values):
         self.checksum = checksum_fold(self.checksum, op_index, values)
@@ -254,7 +267,6 @@ class RankState:
         twin.comms, twin.comm_calls = dict(self.comms), dict(self.comm_calls)
         twin.requests = {rid: req.fork() for rid, req in self.requests.items()}
         twin.checksum, twin.group_calls = self.checksum, dict(self.group_calls)
-        twin.block_info = self.block_info
         return twin
 
 
@@ -402,8 +414,6 @@ class Simulator:
         self.install_comm(WORLD)
 
         self.instances = {}        # (comm_id, index) -> Instance
-        self.pending_sends = {}    # (src, dst, tag, comm_id) -> deque[(data, op_index)]
-        self.pending_recvs = {}    # (src, dst, tag, comm_id) -> deque[op_index]
         self._ready = []           # rank-sorted ids found enabled at their last check
         self._dirty = set(range(self.world_size))  # ranks to check again
 
@@ -427,11 +437,15 @@ class Simulator:
         memo = {}
         twin.ranks = [rank.fork(memo) for rank in self.ranks]
         twin.instances = {key: inst.fork(memo) for key, inst in self.instances.items()}
-        twin.pending_sends = {key: deque(q) for key, q in self.pending_sends.items()}
-        twin.pending_recvs = {key: deque(q) for key, q in self.pending_recvs.items()}
         twin._ready, twin._dirty = list(self._ready), set(self._dirty)
         twin.protocol = self.protocol.fork(twin, memo)
         return twin
+
+    @property
+    def round_pending(self) -> bool:
+        """True from a checkpoint request until its safe state is declared."""
+        coordinator = self.coordinator
+        return coordinator is not None and coordinator.requested and not coordinator.declared
 
     # ------------------------------------------------------------- events
 
@@ -505,7 +519,7 @@ class Simulator:
         return all(r.finished for r in self.ranks)
 
     def _raise_deadlock(self):
-        blocked = [(r.id, r.stage, r.block_info) for r in self.ranks if not r.finished]
+        blocked = [(r.id, r.stage, r.block_reason()) for r in self.ranks if not r.finished]
         names = ", ".join(f"rank {rid} ({stage}: {info})" for rid, stage, info in blocked)
         if blocked and all(stage in (BLOCKED_SEND, BLOCKED_RECV) for _, stage, _ in blocked):
             raise StuckP2pError(f"unmatched point-to-point at end of run: {names}", blocked)
@@ -579,15 +593,12 @@ class Simulator:
                 self.emit(rank.id, "stop", pc=rank.pc)
             elif outcome == BARRIER:
                 rank.stage = TB_BLOCKED
-                rank.block_info = f"trivial barrier {op.comm}"
             elif kind == "icoll":
                 self._initiate_nonblocking(rank, op)
             else:
                 self._join_collective(rank, op)
-        elif kind == "send":
-            self._post_send(rank, op)
-        elif kind == "recv":
-            self._post_recv(rank, op)
+        elif kind in ("send", "recv"):
+            self._post(rank, op)
         elif kind in ("wait", "test", "waitall", "waitany"):
             self._step_request_op(rank, op)
         elif kind == "compute":
@@ -648,7 +659,6 @@ class Simulator:
                   kind=inst.signature[0], group=label, num=k)
         rank.stage = BLOCKED_COLL
         rank.blocked_ref = inst
-        rank.block_info = f"in {inst.describe()}"
         if len(inst.entered) == len(inst.members):
             self._complete_instance(inst, rank.id)
 
@@ -740,22 +750,17 @@ class Simulator:
             rank.fold(rank.pc, list(inst.signature[2]))
         self.emit(rank.id, "coll_return", comm=inst.comm_id, instance=inst.index)
         rank.blocked_ref = None
-        rank.block_info = ""
         outcome = self.protocol.finish_collective(rank)
         self._advance(rank)
         if outcome == PARK and not rank.finished:
             rank.stage = PARKED
             self.emit(rank.id, "park", at="finish", pc=rank.pc)
-        elif outcome == STOP and not rank.finished:
-            rank.stage = STOPPED
-            self.emit(rank.id, "stop", pc=rank.pc)
 
     def _step_trivial_barrier(self, rank: RankState):
         tb = rank.blocked_ref
         outcome = self.protocol.barrier_step(rank)
         if outcome == ABORT:
             rank.blocked_ref = None
-            rank.block_info = ""
             rank.stage = STOPPED
             self.emit(rank.id, "tb_abort", comm=tb.comm_id, instance=tb.index, pc=rank.pc)
         else:
@@ -772,8 +777,7 @@ class Simulator:
         inst = self.get_instance(comm, index, op, blocking=False)
         inst.entered.add(rank.id)
         inst.inputs[rank.id] = op.data
-        rank.requests[op.request_id] = RequestObject(
-            op.request_id, rank.id, (comm.comm_id, index), rank.pc)
+        rank.requests[op.request_id] = RequestObject(op.request_id, (comm.comm_id, index), rank.pc)
         inst.request_ids[rank.id] = op.request_id
         self.counters.wrapper_invocations += 1
         self.emit(rank.id, "icoll_init", comm=comm.comm_id, instance=index,
@@ -806,7 +810,6 @@ class Simulator:
             self._finish_request_wait(rank)
         else:
             rank.stage = BLOCKED_REQ
-            rank.block_info = f"{mode} on {rids}"
 
     def _finish_request_wait(self, rank: RankState):
         mode, rids = rank.blocked_req
@@ -823,7 +826,6 @@ class Simulator:
                 if req.state == COMPLETE:
                     self._consume(rank, req)
         rank.blocked_req = None
-        rank.block_info = ""
         self._advance(rank)
 
     def _consume(self, rank: RankState, req: RequestObject):
@@ -834,47 +836,33 @@ class Simulator:
 
     # ---------------------------------------------------- point-to-point
 
-    def _post_send(self, rank: RankState, op: Op):
-        key = (rank.id, op.peer, op.tag, op.comm)
+    def _post(self, rank: RankState, op: Op):
+        """Post a send or recv. It matches the peer when the peer is blocked
+        in the other half naming this rank, tag and communicator; otherwise
+        this rank blocks until the peer posts."""
         view = self._comm_view(rank, op)
         if op.peer not in view.members:
-            raise ScenarioError(f"send peer {op.peer} not in {op.comm}")
-        recvq = self.pending_recvs.get(key)
-        self.emit(rank.id, "send_post", peer=op.peer, tag=op.tag, comm=op.comm)
-        if recvq:
-            recv_pc = recvq.popleft()
-            self._complete_match(key, rank, self.ranks[op.peer], op.data, recv_pc)
-        else:
-            self.pending_sends.setdefault(key, deque()).append((list(op.data), rank.pc))
-            rank.stage = BLOCKED_SEND
-            rank.block_info = f"send to {op.peer} tag {op.tag}"
+            raise ScenarioError(f"{op.op} peer {op.peer} not in {op.comm}")
+        self.emit(rank.id, f"{op.op}_post", peer=op.peer, tag=op.tag, comm=op.comm)
+        sending = op.op == "send"
+        peer = self.ranks[op.peer]
+        if peer.stage == (BLOCKED_RECV if sending else BLOCKED_SEND):
+            half = peer.current_op()
+            if half.peer == rank.id and half.tag == op.tag and half.comm == op.comm:
+                self._complete_match(*((rank, peer) if sending else (peer, rank)))
+                return
+        rank.stage = BLOCKED_SEND if sending else BLOCKED_RECV
 
-    def _post_recv(self, rank: RankState, op: Op):
-        key = (op.peer, rank.id, op.tag, op.comm)
-        view = self._comm_view(rank, op)
-        if op.peer not in view.members:
-            raise ScenarioError(f"recv peer {op.peer} not in {op.comm}")
-        sendq = self.pending_sends.get(key)
-        self.emit(rank.id, "recv_post", peer=op.peer, tag=op.tag, comm=op.comm)
-        if sendq:
-            data, _ = sendq.popleft()
-            sender = self.ranks[op.peer]
-            self._complete_match(key, sender, rank, data, rank.pc)
-        else:
-            self.pending_recvs.setdefault(key, deque()).append(rank.pc)
-            rank.stage = BLOCKED_RECV
-            rank.block_info = f"recv from {op.peer} tag {op.tag}"
-
-    def _complete_match(self, key, sender: RankState, receiver: RankState, data, recv_pc):
-        src, dst, tag, comm_id = key
-        receiver.fold(recv_pc, data)
+    def _complete_match(self, sender: RankState, receiver: RankState):
+        op = receiver.current_op()
+        receiver.fold(receiver.pc, sender.current_op().data)
         self.counters.app_messages += 1
         self.counters.p2p_messages += 1
-        self.emit(receiver.id, "p2p_match", src=src, dst=dst, tag=tag, comm=comm_id)
-        self.wake((src, dst))
-        for peer in (sender, receiver):
-            peer.block_info = ""
-            self._advance(peer)
+        self.emit(receiver.id, "p2p_match", src=sender.id, dst=receiver.id, tag=op.tag,
+                  comm=op.comm)
+        self.wake((sender.id, receiver.id))
+        self._advance(sender)
+        self._advance(receiver)
 
     # ----------------------------------------------------------- control
 
@@ -887,7 +875,6 @@ class Simulator:
 
     def _finish_rank(self, rank: RankState):
         rank.stage = FINISHED
-        rank.block_info = ""
         self.emit(rank.id, "rank_finished")
 
     def release_rank(self, rank: RankState):

@@ -12,7 +12,7 @@ Non-blocking collectives are rejected: this baseline predates them.
 
 from __future__ import annotations
 
-from .errors import ProtocolViolationError, UnsupportedOperationError
+from .errors import SnapshotLoadError, UnsupportedOperationError
 from .runtime import (
     ABORT,
     BARRIER,
@@ -41,20 +41,6 @@ def tpc_safe_state_decision(entered_flags) -> str:
     return COMPLETE_THEN_CHECKPOINT if flags and all(flags) else ABORT_AND_CHECKPOINT
 
 
-class TpcState:
-    __slots__ = ("in_trivial_barrier", "aborted_barrier_log")
-
-    def __init__(self):
-        self.in_trivial_barrier = False
-        self.aborted_barrier_log = []
-
-    def fork(self):
-        twin = TpcState()
-        twin.in_trivial_barrier = self.in_trivial_barrier
-        twin.aborted_barrier_log = list(self.aborted_barrier_log)
-        return twin
-
-
 class TwoPhaseCommitProtocol(ProtocolAdapter):
     """Adapter for the barrier-insertion baseline."""
 
@@ -63,19 +49,18 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
 
     def __init__(self):
         self.sim = None
-        self.states = []
-        self.pending = False
+        self.aborted_barrier_logs = []  # per rank: {"pc", "comm", "instance"} records
         self.tb_instances = {}  # (comm_id, index) -> Instance
 
     def bind(self, sim):
         super().bind(sim)
-        self.states = [TpcState() for _ in range(sim.world_size)]
+        self.aborted_barrier_logs = [[] for _ in range(sim.world_size)]
 
     def fork(self, sim, memo):
         # An aborted or completed trivial barrier has left tb_instances but may
         # still be a rank's blocked_ref: the memo keeps it one object.
         twin = super().fork(sim, memo)
-        twin.states = [st.fork() for st in self.states]
+        twin.aborted_barrier_logs = [list(log) for log in self.aborted_barrier_logs]
         twin.tb_instances = {key: tb.fork(memo) for key, tb in self.tb_instances.items()}
         return twin
 
@@ -87,7 +72,7 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
             raise UnsupportedOperationError(
                 "the two-phase-commit baseline does not support non-blocking collectives"
             )
-        if self.pending:
+        if self.sim.round_pending:
             return STOP
         view = rank.comms[op.comm]
         index = rank.comm_calls.get(op.comm, 0)  # peek; join increments later
@@ -97,7 +82,6 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
             tb = Instance(op.comm, index, view.record.members, ("trivial_barrier",), True)
             self.tb_instances[key] = tb
         tb.entered.add(rank.id)
-        self.states[rank.id].in_trivial_barrier = True
         rank.blocked_ref = tb
         self.sim.counters.wrapper_invocations += 1
         self.sim.emit(rank.id, "tb_enter", comm=op.comm, instance=index)
@@ -112,9 +96,8 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
 
     def barrier_step(self, rank):
         tb = rank.blocked_ref
-        self.states[rank.id].in_trivial_barrier = False
         if tb.aborted:
-            self.states[rank.id].aborted_barrier_log.append(
+            self.aborted_barrier_logs[rank.id].append(
                 {"pc": rank.pc, "comm": tb.comm_id, "instance": tb.index})
             return ABORT
         return PROCEED
@@ -123,14 +106,13 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
         # Committed collectives complete before the checkpoint, but the rank
         # halts only at its next wrapper entry: intervening point-to-point
         # ops must drain so a matched peer is never stranded.
-        if self.pending:
+        if self.sim.round_pending:
             self.sim.counters.drain_collectives += 1
         return PROCEED
 
     # --------------------------------------------------------- round hooks
 
     def on_round_start(self, sim):
-        self.pending = True
         # Decide every in-progress trivial barrier. Complete ones were
         # already committed when their last member entered; the rest abort.
         for key in sorted(self.tb_instances):
@@ -148,27 +130,34 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
     def quiescent(self, sim) -> bool:
         return all(r.stage in (STOPPED, FINISHED) for r in sim.ranks)
 
-    def on_round_end(self, sim):
-        self.pending = False
-
     # ----------------------------------------------------------- snapshot
 
     def snapshot_rank(self, rank_id: int) -> dict:
-        st = self.states[rank_id]
-        if st.in_trivial_barrier:
-            raise ProtocolViolationError(
-                f"rank {rank_id} is inside a trivial barrier at snapshot time"
-            )
-        return {"aborted_barrier_log": list(st.aborted_barrier_log)}
+        # The coordinator has checked that every rank is stopped or finished.
+        return {"aborted_barrier_log": list(self.aborted_barrier_logs[rank_id])}
 
     def restore_rank(self, rank, saved: dict):
-        self.states[rank.id].aborted_barrier_log = list(saved.get("aborted_barrier_log", []))
+        # Each record names the wrapped collective, at or before the pc, whose
+        # trivial barrier the rank aborted. Its instance is not checked against
+        # the program prefix: a restart numbers instances from 0 again.
+        log = saved.get("aborted_barrier_log", [])
+        if type(log) is not list:
+            raise SnapshotLoadError(f"rank {rank.id} aborted-barrier log {log!r} is not a list")
+        for rec in log:
+            pc = rec["pc"] if type(rec) is dict and rec.keys() == {"pc", "comm", "instance"} else None
+            op = (rank.program[pc] if type(pc) is int and 0 <= pc <= rank.pc
+                  and pc < len(rank.program) else None)
+            if (op is None or op.op not in ("coll", "comm_create") or rec["comm"] != op.comm
+                    or type(rec["instance"]) is not int or rec["instance"] < 0):
+                raise SnapshotLoadError(
+                    f"rank {rank.id} aborted-barrier record {rec!r} names no collective "
+                    f"at or before pc {rank.pc}")
+        self.aborted_barrier_logs[rank.id] = list(log)
 
     def state_key(self):
-        rows = tuple(
-            (st.in_trivial_barrier, tuple(sorted(map(str, st.aborted_barrier_log))))
-            for st in self.states)
+        rows = tuple(tuple(sorted(map(str, log))) for log in self.aborted_barrier_logs)
         tbs = tuple(sorted(
             (key, tuple(sorted(inst.entered)), inst.complete, inst.aborted)
             for key, inst in self.tb_instances.items()))
-        return (self.pending, rows, tbs)
+        return (rows, tbs)
+

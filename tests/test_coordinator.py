@@ -301,6 +301,34 @@ class TestSnapshotImage:
         with pytest.raises(SnapshotLoadError):
             restart(image)
 
+    @pytest.mark.parametrize("log", [
+        "abc",
+        [1, 2],
+        [{"pc": "x"}],
+        [{"pc": 10**9, "comm": "nope", "instance": -1}],
+        [{"pc": 2, "comm": "nope", "instance": 2}],
+        [{"pc": 3, "comm": "world", "instance": 2}],
+        [{"pc": 2, "comm": "world", "instance": -1}],
+        [{"pc": 2, "comm": "world", "instance": True}],
+        [{"pc": 2, "comm": "world", "instance": 2, "x": 0}],
+    ], ids=["str", "ints", "pc-only", "all-wrong", "comm-other", "pc-past-pc",
+            "instance-negative", "instance-bool", "extra-key"])
+    def test_restart_rejects_malformed_aborted_barrier_log(self, log):
+        image = run("fig2", algorithm="2pc", seed=11, ckpt=("at_step", 40)).snapshot
+        row = image.per_rank[1]
+        assert row["pc"] == 2
+        assert row["protocol"]["aborted_barrier_log"] == [{"pc": 2, "comm": "world", "instance": 2}]
+        restart(image)
+        row["protocol"]["aborted_barrier_log"] = log
+        with pytest.raises(SnapshotLoadError):
+            restart(image)
+
+    def test_restart_rejects_unknown_algorithm(self):
+        image = run("fig2", algorithm="2pc", seed=11, ckpt=("at_step", 40)).snapshot
+        image.algorithm = "3pc"
+        with pytest.raises(SnapshotLoadError, match="unknown algorithm '3pc'"):
+            restart(image)
+
     def test_restart_rebuilds_identical_group_keys(self):
         result = self._snapshot()
         sim = restart(result.snapshot)

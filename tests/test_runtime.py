@@ -324,6 +324,72 @@ class TestPointToPoint:
             finished_sim(sc)
 
 
+    def test_communicator_must_match(self):
+        # same peer and tag, but the send is on g and the recv on world
+        sc = scenario(2, comms={"g": (0, 1)})
+        sc.programs[0].append(Op(rank=0, op="send", peer=1, tag=4, comm="g", data=[5]))
+        sc.programs[1].append(Op(rank=1, op="recv", peer=0, tag=4))
+        with pytest.raises(StuckP2pError) as err:
+            finished_sim(sc)
+        assert err.value.blocked == [(0, "blocked_send", "send to 1 tag 4"),
+                                     (1, "blocked_recv", "recv from 0 tag 4")]
+
+
+def _item2_scenario():
+    """Rank 0 receives from rank 1, which first joins a barrier on g with rank 2."""
+    sc = scenario(3, comms={"g": (1, 2)})
+    sc.programs[0].append(Op(rank=0, op="recv", peer=1))
+    sc.programs[1] += [op_coll(1, comm="g"), Op(rank=1, op="send", peer=0, data=[7])]
+    sc.programs[2].append(op_coll(2, comm="g"))
+    return sc
+
+
+class TestBlockReasons:
+    """A deadlock report names each unfinished rank's stage and what it waits for."""
+
+    def _blocked(self, sc, algorithm="none", ckpt=None, error=DeadlockError):
+        with pytest.raises(error) as err:
+            run(sc, algorithm, seed=0, ckpt=ckpt)
+        return err.value.blocked
+
+    def test_blocked_coll(self):
+        sc = scenario(2)
+        sc.programs[0].append(op_coll(0))
+        assert self._blocked(sc) == [(0, "blocked_coll", "in world#0:barrier")]
+
+    def test_blocked_req(self):
+        sc = scenario(2)
+        sc.programs[0] += [op_icoll(0, "q0"), op_icoll(0, "q1"),
+                           Op(rank=0, op="waitall", request_ids=["q0", "q1"])]
+        assert self._blocked(sc) == [(0, "blocked_req", "waitall on ['q0', 'q1']")]
+
+    def test_blocked_send_next_to_a_collective(self):
+        sc = scenario(2)
+        sc.programs[0].append(Op(rank=0, op="send", peer=1, tag=3, data=[1]))
+        sc.programs[1].append(op_coll(1))
+        assert self._blocked(sc) == [(0, "blocked_send", "send to 1 tag 3"),
+                                     (1, "blocked_coll", "in world#0:barrier")]
+
+    def test_blocked_recv(self):
+        sc = scenario(2)
+        sc.programs[0].append(Op(rank=0, op="recv", peer=1, tag=2))
+        assert self._blocked(sc, error=StuckP2pError) == [
+            (0, "blocked_recv", "recv from 1 tag 2")]
+
+    def test_tb_blocked(self):
+        sc = scenario(2, comms={"g": (0, 1)})
+        sc.programs[0].append(op_coll(0, comm="g"))
+        assert self._blocked(sc, "2pc") == [(0, "tb_blocked", "trivial barrier g")]
+
+    def test_parked(self):
+        assert self._blocked(_item2_scenario(), "cc", ckpt=("at_step", 1)) == [
+            (0, "blocked_recv", "recv from 1 tag 0"), (1, "parked", ""), (2, "parked", "")]
+
+    def test_stopped(self):
+        assert self._blocked(_item2_scenario(), "2pc", ckpt=("at_step", 3)) == [
+            (0, "blocked_recv", "recv from 1 tag 0"), (1, "stopped", ""), (2, "stopped", "")]
+
+
 class TestCostModel:
     def test_barrier_cost_values(self):
         assert barrier_cost(1) == 0

@@ -8,6 +8,7 @@ from ccsim import (
     generate_workload,
     run,
 )
+from ccsim.runtime import TB_BLOCKED
 from ccsim.scenario import Op
 from ccsim.twophase import (
     ABORT_AND_CHECKPOINT,
@@ -81,7 +82,7 @@ class TestCheckpointPaths:
         sim, coordinator = build(sc, "2pc")
         sim.step_actor(0)  # rank 0 enters the trivial barrier
         sim.step_actor(1)  # rank 1 enters; barrier commits instantly
-        assert sim.protocol.states[0].in_trivial_barrier
+        assert sim.ranks[0].stage == TB_BLOCKED
         coordinator.request_checkpoint(sim)
         drive(sim, coordinator)
         assert coordinator.declared
