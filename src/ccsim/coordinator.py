@@ -44,8 +44,9 @@ SNAPSHOT_VERSION = 1
 @dataclass
 class SnapshotImage:
     """Whole-run restartable image, serialized as versioned JSON. An image
-    shares its scenario with the run that took it: nothing changes a
-    ``ScenarioProgram`` once a ``Simulator`` runs it."""
+    shares its scenario with the run that took it: a ``Simulator`` runs only
+    validated scenarios, and a validated ``ScenarioProgram`` is frozen, so
+    no write can reach it and its text is encoded once."""
 
     version: int
     algorithm: str

@@ -20,8 +20,9 @@ copies every container a step can change (ranks, instances, requests,
 counters, the scheduler's rng and ready set, the adapter's per-rank state and
 the coordinator's round fields) and shares the rest: the scenario,
 its ops and programs, group keys, communicator records and views, and the
-already-emitted trace events. Nothing writes to those once a runtime is
-built, so a branch never sees its sibling's steps. A failure is reported
+already-emitted trace events. No step writes to those, and the scenario and
+its programs are frozen by validation, so a write would raise; a branch
+never sees its sibling's steps. A failure is reported
 under the full path of the branch that raised it.
 
 Bounded to at most 4 ranks and 12 events per rank; use generated campaigns

@@ -258,8 +258,8 @@ class RankState:
         self.checksum = checksum_fold(self.checksum, op_index, values)
 
     def fork(self, memo):
-        """A copy for a forked runtime; the program list is shared, because
-        nothing writes to it."""
+        """A copy for a forked runtime; the program is shared: it is a tuple
+        of the frozen scenario's ops."""
         twin = RankState.__new__(RankState)
         twin.id, twin.program, twin.pc, twin.stage = self.id, self.program, self.pc, self.stage
         twin.blocked_ref = None if self.blocked_ref is None else self.blocked_ref.fork(memo)
@@ -396,7 +396,8 @@ class Simulator:
                  record: bool = True):
         if scenario.world_size < 1:
             raise InvalidConfigurationError("world size must be >= 1")
-        scenario.validate()
+        if not scenario.frozen:  # a frozen scenario was validated once and never changes
+            scenario.validate()
         self.scenario = scenario
         self.world_size = scenario.world_size
         self.protocol = protocol or NullProtocol()
@@ -410,7 +411,7 @@ class Simulator:
 
         self.group_keys = scenario.group_keys()
         self.comm_records = {}
-        self.ranks = [RankState(r, list(scenario.programs[r])) for r in range(self.world_size)]
+        self.ranks = [RankState(r, scenario.programs[r]) for r in range(self.world_size)]
         self.install_comm(WORLD)
 
         self.instances = {}        # (comm_id, index) -> Instance
@@ -422,9 +423,10 @@ class Simulator:
     def fork(self):
         """An independent runtime in this one's state: stepping either leaves
         the other unchanged. Each part copies its own mutable state; what no
-        step changes stays shared: the scenario, its ops and programs, the
-        group keys, communicator records and views, and the trace's events
-        (the trace list itself is copied)."""
+        step changes stays shared: the scenario and its programs (frozen by
+        validation, so a write raises), their ops, the group keys,
+        communicator records and views, and the trace's events (the trace
+        list itself is copied)."""
         twin = Simulator.__new__(Simulator)
         twin.scenario, twin.world_size, twin.seed = self.scenario, self.world_size, self.seed
         twin.rng = random.Random.__new__(random.Random)  # no re-seed from the OS

@@ -4,6 +4,12 @@ A scenario is a world size, a table of declared sub-communicators, and one
 operation list per rank. The on-disk form is JSON lines: a single header line
 followed by one op per line, rank-major, so a fixed scenario always serializes
 to identical bytes.
+
+A builder appends ops to the per-rank lists, then calls ``validate``. A
+scenario that passes is frozen: it becomes a ``FrozenScenario``, its programs
+tuples, its ``comms`` and ``meta`` read-only mappings, and any later
+attribute assignment raises. So a validated scenario never changes, and
+runtimes, snapshots and forks share it without another check or copy.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import json
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 
 from .clock import GroupKey
 from .errors import GenerationError, ScenarioError
@@ -106,6 +112,32 @@ def _typed(value, want) -> bool:
     return type(value) is want
 
 
+class FrozenDict(dict):
+    """A read-only dict: the ``comms`` and ``meta`` of a validated scenario.
+    Being a dict, it compares with plain dicts and json encodes it as one."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a validated scenario's mappings are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return FrozenDict, (dict(self),)
+
+
+def _freeze(value):
+    """``value`` with every nested dict and list made read-only (a list
+    becomes a tuple, which json encodes the same)."""
+    if isinstance(value, dict):
+        return FrozenDict({k: _freeze(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze(v) for v in value)
+    return value
+
+
 def _json_line(line: str) -> dict:
     try:
         obj = json.loads(line)
@@ -118,13 +150,17 @@ def _json_line(line: str) -> dict:
 
 @dataclass
 class ScenarioProgram:
-    """World size, declared communicators, and per-rank op lists."""
+    """World size, declared communicators, and per-rank op lists. Frozen
+    once ``validate`` passes (see ``FrozenScenario``)."""
 
     world_size: int
     comms: dict = field(default_factory=dict)  # comm id -> tuple of world ranks
-    programs: list = field(default_factory=list)  # per rank: list[Op]
+    programs: list = field(default_factory=list)  # per rank: list[Op], a tuple once frozen
     name: str = "unnamed"
     meta: dict = field(default_factory=dict)
+
+    frozen = False  # True once validate has made this a FrozenScenario
+    _text = None    # dumps() of a frozen scenario, built on the first call
 
     def __post_init__(self):
         self.comms = {cid: tuple(members) for cid, members in self.comms.items()}
@@ -154,6 +190,8 @@ class ScenarioProgram:
     # ---------------------------------------------------------------- io
 
     def dumps(self) -> str:
+        if self._text is not None:
+            return self._text
         header = {
             "type": "scenario",
             "version": SCENARIO_VERSION,
@@ -165,7 +203,10 @@ class ScenarioProgram:
             header["meta"] = self.meta
         lines = [_encode(header)]
         lines += [_encode(op.to_json_obj()) for program in self.programs for op in program]
-        return "\n".join(lines) + "\n"
+        text = "\n".join(lines) + "\n"
+        if self.frozen:
+            vars(self)["_text"] = text
+        return text
 
     @classmethod
     def loads(cls, text: str) -> "ScenarioProgram":
@@ -189,7 +230,7 @@ class ScenarioProgram:
                                 "ids to lists of ranks, a str name and a dict meta")
         if header["world_size"] > MAX_WORLD_SIZE:
             raise ScenarioError(f"world_size {header['world_size']} is above {MAX_WORLD_SIZE}")
-        scenario = cls(
+        scenario = ScenarioProgram(
             world_size=header["world_size"],
             comms={cid: tuple(m) for cid, m in comms.items()},
             name=header.get("name", "unnamed"),
@@ -225,6 +266,9 @@ class ScenarioProgram:
     # ---------------------------------------------------------- validation
 
     def validate(self):
+        """Check the scenario and freeze it; a frozen one returns at once."""
+        if self.frozen:
+            return
         if self.world_size < 1:
             raise ScenarioError("world size must be at least 1")
         for cid, members in self.comms.items():
@@ -260,6 +304,10 @@ class ScenarioProgram:
                 raise ScenarioError(f"communicator {cid} used but never created")
             if not used_by <= members:
                 raise ScenarioError(f"non-members use communicator {cid}: {sorted(used_by - members)}")
+
+        vars(self).update(programs=tuple(map(tuple, self.programs)),
+                          comms=FrozenDict(self.comms), meta=_freeze(self.meta))
+        self.__class__ = FrozenScenario
 
     def _validate_op(self, op: Op, known_reqs: set, created_here: set, creators: dict):
         if op.op in ("coll", "icoll"):
@@ -320,6 +368,17 @@ class ScenarioProgram:
         if op.rank not in members:
             raise ScenarioError(f"rank {op.rank} is not a member of {op.comm}")
         return members
+
+
+class FrozenScenario(ScenarioProgram):
+    """A validated scenario: ``validate`` turns a ``ScenarioProgram`` that
+    passes into this class. Its programs are tuples, its ``comms`` and
+    ``meta`` read-only, and any attribute assignment raises."""
+
+    frozen = True
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to {name!r} of a validated scenario")
 
 
 # --------------------------------------------------------------------------
@@ -460,27 +519,28 @@ def generate_workload(seed: int, params: GenParams | None = None, **kwargs) -> S
     Structure guarantees: equal collective counts per group across members,
     every request eventually waited, and every point-to-point burst fenced by
     world barriers so matched pairs can never straddle the collectives that
-    bound a safe state.
+    bound a safe state. The result is legal by construction; it is still
+    validated and crossing-checked once, and a failure raises
+    ``GenerationError``.
     """
+    from .verify import check_crossing_legality  # verify imports this module
+
     params = params or GenParams(**kwargs)
     params.check()
+    scenario = _build_workload(params, seed)
+    try:
+        scenario.validate()
+    except ScenarioError as exc:
+        raise GenerationError(f"generated scenario {scenario.name} is illegal: {exc}") from exc
+    verdict = check_crossing_legality(scenario)
+    if not verdict.passed:
+        raise GenerationError(
+            f"generated scenario {scenario.name} fails crossing legality: {verdict.detail}")
+    return scenario
+
+
+def _build_workload(params, seed) -> ScenarioProgram:
     rng = random.Random(seed)
-
-    for attempt in range(8):
-        try:
-            scenario = _generate_once(rng, params, seed, attempt)
-            scenario.validate()
-            from .verify import check_crossing_legality
-
-            verdict = check_crossing_legality(scenario)
-            if verdict.passed:
-                return scenario
-        except ScenarioError:
-            continue
-    raise GenerationError(f"could not generate a legal scenario for seed {seed}")
-
-
-def _generate_once(rng, params, seed, attempt) -> ScenarioProgram:
     n = params.ranks
     comms = {}
     seen_sets = set()
@@ -497,7 +557,7 @@ def _generate_once(rng, params, seed, attempt) -> ScenarioProgram:
     sc = ScenarioProgram(
         world_size=n,
         comms=comms,
-        name=f"gen-{seed}" if attempt == 0 else f"gen-{seed}.{attempt}",
+        name=f"gen-{seed}",
         meta={"seed": seed, "params": {
             "ranks": params.ranks, "groups": params.groups, "ops": params.ops,
             "nonblocking_ratio": params.nonblocking_ratio, "p2p_ratio": params.p2p_ratio,

@@ -2,7 +2,7 @@
 
 import copy
 import json
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +14,14 @@ from ccsim import (
     Op,
     ScenarioProgram,
     ScenarioError,
+    Simulator,
+    SnapshotImage,
     builtin_scenario,
     check_crossing_legality,
     generate_workload,
+    restart,
     run,
+    verify,
 )
 
 from conftest import op_coll, op_icoll, scenario
@@ -249,6 +253,124 @@ class TestValidation:
             sc.validate()
 
 
+def _count_checks(monkeypatch):
+    """Count calls of ``validate`` and of its per-op check from now on."""
+    calls = {"validate": 0, "op": 0}
+    validate, validate_op = ScenarioProgram.validate, ScenarioProgram._validate_op
+
+    def counted_validate(self):
+        calls["validate"] += 1
+        return validate(self)
+
+    def counted_op(self, *args):
+        calls["op"] += 1
+        return validate_op(self, *args)
+
+    monkeypatch.setattr(ScenarioProgram, "validate", counted_validate)
+    monkeypatch.setattr(ScenarioProgram, "_validate_op", counted_op)
+    return calls
+
+
+class TestFrozen:
+    def test_validate_freezes(self):
+        sc = generate_workload(4, ranks=4, groups=2, ops=30, nonblocking_ratio=0.25)
+        assert sc.frozen and type(sc.programs) is tuple
+        assert all(type(p) is tuple for p in sc.programs)
+        with pytest.raises(AttributeError):
+            sc.programs[0].append(op_coll(0))
+        with pytest.raises(TypeError):
+            sc.programs[0] += (op_coll(0),)
+        for name, value in (("programs", []), ("name", "x"), ("comms", {}),
+                            ("meta", {}), ("world_size", 9), ("frozen", False)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(sc, name, value)
+        with pytest.raises(TypeError):
+            sc.comms["g"] = (0, 1)
+        with pytest.raises(TypeError):
+            sc.meta["seed"] = 5
+        with pytest.raises(TypeError):
+            sc.meta["params"]["ops"] = 1
+        with pytest.raises(TypeError):
+            sc.meta["params"].update(ops=1)
+        with pytest.raises(TypeError):
+            del sc.comms[next(iter(sc.comms))]
+        assert sc.frozen and sc.name == "gen-4" and sc.meta["params"]["ops"] == 30
+
+    def test_loaded_meta_is_frozen_and_dumps_the_same(self):
+        text = ('{"comms":{},"meta":{"tags":[1,[2,3]],"x":{"y":[4]}},"name":"m",'
+                '"type":"scenario","version":1,"world_size":1}\n'
+                '{"op":"compute","rank":0,"ticks":2}\n')
+        sc = ScenarioProgram.loads(text)
+        assert sc.frozen and sc.meta == {"tags": (1, (2, 3)), "x": {"y": (4,)}}
+        with pytest.raises(AttributeError):
+            sc.meta["tags"].append(5)
+        with pytest.raises(TypeError):
+            sc.meta["x"]["y"] = 1
+        assert sc.dumps() == text == _reference_dumps(sc)
+
+    def test_builders_append_before_validate(self):
+        sc = scenario(2)
+        sc.programs[0].append(op_coll(0))
+        first = sc.dumps()
+        sc.programs[1].append(op_coll(1))
+        sc.name = "built"
+        assert not sc.frozen and sc.dumps() != first  # no text kept before freezing
+        sc.validate()
+        assert sc.frozen and sc.dumps() == _reference_dumps(sc)
+
+    def test_failed_validation_leaves_the_scenario_open(self):
+        sc = scenario(2)
+        sc.programs[0].append(Op(rank=0, op="wait", request_id="q0"))
+        with pytest.raises(ScenarioError):
+            sc.validate()
+        assert not sc.frozen and type(sc.programs[0]) is list
+        sc.programs[0][:] = [op_coll(0)]
+        sc.programs[1].append(op_coll(1))
+        sc.validate()
+        assert sc.frozen
+
+    @pytest.mark.parametrize("make", [_every_field_scenario, lambda: builtin_scenario("fig2"),
+                                      lambda: generate_workload(8, ranks=6, groups=3, ops=50,
+                                                                p2p_ratio=0.2)],
+                             ids=["every-field", "fig2", "generated"])
+    def test_second_dumps_is_the_reference_encoding(self, make):
+        sc = make()
+        first = sc.dumps()
+        assert sc.dumps() is first
+        assert first == _reference_dumps(sc)
+
+    def test_simulator_and_restart_skip_the_check(self, monkeypatch):
+        sc = generate_workload(6, ranks=4, groups=1, ops=24)
+        image = run(sc, "cc", seed=2, ckpt=("at_step", 20)).snapshot
+        loaded = SnapshotImage.loads(image.dumps())
+        calls = _count_checks(monkeypatch)
+        sim = Simulator(sc)
+        assert all(rank.program is sc.programs[rank.id] for rank in sim.ranks)
+        restart(image).run()
+        restart(loaded).run()
+        assert calls == {"validate": 0, "op": 0}
+        sc.validate()  # returns at once
+        assert calls == {"validate": 1, "op": 0}
+        fresh = scenario(2)
+        for r in range(2):
+            fresh.programs[r].append(op_coll(r))
+        Simulator(fresh)
+        Simulator(fresh)
+        assert calls == {"validate": 2, "op": 2} and fresh.frozen
+
+    def test_simulator_still_rejects_an_illegal_scenario(self):
+        def illegal():
+            sc = scenario(3, comms={"g": (0, 1)})
+            sc.programs[2].append(op_coll(2, comm="g"))
+            return sc
+
+        with pytest.raises(ScenarioError) as direct:
+            illegal().validate()
+        with pytest.raises(ScenarioError) as via_simulator:
+            Simulator(illegal())
+        assert str(via_simulator.value) == str(direct.value)
+
+
 class TestGenerator:
     def test_fixed_seed_byte_identical(self):
         a = generate_workload(11, ranks=8, groups=3, ops=60, p2p_ratio=0.3)
@@ -315,6 +437,26 @@ class TestGenerator:
             GenParams(ranks=100).check()
         with pytest.raises(GenerationError):
             GenParams(nonblocking_ratio=1.5).check()
+
+    def test_illegal_output_fails_closed(self, monkeypatch):
+        from ccsim import scenario as scenario_module
+
+        build = scenario_module._build_workload
+
+        def with_unknown_wait(*args):
+            sc = build(*args)
+            sc.programs[0].append(Op(rank=0, op="wait", request_id="nope"))
+            return sc
+
+        monkeypatch.setattr(scenario_module, "_build_workload", with_unknown_wait)
+        with pytest.raises(GenerationError, match="gen-5 is illegal") as raised:
+            generate_workload(5, ranks=4, ops=20)
+        assert isinstance(raised.value.__cause__, ScenarioError)
+        monkeypatch.setattr(scenario_module, "_build_workload", build)
+        crossing = verify.Verdict("crossing_legality", False, {"violations": ["v"]})
+        monkeypatch.setattr(verify, "check_crossing_legality", lambda sc: crossing)
+        with pytest.raises(GenerationError, match="gen-5 fails crossing legality"):
+            generate_workload(5, ranks=4, ops=20)
 
     @given(seed=st.integers(0, 2**32), ranks=st.integers(2, 12),
            groups=st.integers(0, 4), ops=st.integers(10, 120),
