@@ -35,7 +35,7 @@ from .runtime import (
     NullProtocol,
     Simulator,
 )
-from .scenario import WORLD, ScenarioProgram
+from .scenario import WORLD, ScenarioProgram, encode
 from .twophase import TwoPhaseCommitProtocol
 
 SNAPSHOT_VERSION = 1
@@ -77,7 +77,7 @@ class SnapshotImage:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+        return encode(self.to_json()) + "\n"
 
     def dump(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

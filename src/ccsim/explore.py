@@ -7,10 +7,18 @@ placements. Paths that finish without the request get it fired at
 termination by the coordinator's after-the-end placement.
 
 Interleavings that converge to the same logical state share one subtree: the
-search fingerprints the complete protocol-visible state (step counters and
-other path-length artifacts excluded) and expands each distinct state once.
-Every reachable state is still visited, so a violation on any interleaving
-is a violation on some explored path.
+search fingerprints each branching node and expands each distinct state once.
+The fingerprint holds only what the ranks' pcs and stages do not fix: per
+rank the ticks left of a compute and the states of its requests, the
+counters, the adapter's ``state_key`` and the coordinator's round flags and
+initial targets. That is exact because every path starts at one root and a
+search never restarts: a rank has executed exactly its program before its
+pc, so its call counts, folded results and communicators, the cc clocks, the
+instance table, 2pc's live trivial barriers and what a blocked rank waits
+for all follow from the pcs and stages. Step counters and other path-length
+artifacts are left out. A test compares the whole state of the nodes merged
+at every dedup hit. Every reachable state is still visited, so a violation
+on any interleaving is a violation on some explored path.
 
 The search is stateful: the depth-first stack holds, for each branching node
 on the current path, a frozen copy of that node and the actions not yet taken
@@ -101,25 +109,9 @@ class _Bundle:
         return actions
 
 
-def _rank_key(rank):
-    blocked = rank.blocked_ref
-    return (
-        rank.pc, rank.stage, rank.compute_left, rank.checksum,
-        tuple(sorted(rank.comm_calls.items())),
-        (rank.blocked_req[0], tuple(rank.blocked_req[1])) if rank.blocked_req else None,
-        (blocked.comm_id, blocked.index, blocked.signature[0]) if blocked is not None else None,
-        tuple(sorted((rid, rq.state) for rid, rq in rank.requests.items())),
-    )
-
-
-def _instance_key(inst):
-    return (
-        inst.comm_id, inst.index, inst.signature[0], inst.complete, inst.aborted,
-        tuple(sorted(inst.entered)), tuple(sorted(inst.returned)),
-    )
-
-
 def _state_key(bundle: _Bundle):
+    """The part of a node's state that the ranks' pcs and stages do not fix
+    (see the module docstring)."""
     sim = bundle.sim
     coordinator = sim.coordinator
     coord = None
@@ -127,9 +119,9 @@ def _state_key(bundle: _Bundle):
         coord = (coordinator.requested, coordinator.declared,
                  tuple(sorted(coordinator.initial_targets.items())))
     return (
-        tuple(_rank_key(r) for r in sim.ranks),
-        tuple(sorted((key, _instance_key(inst)) for key, inst in sim.instances.items())),
-        tuple(sorted(sim.comm_records)),
+        tuple((r.pc, r.stage, r.compute_left,
+               tuple(sorted((rid, rq.state) for rid, rq in r.requests.items())))
+              for r in sim.ranks),
         tuple(getattr(sim.counters, name) for name in sim.counters.FIELDS),
         sim.protocol.state_key(),
         coord,
@@ -145,11 +137,9 @@ def _finish_path(result: ExplorationResult, bundle: _Bundle, per_path_check):
         if not coordinator.declared:
             raise SimulationError("checkpoint round never declared a safe state")
         result.rounds_declared += 1
-        max_group = max(
-            (len(rec.members) for rec in bundle.sim.comm_records.values()),
-            default=1)
         counters = bundle.sim.counters
-        allowed = counters.drain_collectives * max(max_group - 1, 0)
+        # world, over every rank, is the largest communicator
+        allowed = counters.drain_collectives * (bundle.sim.world_size - 1)
         if counters.target_updates_sent > allowed:
             raise SimulationError(
                 f"update cascade {counters.target_updates_sent} exceeds bound {allowed}")

@@ -9,13 +9,13 @@ two-phase baseline.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
 from .clock import by_label
+from .scenario import encode
 
 CSV_FIELDS = (
     "scenario", "algorithm", "seed", "steps", "app_messages", "p2p_messages",
@@ -51,7 +51,7 @@ class MetricsReport:
         }
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return encode(self.to_dict())
 
     def csv_row(self) -> list:
         row = []

@@ -36,7 +36,7 @@ from .errors import (
     SimulationError,
     StuckP2pError,
 )
-from .scenario import WORLD, Op, ScenarioProgram
+from .scenario import WORLD, Op, ScenarioProgram, encode
 
 _MASK64 = (1 << 64) - 1
 COORD = -1  # event-log rank id for the coordinator
@@ -889,11 +889,9 @@ class Simulator:
     # --------------------------------------------------------- trace io
 
     def trace_lines(self):
-        import json
-
         if self.trace is None:
             return []
-        return [json.dumps(entry, sort_keys=True, separators=(",", ":")) for entry in self.trace]
+        return [encode(entry) for entry in self.trace]
 
     def checksums(self):
         return {r.id: r.checksum for r in self.ranks}

@@ -101,9 +101,10 @@ _OP_REQUIRED = ("rank", "op")
 _OP_OPTIONAL = tuple(f.name for f in fields(Op) if f.name not in _OP_REQUIRED)
 _OP_NULLABLE = frozenset(f.name for f in fields(Op) if f.default is None)
 _optional_values = operator.attrgetter(*_OP_OPTIONAL)
-# Every line is encoded with sorted keys and compact separators, so a fixed
-# scenario always serializes to identical bytes.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# The one encoder of every exact output (scenario and trace lines, snapshots,
+# metrics, verdicts): sorted keys and compact separators, so a fixed value
+# always serializes to identical bytes.
+encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _typed(value, want) -> bool:
@@ -201,8 +202,8 @@ class ScenarioProgram:
         }
         if self.meta:
             header["meta"] = self.meta
-        lines = [_encode(header)]
-        lines += [_encode(op.to_json_obj()) for program in self.programs for op in program]
+        lines = [encode(header)]
+        lines += [encode(op.to_json_obj()) for program in self.programs for op in program]
         text = "\n".join(lines) + "\n"
         if self.frozen:
             vars(self)["_text"] = text

@@ -14,11 +14,10 @@ route to the property it guards:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .clock import GroupKey
-from .scenario import ScenarioProgram, WORLD
+from .scenario import ScenarioProgram, WORLD, encode
 
 
 @dataclass
@@ -30,10 +29,9 @@ class Verdict:
     seed: int | None = None
 
     def to_json_line(self) -> str:
-        return json.dumps(
+        return encode(
             {"check": self.check, "scenario": self.scenario, "seed": self.seed,
-             "pass": self.passed, "detail": self.detail},
-            sort_keys=True, separators=(",", ":"))
+             "pass": self.passed, "detail": self.detail})
 
 
 # --------------------------------------------------------------------------

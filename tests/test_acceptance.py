@@ -179,6 +179,12 @@ class TestCriterion5Exhaustive:
         return [("cc", two_groups), ("cc", mixed), ("2pc", blocking),
                 ("cc", same_member_set_scenario()), ("cc", world_dup)]
 
+    # (paths, states, forks, dedup_hits) per case: a change to the state key
+    # moves the search and its replay oracle together, so only pins show it
+    COUNTS = {"x-groups": (116, 988, 1399, 1284), "x-mixed": (196, 3868, 5546, 5351),
+              "x-blocking": (528, 11735, 16059, 15532), "x-same-set": (68, 175, 198, 131),
+              "x-world-dup": (356, 1298, 2051, 1696)}
+
     def test_all_interleavings_and_placements(self):
         t0 = time.time()
         totals = []
@@ -187,6 +193,8 @@ class TestCriterion5Exhaustive:
             assert result.passed, (sc.name, result.failures[:2])
             assert result.rounds_declared == result.paths
             assert result.update_bound_worst <= 1.0
+            counts = (result.paths, result.states, result.forks, result.dedup_hits)
+            assert counts == self.COUNTS[sc.name], sc.name
             totals.append((sc.name, algorithm, result.paths, result.states))
         elapsed = time.time() - t0
         report(5, elapsed < 600, f"{totals}, {elapsed:.1f}s")

@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 from collections import deque
+from functools import partial
 
 import pytest
 
@@ -151,9 +152,39 @@ def data_collectives():
     return sc
 
 
+def request_polling():
+    """Two ranks poll a barrier and an allreduce with test and waitany, and
+    rank 1 computes for two ticks: the ops whose state the pc does not fix."""
+    sc = scenario(2, name="x-test")
+    for r in range(2):
+        sc.programs[r] += [
+            op_icoll(r, "q0"),
+            op_icoll(r, "q1", kind="allreduce", reduce_op="sum", data=[r]),
+            Op(rank=r, op="test", request_id="q0")]
+        if r == 1:
+            sc.programs[r].append(Op(rank=r, op="compute", ticks=2))
+        sc.programs[r] += [op_coll(r), Op(rank=r, op="waitany", request_ids=["q0", "q1"]),
+                           Op(rank=r, op="wait", request_id="q1")]
+    return sc
+
+
+def two_world_barriers():
+    """Three ranks, each with two world barriers: under 2pc a round aborts
+    the trivial barrier that some ranks have entered."""
+    sc = scenario(3, name="w2")
+    for r in range(3):
+        sc.programs[r] += [op_coll(r), op_coll(r)]
+    return sc
+
+
 def criterion5_cases():
     """(algorithm, scenario) for each case of the criterion-5 acceptance test."""
     return test_acceptance.TestCriterion5Exhaustive()._cases()
+
+
+def criterion5_case(name):
+    """The criterion-5 scenario called name."""
+    return next(sc for _, sc in criterion5_cases() if sc.name == name)
 
 
 def replayed(sc, algorithm, path):
@@ -330,13 +361,79 @@ class TestFork:
         assert value(node.sim) == before
 
     def test_forked_runs_draw_like_the_original(self):
-        sc = next(sc for _, sc in criterion5_cases() if sc.name == "x-world-dup")
+        sc = criterion5_case("x-world-dup")
         node = replayed(sc, "cc", [0, 1, CKPT_ACTION])
         before = value(node.sim)
         runs = [node.fork().sim.run(), node.fork().sim.run(),
                 replayed(sc, "cc", node.path).sim.run()]
         assert value(runs[0]) == value(runs[1]) == value(runs[2])
         assert value(node.sim) == before
+
+
+class TestPinnedCounts:
+    """The search's counts on each small case outside criterion 5 (which pins
+    its own). A change to the state key moves explore_small and its replay
+    oracle together, so only pinned counts show it."""
+
+    CASES = dict(TestFork.CASES, **{"x-test/cc": ("cc", request_polling),
+                                    "w2/2pc": ("2pc", two_world_barriers)})
+    COUNTS = {  # (paths, states, forks, dedup_hits)
+        "item2/cc": (28, 101, 162, 106), "item2/2pc": (10, 50, 62, 18),
+        "unequal/cc": (0, 38, 45, 26), "x-data/cc": (30, 48, 56, 27),
+        "x-test/cc": (174, 466, 531, 358), "w2/2pc": (168, 732, 981, 814),
+    }
+    FAILING = {"item2/cc", "item2/2pc", "unequal/cc"}
+
+    @pytest.mark.parametrize("name", COUNTS)
+    def test_search_counts(self, name):
+        algorithm, build = self.CASES[name]
+        result = explore_small(build(), algorithm)
+        assert (result.paths, result.states, result.forks, result.dedup_hits) == self.COUNTS[name]
+        assert result.passed == (name not in self.FAILING), result.failures[:2]
+        if result.passed:
+            assert result.rounds_declared == result.paths
+            assert result.update_bound_worst <= 1.0
+
+
+def whole_state(sim):
+    """value(sim) without the path artifacts that dedup may merge: the step
+    count, the trace, and the coordinator's round steps and stored snapshot."""
+    fields = value(sim)[1]
+    del fields["step"], fields["trace"]
+    if sim.coordinator is not None:
+        coord = fields["coordinator"][1]
+        del coord["requested_step"], coord["declared_step"], coord["snapshot"]
+    return fields
+
+
+class TestStateKeyGuard:
+    """The state key is complete: two nodes that the search merges under one
+    key hold the same whole state, not only the same key."""
+
+    CASES = {"x-groups": ("cc", partial(criterion5_case, "x-groups")),
+             "x-same-set": ("cc", same_member_set_scenario),
+             "x-world-dup": ("cc", partial(criterion5_case, "x-world-dup")),
+             "item2/cc": ("cc", item2_reproduction), "item2/2pc": ("2pc", item2_reproduction),
+             "x-test/cc": ("cc", request_polling), "w2/2pc": ("2pc", two_world_barriers)}
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_merged_nodes_hold_the_same_state(self, name, monkeypatch):
+        algorithm, build = self.CASES[name]
+        real_key = explore._state_key
+        first, hits = {}, []
+
+        def key(bundle):
+            k, state = real_key(bundle), whole_state(bundle.sim)
+            if k in first:
+                assert state == first[k], (bundle.path, first[k], state)
+                hits.append(bundle.path)
+            else:
+                first[k] = state
+            return k
+
+        monkeypatch.setattr(explore, "_state_key", key)
+        result = explore_small(build(), algorithm)
+        assert len(hits) == result.dedup_hits > 0
 
 
 def _fingerprint(sim, coordinator):
