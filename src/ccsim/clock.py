@@ -23,23 +23,27 @@ from .errors import ProtocolViolationError
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
-_ZERO_BYTES = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(9))  # k zero bytes
+_PRIME_POWERS = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(9))  # prime**k mod 2^64
 
 
 def fnv1a64(parts) -> int:
-    """FNV-1a over the 8-byte little-endian two's complement of each integer,
-    reduced to 64 bits.
+    """FNV-1a 64 over the 8-byte little-endian two's complement of each
+    integer's low 64 bits.
 
     Stable across runs and platforms (unlike built-in hash()), so it is safe
-    to persist in traces and snapshots. A zero byte only multiplies by the
-    prime, so each value's high zero bytes are folded in one multiplication.
+    to persist in traces and snapshots. Any int is accepted: only its low 64
+    bits are read. A zero byte only multiplies by the prime, so a value's
+    highest nonzero byte and the zero bytes above it fold in one
+    multiplication by a power of the prime.
     """
     h = _FNV_OFFSET
     for value in parts:
-        data = int(value).to_bytes(8, "little", signed=True).rstrip(b"\0")
-        for byte in data:
-            h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-        h = (h * _ZERO_BYTES[8 - len(data)]) & _MASK64
+        u, k = value & _MASK64, 8
+        while u > 255:
+            h = ((h ^ (u & 255)) * _FNV_PRIME) & _MASK64
+            u >>= 8
+            k -= 1
+        h = ((h ^ u) * _PRIME_POWERS[k]) & _MASK64
     return h
 
 

@@ -105,7 +105,7 @@ class _Bundle:
         actions = self.sim.runnable()
         coordinator = self.sim.coordinator
         if actions and coordinator is not None and not coordinator.requested:
-            actions.append(CKPT_ACTION)
+            return [*actions, CKPT_ACTION]  # runnable() returns the scheduler's own list
         return actions
 
 

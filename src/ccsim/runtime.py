@@ -460,8 +460,9 @@ class Simulator:
 
     def enabled_actors(self):
         """The enabled ranks, in rank order. Only ranks marked by ``wake``
-        since the last call are checked again; a copy is returned, because
-        callers may append to it."""
+        since the last call are checked again. The list returned is the
+        scheduler's own: read it, do not change it, and do not keep it past
+        the next step."""
         ready, ranks = self._ready, self.ranks
         for rid in self._dirty:
             rank = ranks[rid]
@@ -472,7 +473,7 @@ class Simulator:
             elif at < len(ready) and ready[at] == rid:
                 del ready[at]
         self._dirty.clear()
-        return ready[:]
+        return ready
 
     def wake(self, rank_ids):
         """Mark ranks whose enabledness may have changed.
@@ -484,20 +485,36 @@ class Simulator:
         self._dirty.update(rank_ids)
 
     def run(self):
+        """Step a uniformly drawn enabled rank until none can step.
+
+        With one enabled rank nothing is drawn. With n > 1 the draw is
+        ``getrandbits(n.bit_length())``, drawn again while it is >= n: the
+        same draws as ``random.Random.choice`` makes.
+        """
+        getrandbits = self.rng.getrandbits
         while not self.halted:
             if self.coordinator is not None:
                 self.coordinator.before_step(self)
-            enabled = self.runnable()
-            if not enabled:
+            enabled = self.enabled_actors() or self.runnable()
+            n = len(enabled)
+            if n == 1:
+                self.step_actor(enabled[0])
+            elif n:
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                self.step_actor(enabled[r])
+            else:
                 break
-            self.step_actor(enabled[0] if len(enabled) == 1 else self.rng.choice(enabled))
         return self
 
     def runnable(self):
         """The ranks that can step, letting the coordinator act while none can.
 
         Returns [] once every rank has finished or the run has halted; raises
-        the deadlock error when no rank can ever step again.
+        the deadlock error when no rank can ever step again. Otherwise the
+        list is ``enabled_actors()``'s, the scheduler's own.
         """
         enabled = self.enabled_actors()
         while not enabled:

@@ -45,6 +45,19 @@ def same_member_set_scenario():
     return sc
 
 
+def wide_payload_scenario(kind):
+    """Two ranks and one collective whose result is outside int64: an
+    allreduce sum of 2**62 on each rank (2**63), or a bcast of 2**64."""
+    sc = scenario(2, name=f"wide-{kind}")
+    for r in range(2):
+        if kind == "allreduce":
+            sc.programs[r].append(op_coll(r, kind="allreduce", reduce_op="sum", data=[2**62]))
+        else:
+            sc.programs[r].append(op_coll(r, kind="bcast", root=0,
+                                          data=[2**64] if r == 0 else None))
+    return sc
+
+
 def build(sc, algorithm="none", seed=0, placement=None, record=True):
     """Simulator plus coordinator wired for manual driving."""
     sc.validate()

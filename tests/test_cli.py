@@ -159,6 +159,16 @@ class TestRun:
         out = capsys.readouterr().out
         assert '"check":"crossing_legality"' in out and '"pass":false' in out
 
+    @pytest.mark.parametrize("kind", ["allreduce", "bcast"])
+    @pytest.mark.parametrize("algo", ["none", "cc", "2pc"])
+    def test_result_outside_int64_runs(self, kind, algo, tmp_path, capsys):
+        from conftest import wide_payload_scenario
+
+        path = tmp_path / "wide.jsonl"
+        wide_payload_scenario(kind).dump(path)
+        assert run_cli("run", "--scenario", str(path), "--algo", algo) == 0
+        assert '"pass":false' not in capsys.readouterr().out
+
     def test_conflicting_placements_fail(self, generated):
         assert run_cli("run", "--scenario", str(generated), "--algo", "cc",
                        "--ckpt-at-step", "1", "--ckpt-random", "2") == 1

@@ -127,3 +127,28 @@ def _fnv1a64_bytewise(parts):
 @settings(max_examples=300, deadline=None)
 def test_fnv1a64_matches_bytewise_definition(parts):
     assert fnv1a64(parts) == _fnv1a64_bytewise(parts)
+
+
+def _low64_signed(value):
+    """value's low 64 bits, ``value & (2**64 - 1)``, read as a signed 64-bit
+    int, so that the bytewise reference's signed ``to_bytes(8)`` takes it."""
+    low = value & ((1 << 64) - 1)
+    return low - (1 << 64) if low >> 63 else low
+
+
+FOLD_BOUNDARIES = [0, 255, 256, 2**56 - 1, 2**56, -1, -2**63, 2**63 - 1]
+
+
+@pytest.mark.parametrize("value", FOLD_BOUNDARIES)
+def test_fnv1a64_folds_the_low_64_bits_at_byte_boundaries(value):
+    assert fnv1a64([value]) == _fnv1a64_bytewise([value])
+    assert fnv1a64([7, value, 300]) == _fnv1a64_bytewise([7, value, 300])
+    # only the low 64 bits count: outside int64 a value folds like its wrap
+    assert fnv1a64([value + 2**64]) == fnv1a64([value - 2**64]) == fnv1a64([value])
+
+
+@given(st.lists(st.one_of(st.integers(), st.integers(-2**70, 2**70),
+                          st.integers(2**63, 2**200), st.booleans()), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_fnv1a64_of_any_int_is_the_bytewise_fold_of_its_low_64_bits(parts):
+    assert fnv1a64(parts) == _fnv1a64_bytewise([_low64_signed(v) for v in parts])

@@ -370,6 +370,31 @@ class TestFork:
         assert value(node.sim) == before
 
 
+class TestChoices:
+    """choices() builds a list of its own to add the checkpoint action: the
+    scheduler's ready list, which runnable() returns, is left as it was."""
+
+    @pytest.mark.parametrize("name", ["x-same-set", "item2/cc", "item2/2pc", "x-data/cc"])
+    def test_checkpoint_action_stays_out_of_the_ready_list(self, name, monkeypatch):
+        algorithm, build = TestFork.CASES[name]
+        real_choices = _Bundle.choices
+        checked = []
+
+        def choices(bundle):
+            actions = real_choices(bundle)
+            if actions and actions[-1] == CKPT_ACTION:
+                sim = bundle.sim
+                ready = sim.enabled_actors()
+                assert CKPT_ACTION not in ready, bundle.path
+                assert ready == [r.id for r in sim.ranks if sim._enabled(r)] == actions[:-1]
+                checked.append(bundle.path)
+            return actions
+
+        monkeypatch.setattr(_Bundle, "choices", choices)
+        explore_small(build(), algorithm)
+        assert checked
+
+
 class TestPinnedCounts:
     """The search's counts on each small case outside criterion 5 (which pins
     its own). A change to the state key moves explore_small and its replay

@@ -10,11 +10,14 @@ from ccsim import (
     InvalidConfigurationError,
     ScenarioProgram,
     Simulator,
+    SnapshotImage,
     StuckP2pError,
     barrier_cost,
+    checksum_fold,
     collective_cost,
     explore_small,
     generate_workload,
+    make_protocol,
     run,
     run_restart,
     translate_ranks,
@@ -22,7 +25,15 @@ from ccsim import (
 from ccsim.runtime import CONSUMED, PENDING
 from ccsim.scenario import Op
 
-from conftest import build, drive, op_coll, op_icoll, same_member_set_scenario, scenario
+from conftest import (
+    build,
+    drive,
+    op_coll,
+    op_icoll,
+    same_member_set_scenario,
+    scenario,
+    wide_payload_scenario,
+)
 
 
 def finished_sim(sc, seed=0):
@@ -426,6 +437,49 @@ class TestDeterminism:
         again = drive(build(sc)[0], pick=replay)
         assert next(script, None) is None
         assert again.trace_lines() == first.trace_lines()
+
+    @pytest.mark.parametrize("ranks", [8, 16, 32, 64])
+    def test_run_draws_like_random_choice(self, ranks):
+        """Simulator.run picks among n > 1 enabled ranks what
+        random.Random(seed).choice picks, and takes no draw for one."""
+        for algorithm in ("none", "cc", "2pc"):
+            seed = ranks + len(algorithm)
+            sc = generate_workload(seed, ranks=ranks, groups=2, ops=120, p2p_ratio=0.2,
+                                   nonblocking_ratio=0.0 if algorithm == "2pc" else 0.3)
+            rng, uneven = random.Random(seed), 0
+
+            def pick(enabled):
+                nonlocal uneven
+                if len(enabled) == 1:
+                    return enabled[0]
+                uneven += len(enabled) & (len(enabled) - 1) != 0  # a draw may be redrawn
+                return rng.choice(enabled)
+
+            driven = drive(Simulator(sc, make_protocol(algorithm), seed=seed), pick=pick)
+            ran = Simulator(sc, make_protocol(algorithm), seed=seed).run()
+            assert ran.trace_lines() == driven.trace_lines(), algorithm
+            assert ran.step == driven.step and ran.checksums() == driven.checksums()
+            assert uneven > 10
+
+
+class TestWidePayloads:
+    """A result outside int64 folds its low 64 bits into the checksum."""
+
+    @pytest.mark.parametrize("kind, low", [("allreduce", -2**63), ("bcast", 0)])
+    @pytest.mark.parametrize("algorithm", ["none", "cc", "2pc"])
+    def test_runs_to_completion(self, kind, low, algorithm):
+        result = run(wide_payload_scenario(kind), algorithm)
+        assert result.checksums == {0: checksum_fold(0, 0, [low]), 1: checksum_fold(0, 0, [low])}
+        assert all(v.passed for v in result.verdicts)
+
+    def test_checkpoint_and_restart_keep_the_checksums(self):
+        sc = wide_payload_scenario("allreduce")
+        base = run(sc, "cc")
+        for step in range(base.sim.step + 1):
+            ck = run(sc, "cc", ckpt=("at_step", step))
+            assert all(v.passed for v in ck.verdicts), step
+            restarted = run_restart(SnapshotImage.loads(ck.snapshot.dumps()))
+            assert restarted.checksums == base.checksums, step
 
 
 class TestReadySet:
