@@ -77,15 +77,13 @@ class CollectiveClockProtocol(ProtocolAdapter):
     policy = {"count_comm_create": True}
 
     def __init__(self):
-        self.sim = None
         self.states = []
 
     def bind(self, sim):
-        super().bind(sim)
         self.states = [CcState() for _ in range(sim.world_size)]
 
-    def fork(self, sim, memo):
-        twin = super().fork(sim, memo)
+    def fork(self, memo):
+        twin = super().fork(memo)
         twin.states = [st.fork() for st in self.states]
         return twin
 
@@ -96,29 +94,29 @@ class CollectiveClockProtocol(ProtocolAdapter):
         view = rank.comms[op.comm]
         return view.record.key
 
-    def begin_collective(self, rank):
+    def begin_collective(self, sim, rank):
         """commit_begin: probe-park first, then bump the counter and targets.
 
         A non-blocking initiation commits exactly like a blocking call.
         """
         st = self.states[rank.id]
-        if self.sim.round_pending and reached_all_targets(st.clock, st.targets, rank.id):
+        if sim.round_pending and reached_all_targets(st.clock, st.targets, rank.id):
             return PARK
-        self._commit(rank, st, self._group_of(rank))
+        self._commit(sim, rank, st, self._group_of(rank))
         return PROCEED
 
-    def _commit(self, rank, st: CcState, g: GroupKey):
+    def _commit(self, sim, rank, st: CcState, g: GroupKey):
         seq = st.clock[g] + 1
         st.clock[g] = seq
-        self.sim.emit(rank.id, "seq_inc", group=g.label(), value=seq)
-        if self.sim.round_pending:
-            self.sim.counters.drain_collectives += 1
+        sim.emit(rank.id, "seq_inc", group=g.label(), value=seq)
+        if sim.round_pending:
+            sim.counters.drain_collectives += 1
             if seq > st.targets[g]:
                 st.targets[g] = seq
-                self.sim.emit(rank.id, "target_raise", group=g.label(), value=seq)
-                self._send_updates(rank.id, st, g, seq)
+                sim.emit(rank.id, "target_raise", group=g.label(), value=seq)
+                self._send_updates(sim, rank.id, st, g, seq)
 
-    def finish_collective(self, rank):
+    def finish_collective(self, sim, rank):
         """commit_finish: park when the round is pending and targets are met.
 
         Exception: point-to-point obligations posted before the rank's next
@@ -127,7 +125,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
         parked rank. The park then happens at the next wrapper entry.
         """
         st = self.states[rank.id]
-        if self.sim.round_pending and reached_all_targets(st.clock, st.targets, rank.id):
+        if sim.round_pending and reached_all_targets(st.clock, st.targets, rank.id):
             if self._p2p_before_next_wrapper(rank):
                 return PROCEED
             return PARK
@@ -143,19 +141,19 @@ class CollectiveClockProtocol(ProtocolAdapter):
                 return True
         return False
 
-    def _send_updates(self, origin: int, st: CcState, g: GroupKey, value: int):
+    def _send_updates(self, sim, origin: int, st: CcState, g: GroupKey, value: int):
         for member in g.members:
             if member == origin:
                 continue
             self.states[member].update_queue.append(TargetUpdateMsg(g, value, origin))
             st.update_sent_count += 1
-            self.sim.counters.target_updates_sent += 1
-            self.sim.emit(origin, "update_sent", group=g.label(), value=value, to=member)
-        self.sim.wake(g.members)
+            sim.counters.target_updates_sent += 1
+            sim.emit(origin, "update_sent", group=g.label(), value=value, to=member)
+        sim.wake(g.members)
 
     # ------------------------------------------------------ probe channel
 
-    def _apply_queue(self, rank_id: int, finished: bool = False) -> bool:
+    def _apply_queue(self, sim, rank_id: int, finished: bool = False) -> bool:
         """Drain every queued update before deciding anything; returns True
         if some target rose (the receiving rank is no longer at its targets).
         """
@@ -167,12 +165,12 @@ class CollectiveClockProtocol(ProtocolAdapter):
             applied = msg.new_target > st.targets[msg.ggid]
             if applied:
                 st.targets[msg.ggid] = msg.new_target
-                self.sim.counters.target_updates_applied += 1
+                sim.counters.target_updates_applied += 1
                 raised = True
             else:
-                self.sim.counters.target_updates_stale += 1
-            self.sim.emit(rank_id, "update_recv", group=msg.ggid.label(),
-                          value=msg.new_target, origin=msg.origin, applied=applied)
+                sim.counters.target_updates_stale += 1
+            sim.emit(rank_id, "update_recv", group=msg.ggid.label(),
+                     value=msg.new_target, origin=msg.origin, applied=applied)
             if applied and finished:
                 raise ProtocolViolationError(
                     f"finished rank {rank_id} received a raising target update for "
@@ -180,31 +178,31 @@ class CollectiveClockProtocol(ProtocolAdapter):
                 )
         return raised
 
-    def parked_enabled(self, rank):
+    def parked_enabled(self, sim, rank):
         return bool(self.states[rank.id].update_queue)
 
-    def parked_step(self, rank) -> bool:
+    def parked_step(self, sim, rank) -> bool:
         st = self.states[rank.id]
-        self._apply_queue(rank.id)
+        self._apply_queue(sim, rank.id)
         return not reached_all_targets(st.clock, st.targets, rank.id)
 
-    def blocked_has_input(self, rank):
+    def blocked_has_input(self, sim, rank):
         st = self.states[rank.id]
-        if not st.update_queue or not self.sim.round_pending:
+        if not st.update_queue or not sim.round_pending:
             return False
         return reached_all_targets(st.clock, st.targets, rank.id)
 
-    def blocked_poll(self, rank):
+    def blocked_poll(self, sim, rank):
         st = self.states[rank.id]
-        if self.sim.round_pending and st.update_queue and \
+        if sim.round_pending and st.update_queue and \
                 reached_all_targets(st.clock, st.targets, rank.id):
-            self._apply_queue(rank.id)
+            self._apply_queue(sim, rank.id)
 
-    def finished_has_input(self, rank):
+    def finished_has_input(self, sim, rank):
         return bool(self.states[rank.id].update_queue)
 
-    def finished_step(self, rank):
-        self._apply_queue(rank.id, finished=True)
+    def finished_step(self, sim, rank):
+        self._apply_queue(sim, rank.id, finished=True)
 
     # --------------------------------------------------------- round hooks
 
@@ -277,19 +275,19 @@ class CollectiveClockProtocol(ProtocolAdapter):
 
     # ----------------------------------------------------------- snapshot
 
-    def snapshot_rank(self, rank_id: int) -> dict:
+    def snapshot_rank(self, sim, rank_id: int) -> dict:
         return {
             "clock": by_label(self.states[rank_id].clock),
             "incomplete_requests": {
                 rid: {"state": req.state, "payload": req.payload,
                       "op_index": req.op_index}
-                for rid, req in _live_requests(self.sim.ranks[rank_id])
+                for rid, req in _live_requests(sim.ranks[rank_id])
             },
         }
 
-    def restore_rank(self, rank, saved: dict):
+    def restore_rank(self, sim, rank, saved: dict):
         # At a safe state the clock counts the wrapped calls before the pc.
-        keys = self.sim.group_keys
+        keys = sim.group_keys
         clock = Counter(keys[op.comm] for op in rank.program[:rank.pc]
                         if op.op in ("coll", "icoll", "comm_create"))
         if saved.get("clock", {}) != by_label(clock):

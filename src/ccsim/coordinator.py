@@ -295,7 +295,7 @@ def build_snapshot(sim, coordinator: CheckpointCoordinator) -> SnapshotImage:
             "rank": rank.id,
             "pc": rank.pc,
             "checksum": rank.checksum,
-            "protocol": sim.protocol.snapshot_rank(rank.id),
+            "protocol": sim.protocol.snapshot_rank(sim, rank.id),
         })
     created = {
         cid: rec.members
@@ -355,7 +355,7 @@ def restart(image: SnapshotImage, seed: int | None = None, record: bool = True) 
             if type(rank.checksum) is not int or not 0 <= rank.checksum < 2**64:
                 raise SnapshotLoadError(f"rank {rank.id} checksum {rank.checksum!r} is not 64-bit")
             rank.stage = FINISHED if rank.pc >= len(rank.program) else START
-            protocol.restore_rank(rank, saved.get("protocol", {}))
+            protocol.restore_rank(sim, rank, saved.get("protocol", {}))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SnapshotLoadError(f"corrupt per-rank record: {exc!r}") from exc
     # At a safe state a communicator exists iff the ranks are past its creation.

@@ -25,13 +25,16 @@ on the current path, a frozen copy of that node and the actions not yet taken
 from it. Each sibling but the last continues a fork of the frozen copy
 (``Simulator.fork``); the last continues the frozen copy itself. A fork
 copies every container a step can change (ranks, instances, requests,
-counters, the scheduler's rng and ready set, the adapter's per-rank state and
-the coordinator's round fields) and shares the rest: the scenario,
+counters, the scheduler's ready set, the adapter's per-rank state and the
+coordinator's round fields) and shares the rest: the scenario,
 its ops and programs, group keys, communicator records and views, and the
 already-emitted trace events. No step writes to those, and the scenario and
 its programs are frozen by validation, so a write would raise; a branch
-never sees its sibling's steps. A failure is reported
-under the full path of the branch that raised it.
+never sees its sibling's steps. The scheduler's rng is made by the first
+``Simulator.run``, which the search never calls, so a fork copies no rng.
+No adapter keeps a reference to its runtime, so a node dropped from the
+stack is freed at once by reference counting. A failure is reported under
+the full path of the branch that raised it.
 
 Bounded to at most 4 ranks and 12 events per rank; use generated campaigns
 for anything larger.

@@ -302,6 +302,10 @@ class ProtocolAdapter:
     """The seam between the runtime and a checkpoint protocol: every hook the
     runtime, coordinator and explorer call, with inert defaults. A hook for a
     stage the adapter never enters raises ProtocolViolationError.
+
+    Every hook that needs the runtime gets it as its first argument; no
+    adapter keeps a reference to it, so the runtime's object graph has no
+    cycle and a dropped runtime is freed by reference counting.
     """
 
     name = "none"
@@ -309,15 +313,14 @@ class ProtocolAdapter:
     policy = {}  # the snapshot's "policy" field, fixed per protocol
 
     def bind(self, sim):
-        self.sim = sim
+        """Set up per-rank state for sim's world; adapters with none inherit this."""
 
-    def fork(self, sim, memo):
-        """An independent adapter in this one's state, bound to sim, the fork
-        of this adapter's runtime; memo is the runtime's Instance memo (see
-        Instance.fork). Adapters with per-rank state copy it in an override."""
+    def fork(self, memo):
+        """An independent adapter in this one's state, for Simulator.fork; memo
+        is the runtime's Instance memo (see Instance.fork). Adapters with
+        per-rank state copy it in an override."""
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
-        twin.sim = sim
         return twin
 
     def _never(self, what):
@@ -325,31 +328,31 @@ class ProtocolAdapter:
 
     # -------------------------------------------------- runtime wrappers
 
-    def begin_collective(self, rank):
+    def begin_collective(self, sim, rank):
         return PROCEED
 
-    def finish_collective(self, rank):
+    def finish_collective(self, sim, rank):
         return PROCEED
 
-    def blocked_poll(self, rank):
+    def blocked_poll(self, sim, rank):
         pass
 
-    def blocked_has_input(self, rank):
+    def blocked_has_input(self, sim, rank):
         return False
 
-    def finished_has_input(self, rank):
+    def finished_has_input(self, sim, rank):
         return False
 
-    def parked_enabled(self, rank):
+    def parked_enabled(self, sim, rank):
         self._never("parks ranks")
 
-    def parked_step(self, rank):
+    def parked_step(self, sim, rank):
         self._never("parks ranks")
 
-    def barrier_step(self, rank):
+    def barrier_step(self, sim, rank):
         self._never("inserts barriers")
 
-    def finished_step(self, rank):
+    def finished_step(self, sim, rank):
         self._never("delivers to finished ranks")
 
     # ------------------------------------------------ coordinator rounds
@@ -374,10 +377,10 @@ class ProtocolAdapter:
     def on_round_end(self, sim):
         """Clear round state; the coordinator then releases every rank."""
 
-    def snapshot_rank(self, rank_id: int) -> dict:
+    def snapshot_rank(self, sim, rank_id: int) -> dict:
         return {}
 
-    def restore_rank(self, rank, saved: dict):
+    def restore_rank(self, sim, rank, saved: dict):
         pass
 
     def state_key(self):
@@ -402,7 +405,7 @@ class Simulator:
         self.world_size = scenario.world_size
         self.protocol = protocol or NullProtocol()
         self.seed = seed
-        self.rng = random.Random(seed)
+        self.rng = None  # made by the first run(); a runtime that never runs draws nothing
         self.step = 0
         self.halted = False
         self.trace = [] if record else None
@@ -426,11 +429,14 @@ class Simulator:
         step changes stays shared: the scenario and its programs (frozen by
         validation, so a write raises), their ops, the group keys,
         communicator records and views, and the trace's events (the trace
-        list itself is copied)."""
+        list itself is copied). The rng state is copied only once run() has
+        made the rng: the explorer never runs, so its forks copy none."""
         twin = Simulator.__new__(Simulator)
         twin.scenario, twin.world_size, twin.seed = self.scenario, self.world_size, self.seed
-        twin.rng = random.Random.__new__(random.Random)  # no re-seed from the OS
-        twin.rng.setstate(self.rng.getstate())
+        twin.rng = None
+        if self.rng is not None:
+            twin.rng = random.Random.__new__(random.Random)  # no re-seed from the OS
+            twin.rng.setstate(self.rng.getstate())
         twin.step, twin.halted = self.step, self.halted
         twin.trace = None if self.trace is None else list(self.trace)
         twin.counters = self.counters.fork()
@@ -440,7 +446,7 @@ class Simulator:
         twin.ranks = [rank.fork(memo) for rank in self.ranks]
         twin.instances = {key: inst.fork(memo) for key, inst in self.instances.items()}
         twin._ready, twin._dirty = list(self._ready), set(self._dirty)
-        twin.protocol = self.protocol.fork(twin, memo)
+        twin.protocol = self.protocol.fork(memo)
         return twin
 
     @property
@@ -489,8 +495,11 @@ class Simulator:
 
         With one enabled rank nothing is drawn. With n > 1 the draw is
         ``getrandbits(n.bit_length())``, drawn again while it is >= n: the
-        same draws as ``random.Random.choice`` makes.
+        same draws as ``random.Random.choice`` makes. The first call seeds
+        the rng; a later call continues the same stream.
         """
+        if self.rng is None:
+            self.rng = random.Random(self.seed)
         getrandbits = self.rng.getrandbits
         while not self.halted:
             if self.coordinator is not None:
@@ -555,15 +564,15 @@ class Simulator:
         if stage == TB_BLOCKED:
             return rank.blocked_ref.complete or rank.blocked_ref.aborted
         if stage == BLOCKED_REQ:
-            return self._requests_satisfied(rank) or self.protocol.blocked_has_input(rank)
+            return self._requests_satisfied(rank) or self.protocol.blocked_has_input(self, rank)
         if stage in (BLOCKED_SEND, BLOCKED_RECV, STOPPED):
             # the matching peer completes a rendezvous; a stopped rank waits
             # for the coordinator's release
             return False
         if stage == PARKED:
-            return self.protocol.parked_enabled(rank)
+            return self.protocol.parked_enabled(self, rank)
         # FINISHED: schedulable only to absorb late protocol messages
-        return self.protocol.finished_has_input(rank)
+        return self.protocol.finished_has_input(self, rank)
 
     def _requests_satisfied(self, rank: RankState) -> bool:
         mode, rids = rank.blocked_req
@@ -586,16 +595,16 @@ class Simulator:
         elif stage == TB_BLOCKED:
             self._step_trivial_barrier(rank)
         elif stage == BLOCKED_REQ:
-            self.protocol.blocked_poll(rank)
+            self.protocol.blocked_poll(self, rank)
             if self._requests_satisfied(rank):
                 self._finish_request_wait(rank)
         elif stage == PARKED:
             # Parked ranks always sit at an op boundary with work remaining.
-            if self.protocol.parked_step(rank):
+            if self.protocol.parked_step(self, rank):
                 self.emit(rank.id, "resume")
                 rank.stage = START
         elif stage == FINISHED:
-            self.protocol.finished_step(rank)
+            self.protocol.finished_step(self, rank)
         else:
             raise SimulationError(f"rank {rank.id} stepped in stage {stage}")
 
@@ -603,7 +612,7 @@ class Simulator:
         op = rank.current_op()
         kind = op.op
         if kind in ("coll", "comm_create", "icoll"):
-            outcome = self.protocol.begin_collective(rank)
+            outcome = self.protocol.begin_collective(self, rank)
             if outcome == PARK:
                 rank.stage = PARKED
                 self.emit(rank.id, "park", at="begin", pc=rank.pc)
@@ -769,7 +778,7 @@ class Simulator:
             rank.fold(rank.pc, list(inst.signature[2]))
         self.emit(rank.id, "coll_return", comm=inst.comm_id, instance=inst.index)
         rank.blocked_ref = None
-        outcome = self.protocol.finish_collective(rank)
+        outcome = self.protocol.finish_collective(self, rank)
         self._advance(rank)
         if outcome == PARK and not rank.finished:
             rank.stage = PARKED
@@ -777,7 +786,7 @@ class Simulator:
 
     def _step_trivial_barrier(self, rank: RankState):
         tb = rank.blocked_ref
-        outcome = self.protocol.barrier_step(rank)
+        outcome = self.protocol.barrier_step(self, rank)
         if outcome == ABORT:
             rank.blocked_ref = None
             rank.stage = STOPPED
@@ -806,7 +815,7 @@ class Simulator:
         self._advance(rank)
 
     def _step_request_op(self, rank: RankState, op: Op):
-        self.protocol.blocked_poll(rank)
+        self.protocol.blocked_poll(self, rank)
         if op.op == "test":
             req = rank.requests.get(op.request_id)
             if req is None:

@@ -48,31 +48,29 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
     supports_checkpoint = True
 
     def __init__(self):
-        self.sim = None
         self.aborted_barrier_logs = []  # per rank: {"pc", "comm", "instance"} records
         self.tb_instances = {}  # (comm_id, index) -> Instance
 
     def bind(self, sim):
-        super().bind(sim)
         self.aborted_barrier_logs = [[] for _ in range(sim.world_size)]
 
-    def fork(self, sim, memo):
+    def fork(self, memo):
         # An aborted or completed trivial barrier has left tb_instances but may
         # still be a rank's blocked_ref: the memo keeps it one object.
-        twin = super().fork(sim, memo)
+        twin = super().fork(memo)
         twin.aborted_barrier_logs = [list(log) for log in self.aborted_barrier_logs]
         twin.tb_instances = {key: tb.fork(memo) for key, tb in self.tb_instances.items()}
         return twin
 
     # ------------------------------------------------------------ wrappers
 
-    def begin_collective(self, rank):
+    def begin_collective(self, sim, rank):
         op = rank.current_op()
         if op.op == "icoll":
             raise UnsupportedOperationError(
                 "the two-phase-commit baseline does not support non-blocking collectives"
             )
-        if self.sim.round_pending:
+        if sim.round_pending:
             return STOP
         view = rank.comms[op.comm]
         index = rank.comm_calls.get(op.comm, 0)  # peek; join increments later
@@ -83,18 +81,18 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
             self.tb_instances[key] = tb
         tb.entered.add(rank.id)
         rank.blocked_ref = tb
-        self.sim.counters.wrapper_invocations += 1
-        self.sim.emit(rank.id, "tb_enter", comm=op.comm, instance=index)
+        sim.counters.wrapper_invocations += 1
+        sim.emit(rank.id, "tb_enter", comm=op.comm, instance=index)
         if len(tb.entered) == len(tb.members):
             tb.complete = True
-            self.sim.wake(tb.members)
-            self.sim.counters.tpc_barrier_messages += barrier_cost(len(tb.members))
-            self.sim.emit(rank.id, "tb_complete", comm=op.comm, instance=index,
-                          cost=barrier_cost(len(tb.members)))
+            sim.wake(tb.members)
+            sim.counters.tpc_barrier_messages += barrier_cost(len(tb.members))
+            sim.emit(rank.id, "tb_complete", comm=op.comm, instance=index,
+                     cost=barrier_cost(len(tb.members)))
             del self.tb_instances[key]
         return BARRIER
 
-    def barrier_step(self, rank):
+    def barrier_step(self, sim, rank):
         tb = rank.blocked_ref
         if tb.aborted:
             self.aborted_barrier_logs[rank.id].append(
@@ -102,12 +100,12 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
             return ABORT
         return PROCEED
 
-    def finish_collective(self, rank):
+    def finish_collective(self, sim, rank):
         # Committed collectives complete before the checkpoint, but the rank
         # halts only at its next wrapper entry: intervening point-to-point
         # ops must drain so a matched peer is never stranded.
-        if self.sim.round_pending:
-            self.sim.counters.drain_collectives += 1
+        if sim.round_pending:
+            sim.counters.drain_collectives += 1
         return PROCEED
 
     # --------------------------------------------------------- round hooks
@@ -132,11 +130,11 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
 
     # ----------------------------------------------------------- snapshot
 
-    def snapshot_rank(self, rank_id: int) -> dict:
+    def snapshot_rank(self, sim, rank_id: int) -> dict:
         # The coordinator has checked that every rank is stopped or finished.
         return {"aborted_barrier_log": list(self.aborted_barrier_logs[rank_id])}
 
-    def restore_rank(self, rank, saved: dict):
+    def restore_rank(self, sim, rank, saved: dict):
         # Each record names the wrapped collective, at or before the pc, whose
         # trivial barrier the rank aborted. Its instance is not checked against
         # the program prefix: a restart numbers instances from 0 again.

@@ -250,7 +250,7 @@ def value(obj):
     fields = getattr(type(obj), "__slots__", None) or vars(obj)
     return (type(obj).__name__,
             {name: getattr(obj, name) if name in _PLAIN else value(getattr(obj, name))
-             for name in fields if name != "sim"})
+             for name in fields})
 
 
 _PLAIN = {"trace", "program"}  # lists of plain dicts and of Ops: == compares their values
@@ -368,6 +368,22 @@ class TestFork:
                 replayed(sc, "cc", node.path).sim.run()]
         assert value(runs[0]) == value(runs[1]) == value(runs[2])
         assert value(node.sim) == before
+
+
+class TestNoRngCopy:
+    def test_explorer_forks_copy_no_rng_state(self, monkeypatch):
+        # The explorer never calls run(), so no runtime it forks has an rng.
+        calls = []
+        real_getstate = random.Random.getstate
+
+        def counted(rng):
+            calls.append(rng)
+            return real_getstate(rng)
+
+        monkeypatch.setattr(random.Random, "getstate", counted)
+        result = explore_small(criterion5_case("x-mixed"), "cc")
+        assert result.passed and result.forks > 0
+        assert calls == []
 
 
 class TestChoices:

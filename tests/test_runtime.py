@@ -462,6 +462,49 @@ class TestDeterminism:
             assert uneven > 10
 
 
+class _HaltAt:
+    """A coordinator stand-in that stops run() once step n is reached: with
+    no round, the runtime reads it only through before_step, handle_idle,
+    its round flags and fork."""
+
+    requested = declared = False
+
+    def __init__(self, n):
+        self.n = n
+
+    def before_step(self, sim):
+        if sim.step == self.n:
+            sim.halted = True
+
+    def handle_idle(self, sim):
+        return False
+
+    def fork(self):
+        return _HaltAt(self.n)
+
+
+class TestForkAfterDraw:
+    """Simulator.fork of a runtime whose run() has drawn copies the rng state;
+    the explorer never runs a runtime, so only this test reaches that copy."""
+
+    def test_both_continue_like_an_uninterrupted_run(self):
+        sc = generate_workload(8, ranks=8, groups=2, ops=120, p2p_ratio=0.2,
+                               nonblocking_ratio=0.3)
+        whole = Simulator(sc, make_protocol("cc"), seed=8).run()
+        stopped = Simulator(sc, make_protocol("cc"), seed=8)
+        stopped.coordinator = _HaltAt(whole.step // 2)
+        stopped.run()
+        assert stopped.halted and 0 < stopped.step < whole.step
+        assert stopped.rng.getstate() != random.Random(8).getstate()  # run() has drawn
+        twin = stopped.fork()
+        assert twin.rng is not stopped.rng and twin.rng.getstate() == stopped.rng.getstate()
+        for sim in (stopped, twin):
+            sim.halted, sim.coordinator = False, None
+            sim.run()
+            assert sim.trace_lines() == whole.trace_lines()
+            assert sim.step == whole.step and sim.checksums() == whole.checksums()
+
+
 class TestWidePayloads:
     """A result outside int64 folds its low 64 bits into the checksum."""
 
