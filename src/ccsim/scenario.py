@@ -10,6 +10,11 @@ scenario that passes is frozen: it becomes a ``FrozenScenario``, its programs
 tuples, its ``comms`` and ``meta`` read-only mappings, and any later
 attribute assignment raises. So a validated scenario never changes, and
 runtimes, snapshots and forks share it without another check or copy.
+
+A frozen scenario encodes its text once, and a text that this process dumped
+decodes once: ``loads`` of it parses and validates the text the first time,
+and if that gives a scenario equal to the one that dumped it, returns that
+frozen scenario then and on every later load. Any other text is parsed.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import json
 import operator
 import random
+import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 
@@ -73,15 +79,21 @@ class Op:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Op":
-        unknown = obj.keys() - _OP_FIELD_TYPES.keys()
-        unknown.discard("type")
-        if unknown:
-            raise ScenarioError(f"unknown op fields: {sorted(unknown)}")
-        for name in _OP_REQUIRED:
-            if name not in obj:
-                raise ScenarioError(f"op has no {name!r} field")
-        for name, value in obj.items():
-            want = _OP_FIELD_TYPES.get(name)  # None only for "type"
+        # The name checks read only the keys, so they run once per key order.
+        shape = tuple(obj)
+        wants = _OP_SHAPES.get(shape)
+        if wants is None:
+            unknown = obj.keys() - _OP_FIELD_TYPES.keys()
+            unknown.discard("type")
+            if unknown:
+                raise ScenarioError(f"unknown op fields: {sorted(unknown)}")
+            for name in _OP_REQUIRED:
+                if name not in obj:
+                    raise ScenarioError(f"op has no {name!r} field")
+            wants = tuple(_OP_FIELD_TYPES.get(name) for name in shape)  # None for "type"
+            if len(_OP_SHAPES) < _MAX_OP_SHAPES:
+                _OP_SHAPES[shape] = wants
+        for name, value, want in zip(shape, obj.values(), wants):
             if type(value) is not want and want is not None and not (
                     value is None and name in _OP_NULLABLE or _typed(value, want)):
                 raise ScenarioError(f"op field {name!r} cannot be {value!r}")
@@ -101,15 +113,20 @@ _OP_REQUIRED = ("rank", "op")
 _OP_OPTIONAL = tuple(f.name for f in fields(Op) if f.name not in _OP_REQUIRED)
 _OP_NULLABLE = frozenset(f.name for f in fields(Op) if f.default is None)
 _optional_values = operator.attrgetter(*_OP_OPTIONAL)
+# Field types by op key order, for each order that passed the name checks;
+# bounded, as fuzzed text can bring many orders.
+_OP_SHAPES: dict = {}
+_MAX_OP_SHAPES = 256
 # The one encoder of every exact output (scenario and trace lines, snapshots,
 # metrics, verdicts): sorted keys and compact separators, so a fixed value
 # always serializes to identical bytes.
 encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _typed(value, want) -> bool:
     if isinstance(want, tuple):
-        return type(value) is list and all(type(x) is want[1] for x in value)
+        return type(value) is list and {want[1]}.issuperset(map(type, value))
     return type(value) is want
 
 
@@ -140,10 +157,18 @@ def _freeze(value):
 
 
 def _json_line(line: str) -> dict:
+    # The scanner that json.loads calls, without its wrapper. Whatever the
+    # scanner cannot take whole (blanks around the value, bad JSON, bytes)
+    # goes to json.loads, for the same value or the same error.
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario line is not valid JSON: {exc}") from exc
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, TypeError, ValueError):
+        end = None
+    if end != len(line):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ScenarioError(f"scenario line is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ScenarioError("scenario line is not a JSON object")
     return obj
@@ -160,8 +185,9 @@ class ScenarioProgram:
     name: str = "unnamed"
     meta: dict = field(default_factory=dict)
 
-    frozen = False  # True once validate has made this a FrozenScenario
-    _text = None    # dumps() of a frozen scenario, built on the first call
+    frozen = False     # True once validate has made this a FrozenScenario
+    _text = None       # dumps() of a frozen scenario, built on the first call
+    _verified = False  # True once loads(_text) gave a scenario equal to this one
 
     def __post_init__(self):
         self.comms = {cid: tuple(members) for cid, members in self.comms.items()}
@@ -207,10 +233,16 @@ class ScenarioProgram:
         text = "\n".join(lines) + "\n"
         if self.frozen:
             vars(self)["_text"] = text
+            _DUMPED[text] = self
         return text
 
     @classmethod
     def loads(cls, text: str) -> "ScenarioProgram":
+        # Only a str can be a key: other types take the parse path and fail
+        # there, with the error they always gave.
+        dumped = _DUMPED.get(text) if type(text) is str else None
+        if dumped is not None and dumped._verified:
+            return dumped
         lines = text.splitlines()
         start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
         if start is None:
@@ -250,6 +282,12 @@ class ScenarioProgram:
                 raise ScenarioError(f"line {number}: {exc}") from exc
             scenario.programs[op.rank].append(op)
         scenario.validate()
+        # loads is a function of the text, so one equal parse proves every
+        # later one. A scenario whose text does not load back equal (a meta
+        # key that is not a str, say) is parsed on every load.
+        if dumped is not None and scenario == dumped:
+            vars(dumped)["_verified"] = True
+            return dumped
         return scenario
 
     @classmethod
@@ -311,6 +349,18 @@ class ScenarioProgram:
         self.__class__ = FrozenScenario
 
     def _validate_op(self, op: Op, known_reqs: set, created_here: set, creators: dict):
+        # The loader's own field types, so the text of a frozen scenario loads
+        # back: a payload of exact ints (what the checksum folds) and an int tag.
+        # A plain loop allocates nothing, so it is the cheapest item check.
+        data = op.data
+        if data is not None:
+            if type(data) is not list:
+                raise ScenarioError(f"op field 'data' cannot be {data!r}")
+            for x in data:
+                if type(x) is not int:
+                    raise ScenarioError(f"op field 'data' cannot be {data!r}")
+        if type(op.tag) is not int:
+            raise ScenarioError(f"op field 'tag' cannot be {op.tag!r}")
         if op.op in ("coll", "icoll"):
             if op.kind not in COLLECTIVE_KINDS:
                 raise ScenarioError(f"unknown collective kind {op.kind!r}")
@@ -362,10 +412,13 @@ class ScenarioProgram:
                     f"rank {op.rank} uses {op.comm} before its comm_create op"
                 )
 
-    def _members_checked(self, op: Op) -> tuple:
-        if op.comm != WORLD and op.comm not in self.comms:
+    def _members_checked(self, op: Op):
+        if op.comm == WORLD:
+            members = range(self.world_size)  # tests membership like comm_members' tuple
+        elif op.comm in self.comms:
+            members = self.comms[op.comm]
+        else:
             raise ScenarioError(f"op on undeclared communicator {op.comm!r}")
-        members = self.comm_members(op.comm)
         if op.rank not in members:
             raise ScenarioError(f"rank {op.rank} is not a member of {op.comm}")
         return members
@@ -380,6 +433,11 @@ class FrozenScenario(ScenarioProgram):
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to {name!r} of a validated scenario")
+
+
+# Each frozen scenario by its dumps() text, for ``loads``. The values are
+# weak, so the map keeps no scenario alive and an entry goes with its scenario.
+_DUMPED: "weakref.WeakValueDictionary[str, FrozenScenario]" = weakref.WeakValueDictionary()
 
 
 # --------------------------------------------------------------------------

@@ -267,6 +267,44 @@ class TestSnapshotImage:
                            match=r"^embedded scenario unreadable: line 6: unknown op fields: \['x'\]$"):
             SnapshotImage.loads(json.dumps(obj))
 
+    def test_embedded_scenario_loads_back_as_the_run_s_own(self):
+        ck = self._snapshot()
+        sc, blob = ck.snapshot.scenario, ck.snapshot.dumps()
+        for _ in range(3):
+            image = SnapshotImage.loads(blob)
+            assert image.scenario is sc and image.dumps() == blob
+        assert run_restart(image).checksums == run(sc, "none", seed=5).checksums
+
+    @pytest.mark.parametrize("old, new, message", [
+        ('"world_size":3', '"world_size":2', "line 9: op rank 2 outside world of 2"),
+        ('"barrier"', '"barriex"', "unknown collective kind 'barriex'"),
+        ('"rank":1', '"rank":7', "line 6: op rank 7 outside world of 3"),
+        ('"version":1', '"version":2', "unsupported scenario version 2"),
+        ('}\n{"comm"', '\n{"comm"', "line 4: scenario line is not valid JSON: "
+                                      "Expecting ',' delimiter: line 1 column 39 (char 38)"),
+    ], ids=["world-size", "kind", "rank", "version", "brace"])
+    def test_embedded_scenario_one_byte_off_is_parsed(self, old, new, message):
+        ck = self._snapshot()
+        obj = json.loads(ck.snapshot.dumps())
+        assert SnapshotImage.loads(json.dumps(obj)).scenario is ck.snapshot.scenario
+        obj["scenario_jsonl"] = obj["scenario_jsonl"].replace(old, new, 1)
+        with pytest.raises(SnapshotLoadError) as exc:
+            SnapshotImage.loads(json.dumps(obj))
+        assert str(exc.value) == f"embedded scenario unreadable: {message}"
+
+    @pytest.mark.parametrize("wrap", [lambda text: [text], lambda text: {"a": text},
+                                      lambda text: 7], ids=["list", "dict", "int"])
+    def test_embedded_scenario_not_text_is_rejected(self, wrap):
+        ck = self._snapshot()
+        obj = json.loads(ck.snapshot.dumps())
+        value = wrap(obj["scenario_jsonl"])
+        obj["scenario_jsonl"] = value
+        with pytest.raises(SnapshotLoadError) as exc:
+            SnapshotImage.loads(json.dumps(obj))
+        assert str(exc.value) == ("corrupt snapshot image: AttributeError(\"'"
+                                  f"{type(value).__name__}' object has no attribute "
+                                  "'splitlines'\")")
+
     @pytest.mark.parametrize("step, corrupt", [
         (2, lambda reqs: reqs[0]["q0"].update(payload=[])),
         (2, lambda reqs: reqs[0]["q0"].update(payload="x")),

@@ -1,7 +1,10 @@
 """Scenario format, validation, and the workload generator."""
 
 import copy
+import gc
 import json
+import re
+import weakref
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
@@ -23,6 +26,7 @@ from ccsim import (
     run,
     verify,
 )
+from ccsim.scenario import _DUMPED, _OP_SHAPES, _json_line
 
 from conftest import op_coll, op_icoll, scenario
 
@@ -119,6 +123,17 @@ def _every_field_scenario():
     return sc
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+_OP_KEYS = [f.name for f in fields(Op)] + ["type", "flavor"]
+_OP_VALUES = (st.none() | st.booleans() | st.integers(-1, 3) | st.text(max_size=2)
+              | st.lists(st.integers(0, 2) | st.text(max_size=1), max_size=2))
+
+
 class TestCodec:
     @given(seed=st.integers(0, 2**32), ranks=st.integers(1, 12),
            groups=st.integers(0, 4), ops=st.integers(1, 120),
@@ -176,6 +191,44 @@ class TestCodec:
         except ScenarioError:
             pass
         assert obj == before and list(obj) == list(before)
+
+    @given(line=st.text(max_size=30) | st.builds(
+        lambda value, pad: pad[0] + json.dumps(value) + pad[1], _JSON_VALUES,
+        st.tuples(st.sampled_from(["", " ", "\t"]), st.sampled_from(["", " ", "}", "x"]))))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_line_reader_matches_json_loads(self, line):
+        try:
+            want = json.loads(line)
+        except json.JSONDecodeError as exc:
+            want = ScenarioError(f"scenario line is not valid JSON: {exc}")
+        else:
+            if not isinstance(want, dict):
+                want = ScenarioError("scenario line is not a JSON object")
+        try:
+            got = _json_line(line)
+        except ScenarioError as exc:
+            got = exc
+        if isinstance(want, ScenarioError):
+            assert isinstance(got, ScenarioError) and str(got) == str(want)
+        else:  # dumps compares NaNs and key order too
+            assert json.dumps(got) == json.dumps(want)
+
+    @given(obj=st.dictionaries(st.sampled_from(_OP_KEYS), _OP_VALUES, max_size=5)
+           | st.fixed_dictionaries({"rank": st.integers(0, 3), "op": st.sampled_from(["coll", "x"])},
+                                   optional=dict.fromkeys(_OP_KEYS[2:], _OP_VALUES)))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_op_reader_is_the_same_before_and_after_it_knows_a_key_order(self, obj):
+        def outcome():
+            try:
+                return Op.from_json_obj(obj)
+            except ScenarioError as exc:
+                return str(exc)
+
+        _OP_SHAPES.clear()
+        cold = outcome()
+        assert outcome() == cold
+        if isinstance(cold, Op):
+            assert cold == Op(**{k: v for k, v in obj.items() if k != "type"})
 
     def test_op_errors_name_their_line(self):
         text = ('\n{"type":"scenario","version":1,"world_size":2}\n\n'
@@ -250,6 +303,35 @@ class TestValidation:
         sc = scenario(2)
         sc.programs[0].append(Op(rank=0, op="send", peer=0, data=[1]))
         with pytest.raises(ScenarioError):
+            sc.validate()
+
+    @pytest.mark.parametrize("data", [[1.5], [True], ["x"], (1,)],
+                             ids=["float", "bool", "str", "tuple"])
+    @pytest.mark.parametrize("shape", ["allreduce", "send"])
+    def test_payload_is_a_list_of_ints(self, shape, data):
+        def build():
+            sc = scenario(2)
+            if shape == "allreduce":
+                for r in range(2):
+                    sc.programs[r].append(op_coll(r, kind="allreduce", reduce_op="sum",
+                                                  data=data))
+            else:
+                sc.programs[0].append(Op(rank=0, op="send", peer=1, data=data))
+                sc.programs[1].append(Op(rank=1, op="recv", peer=0))
+            return sc
+
+        message = rf"^op field 'data' cannot be {re.escape(repr(data))}$"
+        with pytest.raises(ScenarioError, match=message):
+            build().validate()
+        with pytest.raises(ScenarioError, match=message):
+            run(build(), "none", seed=0)
+
+    @pytest.mark.parametrize("tag", [False, 0.0, "0"])
+    def test_tag_is_an_int(self, tag):
+        sc = scenario(2)
+        sc.programs[0].append(Op(rank=0, op="send", peer=1, tag=tag, data=[1]))
+        sc.programs[1].append(Op(rank=1, op="recv", peer=0, tag=tag))
+        with pytest.raises(ScenarioError, match=rf"^op field 'tag' cannot be {tag!r}$"):
             sc.validate()
 
 
@@ -369,6 +451,60 @@ class TestFrozen:
         with pytest.raises(ScenarioError) as via_simulator:
             Simulator(illegal())
         assert str(via_simulator.value) == str(direct.value)
+
+
+def _compute_only(**header):
+    """A frozen 2-rank scenario of one compute op per rank."""
+    sc = ScenarioProgram(world_size=2, **header)
+    for r in range(2):
+        sc.programs[r].append(Op(rank=r, op="compute", ticks=1))
+    sc.validate()
+    return sc
+
+
+class TestDecodeOnce:
+    def test_dumped_text_is_parsed_once(self, monkeypatch):
+        sc = generate_workload(9, ranks=4, groups=2, ops=40, nonblocking_ratio=0.25)
+        text = sc.dumps()
+        calls = _count_checks(monkeypatch)
+        assert ScenarioProgram.loads(text) is sc
+        assert calls["validate"] == 1 and calls["op"] == sum(map(len, sc.programs))
+        for _ in range(3):
+            assert ScenarioProgram.loads(text) is sc
+        assert calls["validate"] == 1
+
+    def test_text_that_loads_back_unequal_is_parsed_every_time(self, monkeypatch):
+        sc = _compute_only(meta={1: "x"})
+        text = sc.dumps()
+        calls = _count_checks(monkeypatch)
+        for n in range(1, 4):
+            loaded = ScenarioProgram.loads(text)
+            assert loaded is not sc and loaded.meta == {"1": "x"}
+            assert calls["validate"] == n
+
+    def test_text_that_does_not_load_raises_every_time(self):
+        sc = _compute_only(name=5)
+        text = sc.dumps()
+        for _ in range(3):
+            with pytest.raises(ScenarioError, match=r"^scenario header needs an int world_size, "
+                                                    r"comms mapping ids to lists of ranks, a str "
+                                                    r"name and a dict meta$"):
+                ScenarioProgram.loads(text)
+
+    def test_the_map_keeps_no_scenario_alive(self):
+        gc.disable()  # reference counting alone must free the scenario and its entry
+        try:
+            before = len(_DUMPED)
+            sc = _compute_only(name="unique-to-this-test")
+            text = sc.dumps()
+            assert ScenarioProgram.loads(text) is sc and len(_DUMPED) == before + 1
+            ref = weakref.ref(sc)
+            del sc
+            assert ref() is None
+            assert text not in _DUMPED and len(_DUMPED) == before
+            assert ScenarioProgram.loads(text).name == "unique-to-this-test"
+        finally:
+            gc.enable()
 
 
 class TestGenerator:
