@@ -46,10 +46,7 @@ class SnapshotImage:
     """Whole-run restartable image, serialized as versioned JSON. An image
     shares its scenario with the run that took it: a ``Simulator`` runs only
     validated scenarios, and a validated ``ScenarioProgram`` is frozen, so
-    no write can reach it and its text is encoded once. An image whose
-    embedded scenario this process dumped loads back with that same frozen
-    scenario, after one verified parse of its text (``ScenarioProgram.loads``);
-    any other embedded text is parsed and validated."""
+    no write can reach it and its text is encoded once."""
 
     version: int
     algorithm: str

@@ -10,11 +10,6 @@ scenario that passes is frozen: it becomes a ``FrozenScenario``, its programs
 tuples, its ``comms`` and ``meta`` read-only mappings, and any later
 attribute assignment raises. So a validated scenario never changes, and
 runtimes, snapshots and forks share it without another check or copy.
-
-A frozen scenario encodes its text once, and a text that this process dumped
-decodes once: ``loads`` of it parses and validates the text the first time,
-and if that gives a scenario equal to the one that dumped it, returns that
-frozen scenario then and on every later load. Any other text is parsed.
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ from __future__ import annotations
 import json
 import operator
 import random
-import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 
@@ -78,10 +72,15 @@ class Op:
         return obj
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "Op":
-        # The name checks read only the keys, so they run once per key order.
+    def from_json_obj(cls, obj: dict, shapes: dict | None = None) -> "Op":
+        """The op of one decoded line. ``shapes`` maps each key order that has
+        passed the name checks to its field types; the checks read only the
+        keys, so ``loads`` passes one table per text and runs them once per
+        key order in it."""
+        if shapes is None:
+            shapes = {}
         shape = tuple(obj)
-        wants = _OP_SHAPES.get(shape)
+        wants = shapes.get(shape)
         if wants is None:
             unknown = obj.keys() - _OP_FIELD_TYPES.keys()
             unknown.discard("type")
@@ -91,8 +90,7 @@ class Op:
                 if name not in obj:
                     raise ScenarioError(f"op has no {name!r} field")
             wants = tuple(_OP_FIELD_TYPES.get(name) for name in shape)  # None for "type"
-            if len(_OP_SHAPES) < _MAX_OP_SHAPES:
-                _OP_SHAPES[shape] = wants
+            shapes[shape] = wants
         for name, value, want in zip(shape, obj.values(), wants):
             if type(value) is not want and want is not None and not (
                     value is None and name in _OP_NULLABLE or _typed(value, want)):
@@ -113,10 +111,6 @@ _OP_REQUIRED = ("rank", "op")
 _OP_OPTIONAL = tuple(f.name for f in fields(Op) if f.name not in _OP_REQUIRED)
 _OP_NULLABLE = frozenset(f.name for f in fields(Op) if f.default is None)
 _optional_values = operator.attrgetter(*_OP_OPTIONAL)
-# Field types by op key order, for each order that passed the name checks;
-# bounded, as fuzzed text can bring many orders.
-_OP_SHAPES: dict = {}
-_MAX_OP_SHAPES = 256
 # The one encoder of every exact output (scenario and trace lines, snapshots,
 # metrics, verdicts): sorted keys and compact separators, so a fixed value
 # always serializes to identical bytes.
@@ -126,8 +120,19 @@ _scan_once = json.JSONDecoder().scan_once
 
 def _typed(value, want) -> bool:
     if isinstance(want, tuple):
-        return type(value) is list and {want[1]}.issuperset(map(type, value))
+        return _list_of(value, want[1])
     return type(value) is want
+
+
+def _list_of(value, item_type) -> bool:
+    """Whether ``value`` is a list of exactly ``item_type`` items. A plain loop
+    allocates nothing, so it is the cheapest form for short lists."""
+    if type(value) is not list:
+        return False
+    for x in value:
+        if type(x) is not item_type:
+            return False
+    return True
 
 
 class FrozenDict(dict):
@@ -185,9 +190,8 @@ class ScenarioProgram:
     name: str = "unnamed"
     meta: dict = field(default_factory=dict)
 
-    frozen = False     # True once validate has made this a FrozenScenario
-    _text = None       # dumps() of a frozen scenario, built on the first call
-    _verified = False  # True once loads(_text) gave a scenario equal to this one
+    frozen = False  # True once validate has made this a FrozenScenario
+    _text = None    # dumps() of a frozen scenario, built on the first call
 
     def __post_init__(self):
         self.comms = {cid: tuple(members) for cid, members in self.comms.items()}
@@ -233,16 +237,10 @@ class ScenarioProgram:
         text = "\n".join(lines) + "\n"
         if self.frozen:
             vars(self)["_text"] = text
-            _DUMPED[text] = self
         return text
 
     @classmethod
     def loads(cls, text: str) -> "ScenarioProgram":
-        # Only a str can be a key: other types take the parse path and fail
-        # there, with the error they always gave.
-        dumped = _DUMPED.get(text) if type(text) is str else None
-        if dumped is not None and dumped._verified:
-            return dumped
         lines = text.splitlines()
         start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
         if start is None:
@@ -270,11 +268,12 @@ class ScenarioProgram:
             meta=header.get("meta", {}),
         )
         # Op errors name their 1-based line in the file, blank lines counted.
+        shapes: dict = {}
         for number, line in enumerate(lines[start + 1:], start + 2):
             if not line.strip():
                 continue
             try:
-                op = Op.from_json_obj(_json_line(line))
+                op = Op.from_json_obj(_json_line(line), shapes)
                 if not 0 <= op.rank < scenario.world_size:
                     raise ScenarioError(
                         f"op rank {op.rank} outside world of {scenario.world_size}")
@@ -282,12 +281,6 @@ class ScenarioProgram:
                 raise ScenarioError(f"line {number}: {exc}") from exc
             scenario.programs[op.rank].append(op)
         scenario.validate()
-        # loads is a function of the text, so one equal parse proves every
-        # later one. A scenario whose text does not load back equal (a meta
-        # key that is not a str, say) is parsed on every load.
-        if dumped is not None and scenario == dumped:
-            vars(dumped)["_verified"] = True
-            return dumped
         return scenario
 
     @classmethod
@@ -351,14 +344,8 @@ class ScenarioProgram:
     def _validate_op(self, op: Op, known_reqs: set, created_here: set, creators: dict):
         # The loader's own field types, so the text of a frozen scenario loads
         # back: a payload of exact ints (what the checksum folds) and an int tag.
-        # A plain loop allocates nothing, so it is the cheapest item check.
-        data = op.data
-        if data is not None:
-            if type(data) is not list:
-                raise ScenarioError(f"op field 'data' cannot be {data!r}")
-            for x in data:
-                if type(x) is not int:
-                    raise ScenarioError(f"op field 'data' cannot be {data!r}")
+        if op.data is not None and not _list_of(op.data, int):
+            raise ScenarioError(f"op field 'data' cannot be {op.data!r}")
         if type(op.tag) is not int:
             raise ScenarioError(f"op field 'tag' cannot be {op.tag!r}")
         if op.op in ("coll", "icoll"):
@@ -433,11 +420,6 @@ class FrozenScenario(ScenarioProgram):
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to {name!r} of a validated scenario")
-
-
-# Each frozen scenario by its dumps() text, for ``loads``. The values are
-# weak, so the map keeps no scenario alive and an entry goes with its scenario.
-_DUMPED: "weakref.WeakValueDictionary[str, FrozenScenario]" = weakref.WeakValueDictionary()
 
 
 # --------------------------------------------------------------------------

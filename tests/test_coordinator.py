@@ -267,12 +267,11 @@ class TestSnapshotImage:
                            match=r"^embedded scenario unreadable: line 6: unknown op fields: \['x'\]$"):
             SnapshotImage.loads(json.dumps(obj))
 
-    def test_embedded_scenario_loads_back_as_the_run_s_own(self):
+    def test_embedded_scenario_loads_back_equal(self):
         ck = self._snapshot()
         sc, blob = ck.snapshot.scenario, ck.snapshot.dumps()
-        for _ in range(3):
-            image = SnapshotImage.loads(blob)
-            assert image.scenario is sc and image.dumps() == blob
+        image = SnapshotImage.loads(blob)
+        assert image.scenario == sc and image.scenario.frozen and image.dumps() == blob
         assert run_restart(image).checksums == run(sc, "none", seed=5).checksums
 
     @pytest.mark.parametrize("old, new, message", [
@@ -286,7 +285,7 @@ class TestSnapshotImage:
     def test_embedded_scenario_one_byte_off_is_parsed(self, old, new, message):
         ck = self._snapshot()
         obj = json.loads(ck.snapshot.dumps())
-        assert SnapshotImage.loads(json.dumps(obj)).scenario is ck.snapshot.scenario
+        assert SnapshotImage.loads(json.dumps(obj)).scenario == ck.snapshot.scenario
         obj["scenario_jsonl"] = obj["scenario_jsonl"].replace(old, new, 1)
         with pytest.raises(SnapshotLoadError) as exc:
             SnapshotImage.loads(json.dumps(obj))

@@ -1,10 +1,8 @@
 """Scenario format, validation, and the workload generator."""
 
 import copy
-import gc
 import json
 import re
-import weakref
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
@@ -26,7 +24,7 @@ from ccsim import (
     run,
     verify,
 )
-from ccsim.scenario import _DUMPED, _OP_SHAPES, _json_line
+from ccsim.scenario import _json_line
 
 from conftest import op_coll, op_icoll, scenario
 
@@ -218,15 +216,15 @@ class TestCodec:
                                    optional=dict.fromkeys(_OP_KEYS[2:], _OP_VALUES)))
     @settings(derandomize=True, max_examples=200, deadline=None)
     def test_op_reader_is_the_same_before_and_after_it_knows_a_key_order(self, obj):
-        def outcome():
+        def outcome(shapes=None):
             try:
-                return Op.from_json_obj(obj)
+                return Op.from_json_obj(obj, shapes)
             except ScenarioError as exc:
                 return str(exc)
 
-        _OP_SHAPES.clear()
-        cold = outcome()
-        assert outcome() == cold
+        shapes = {}
+        cold = outcome(shapes)
+        assert outcome(shapes) == cold and outcome() == cold
         if isinstance(cold, Op):
             assert cold == Op(**{k: v for k, v in obj.items() if k != "type"})
 
@@ -451,60 +449,6 @@ class TestFrozen:
         with pytest.raises(ScenarioError) as via_simulator:
             Simulator(illegal())
         assert str(via_simulator.value) == str(direct.value)
-
-
-def _compute_only(**header):
-    """A frozen 2-rank scenario of one compute op per rank."""
-    sc = ScenarioProgram(world_size=2, **header)
-    for r in range(2):
-        sc.programs[r].append(Op(rank=r, op="compute", ticks=1))
-    sc.validate()
-    return sc
-
-
-class TestDecodeOnce:
-    def test_dumped_text_is_parsed_once(self, monkeypatch):
-        sc = generate_workload(9, ranks=4, groups=2, ops=40, nonblocking_ratio=0.25)
-        text = sc.dumps()
-        calls = _count_checks(monkeypatch)
-        assert ScenarioProgram.loads(text) is sc
-        assert calls["validate"] == 1 and calls["op"] == sum(map(len, sc.programs))
-        for _ in range(3):
-            assert ScenarioProgram.loads(text) is sc
-        assert calls["validate"] == 1
-
-    def test_text_that_loads_back_unequal_is_parsed_every_time(self, monkeypatch):
-        sc = _compute_only(meta={1: "x"})
-        text = sc.dumps()
-        calls = _count_checks(monkeypatch)
-        for n in range(1, 4):
-            loaded = ScenarioProgram.loads(text)
-            assert loaded is not sc and loaded.meta == {"1": "x"}
-            assert calls["validate"] == n
-
-    def test_text_that_does_not_load_raises_every_time(self):
-        sc = _compute_only(name=5)
-        text = sc.dumps()
-        for _ in range(3):
-            with pytest.raises(ScenarioError, match=r"^scenario header needs an int world_size, "
-                                                    r"comms mapping ids to lists of ranks, a str "
-                                                    r"name and a dict meta$"):
-                ScenarioProgram.loads(text)
-
-    def test_the_map_keeps_no_scenario_alive(self):
-        gc.disable()  # reference counting alone must free the scenario and its entry
-        try:
-            before = len(_DUMPED)
-            sc = _compute_only(name="unique-to-this-test")
-            text = sc.dumps()
-            assert ScenarioProgram.loads(text) is sc and len(_DUMPED) == before + 1
-            ref = weakref.ref(sc)
-            del sc
-            assert ref() is None
-            assert text not in _DUMPED and len(_DUMPED) == before
-            assert ScenarioProgram.loads(text).name == "unique-to-this-test"
-        finally:
-            gc.enable()
 
 
 class TestGenerator:
