@@ -35,8 +35,8 @@ def main():
     print("== communicators ==")
     for cid, record in sorted(sim.comm_records.items()):
         print(f"  {cid}: members {list(record.members)} group {record.key.label()}")
-    low = sim.ranks[1].comms["low"]
-    print(f"  rank 1 sees 'low' as local rank {low.local_rank}, "
+    low = sim.comm_records["low"]
+    print(f"  rank 1 sees 'low' as local rank {low.members.index(1)}, "
           f"translate_ranks -> {translate_ranks(low)}")
 
     print("\n== collective results ==")

@@ -89,11 +89,6 @@ class CollectiveClockProtocol(ProtocolAdapter):
 
     # ------------------------------------------------------------ wrappers
 
-    def _group_of(self, rank) -> GroupKey:
-        op = rank.current_op()
-        view = rank.comms[op.comm]
-        return view.record.key
-
     def begin_collective(self, sim, rank):
         """commit_begin: probe-park first, then bump the counter and targets.
 
@@ -102,7 +97,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
         st = self.states[rank.id]
         if sim.round_pending and reached_all_targets(st.clock, st.targets, rank.id):
             return PARK
-        self._commit(sim, rank, st, self._group_of(rank))
+        self._commit(sim, rank, st, sim.group_keys[rank.current_op().comm])
         return PROCEED
 
     def _commit(self, sim, rank, st: CcState, g: GroupKey):

@@ -35,7 +35,7 @@ from .runtime import (
     NullProtocol,
     Simulator,
 )
-from .scenario import WORLD, ScenarioProgram, encode
+from .scenario import ScenarioProgram, encode
 from .twophase import TwoPhaseCommitProtocol
 
 SNAPSHOT_VERSION = 1
@@ -297,11 +297,6 @@ def build_snapshot(sim, coordinator: CheckpointCoordinator) -> SnapshotImage:
             "checksum": rank.checksum,
             "protocol": sim.protocol.snapshot_rank(sim, rank.id),
         })
-    created = {
-        cid: rec.members
-        for cid, rec in sim.comm_records.items()
-        if cid != WORLD
-    }
     return SnapshotImage(
         version=SNAPSHOT_VERSION,
         algorithm=sim.protocol.name,
@@ -309,12 +304,23 @@ def build_snapshot(sim, coordinator: CheckpointCoordinator) -> SnapshotImage:
         step=sim.step,
         round_id=coordinator.round_id,
         scenario=sim.scenario,
-        comms_created=created,
+        comms_created=created_comms(sim),
         per_rank=per_rank,
         initial_targets=dict(coordinator.initial_targets),
         final_targets=dict(coordinator.final_targets),
         policy=dict(sim.protocol.policy),
     )
+
+
+def created_comms(sim) -> dict:
+    """The communicators that exist at a safe state, by id, with their members.
+
+    At a safe state every entered blocking instance has returned on all its
+    members, so a ``comm_create`` is complete iff the ranks' pcs are past it.
+    """
+    created = {op.new_comm for rank in sim.ranks for op in rank.program[:rank.pc]
+               if op.op == "comm_create"}
+    return {cid: sim.comm_records[cid].members for cid in sorted(created)}
 
 
 def make_protocol(algorithm: str):
@@ -330,9 +336,9 @@ def make_protocol(algorithm: str):
 def restart(image: SnapshotImage, seed: int | None = None, record: bool = True) -> Simulator:
     """Rebuild a running runtime from a snapshot image.
 
-    Communicators are re-created from the image, each rank resumes at its
-    saved program counter, and drained requests come back globally complete
-    so a later application-side wait returns immediately.
+    Each rank resumes at its saved program counter, drained requests come
+    back globally complete so a later application-side wait returns at once,
+    and the image's ``comms_created`` must equal ``created_comms`` there.
     """
     try:
         protocol = make_protocol(image.algorithm)
@@ -358,14 +364,10 @@ def restart(image: SnapshotImage, seed: int | None = None, record: bool = True) 
             protocol.restore_rank(sim, rank, saved.get("protocol", {}))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SnapshotLoadError(f"corrupt per-rank record: {exc!r}") from exc
-    # At a safe state a communicator exists iff the ranks are past its creation.
-    created = {op.new_comm for rank in sim.ranks for op in rank.program[:rank.pc]
-               if op.op == "comm_create"}
-    if image.comms_created != {cid: sim.scenario.comms[cid] for cid in created}:
+    created = created_comms(sim)
+    if image.comms_created != created:
         raise SnapshotLoadError(
             f"created communicators {sorted(image.comms_created)} disagree with the "
             f"embedded scenario at the saved program counters ({sorted(created)})")
-    for cid in sorted(created):
-        sim.install_comm(cid)
     sim.emit(COORD, "restart", round=image.round_id, from_step=image.step)
     return sim

@@ -36,7 +36,7 @@ from .errors import (
     SimulationError,
     StuckP2pError,
 )
-from .scenario import WORLD, Op, ScenarioProgram, encode
+from .scenario import Op, ScenarioProgram, encode
 
 _MASK64 = (1 << 64) - 1
 COORD = -1  # event-log rank id for the coordinator
@@ -131,7 +131,8 @@ class RequestObject:
 
 
 class CommRecord:
-    """Shared representation of a communicator: one per member set + id."""
+    """A communicator's one record: built by ``Simulator.__init__`` for each
+    communicator of the scenario, and shared by forks, as no step changes it."""
 
     __slots__ = ("comm_id", "members", "key")
 
@@ -144,25 +145,7 @@ class CommRecord:
         return f"CommRecord({self.comm_id}:{self.members})"
 
 
-class CommView:
-    """Per-rank opaque handle onto a shared communicator record."""
-
-    __slots__ = ("record", "local_rank")
-
-    def __init__(self, record: CommRecord, rank: int):
-        self.record = record
-        self.local_rank = record.members.index(rank)
-
-    @property
-    def members(self):
-        return self.record.members
-
-    @property
-    def comm_id(self):
-        return self.record.comm_id
-
-
-def translate_ranks(comm) -> list:
+def translate_ranks(comm: CommRecord) -> list:
     """World ranks of a communicator's members; purely local, sends nothing."""
     return list(comm.members)
 
@@ -214,7 +197,7 @@ class RankState:
 
     __slots__ = (
         "id", "program", "pc", "stage", "blocked_ref", "blocked_req",
-        "compute_left", "comms", "comm_calls", "requests", "checksum",
+        "compute_left", "comm_calls", "requests", "checksum",
         "group_calls",
     )
 
@@ -226,7 +209,6 @@ class RankState:
         self.blocked_ref = None
         self.blocked_req = None
         self.compute_left = None
-        self.comms = {}
         self.comm_calls = {}
         self.requests = {}
         self.checksum = 0
@@ -264,7 +246,7 @@ class RankState:
         twin.id, twin.program, twin.pc, twin.stage = self.id, self.program, self.pc, self.stage
         twin.blocked_ref = None if self.blocked_ref is None else self.blocked_ref.fork(memo)
         twin.blocked_req, twin.compute_left = self.blocked_req, self.compute_left
-        twin.comms, twin.comm_calls = dict(self.comms), dict(self.comm_calls)
+        twin.comm_calls = dict(self.comm_calls)
         twin.requests = {rid: req.fork() for rid, req in self.requests.items()}
         twin.checksum, twin.group_calls = self.checksum, dict(self.group_calls)
         return twin
@@ -413,9 +395,9 @@ class Simulator:
         self.coordinator = None
 
         self.group_keys = scenario.group_keys()
-        self.comm_records = {}
+        self.comm_records = {cid: CommRecord(cid, scenario.comm_members(cid), key)
+                             for cid, key in self.group_keys.items()}
         self.ranks = [RankState(r, scenario.programs[r]) for r in range(self.world_size)]
-        self.install_comm(WORLD)
 
         self.instances = {}        # (comm_id, index) -> Instance
         self._ready = []           # rank-sorted ids found enabled at their last check
@@ -427,10 +409,11 @@ class Simulator:
         """An independent runtime in this one's state: stepping either leaves
         the other unchanged. Each part copies its own mutable state; what no
         step changes stays shared: the scenario and its programs (frozen by
-        validation, so a write raises), their ops, the group keys,
-        communicator records and views, and the trace's events (the trace
-        list itself is copied). The rng state is copied only once run() has
-        made the rng: the explorer never runs, so its forks copy none."""
+        validation, so a write raises), their ops, the group keys, the
+        static ``comm_records`` (one per communicator, built by ``__init__``)
+        and the trace's events (the trace list itself is copied). The rng
+        state is copied only once run() has made the rng: the explorer never
+        runs, so its forks copy none."""
         twin = Simulator.__new__(Simulator)
         twin.scenario, twin.world_size, twin.seed = self.scenario, self.world_size, self.seed
         twin.rng = None
@@ -441,7 +424,7 @@ class Simulator:
         twin.trace = None if self.trace is None else list(self.trace)
         twin.counters = self.counters.fork()
         twin.coordinator = None if self.coordinator is None else self.coordinator.fork()
-        twin.group_keys, twin.comm_records = self.group_keys, dict(self.comm_records)
+        twin.group_keys, twin.comm_records = self.group_keys, self.comm_records
         memo = {}
         twin.ranks = [rank.fork(memo) for rank in self.ranks]
         twin.instances = {key: inst.fork(memo) for key, inst in self.instances.items()}
@@ -646,14 +629,6 @@ class Simulator:
             return ("comm_create", op.new_comm, tuple(self.scenario.comms[op.new_comm]))
         return (op.kind, op.root, op.reduce_op, op.op == "coll")
 
-    def _comm_view(self, rank: RankState, op: Op) -> CommView:
-        view = rank.comms.get(op.comm)
-        if view is None:
-            raise ScenarioError(
-                f"rank {rank.id} has no handle for communicator {op.comm!r} at pc {rank.pc}"
-            )
-        return view
-
     def get_instance(self, comm: CommRecord, index: int, op: Op, blocking: bool) -> Instance:
         key = (comm.comm_id, index)
         inst = self.instances.get(key)
@@ -672,8 +647,7 @@ class Simulator:
         return inst
 
     def _join_collective(self, rank: RankState, op: Op):
-        view = self._comm_view(rank, op)
-        comm = view.record
+        comm = self.comm_records[op.comm]
         index = rank.comm_calls.get(comm.comm_id, 0)
         rank.comm_calls[comm.comm_id] = index + 1
         inst = self.get_instance(comm, index, op, blocking=True)
@@ -752,21 +726,9 @@ class Simulator:
         else:
             raise CollectiveMismatchError(f"unknown collective kind {kind!r}")
 
-    def install_comm(self, comm_id: str) -> CommRecord:
-        """Create a communicator's shared record, unless it exists, and give
-        each member a handle onto it."""
-        record = self.comm_records.get(comm_id)
-        if record is None:
-            record = self.comm_records[comm_id] = CommRecord(
-                comm_id, self.scenario.comm_members(comm_id), self.group_keys[comm_id])
-        for m in record.members:
-            self.ranks[m].comms[comm_id] = CommView(record, m)
-        return record
-
     def _create_comm(self, inst: Instance):
-        record = self.install_comm(inst.new_comm)
         self.emit(min(inst.entered), "comm_created", comm=inst.new_comm,
-                  members=list(record.members))
+                  members=list(self.comm_records[inst.new_comm].members))
 
     def _step_collective_return(self, rank: RankState):
         inst = rank.blocked_ref
@@ -798,8 +760,7 @@ class Simulator:
     # ------------------------------------------------------ non-blocking
 
     def _initiate_nonblocking(self, rank: RankState, op: Op):
-        view = self._comm_view(rank, op)
-        comm = view.record
+        comm = self.comm_records[op.comm]
         index = rank.comm_calls.get(comm.comm_id, 0)
         rank.comm_calls[comm.comm_id] = index + 1
         inst = self.get_instance(comm, index, op, blocking=False)
@@ -868,9 +829,6 @@ class Simulator:
         """Post a send or recv. It matches the peer when the peer is blocked
         in the other half naming this rank, tag and communicator; otherwise
         this rank blocks until the peer posts."""
-        view = self._comm_view(rank, op)
-        if op.peer not in view.members:
-            raise ScenarioError(f"{op.op} peer {op.peer} not in {op.comm}")
         self.emit(rank.id, f"{op.op}_post", peer=op.peer, tag=op.tag, comm=op.comm)
         sending = op.op == "send"
         peer = self.ranks[op.peer]

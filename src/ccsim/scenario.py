@@ -135,6 +135,13 @@ def _list_of(value, item_type) -> bool:
     return True
 
 
+def _str_keys(value) -> bool:
+    """Whether every dict inside ``value`` has only str keys."""
+    if isinstance(value, dict):
+        return all(type(k) is str and _str_keys(v) for k, v in value.items())
+    return not isinstance(value, (list, tuple)) or all(map(_str_keys, value))
+
+
 class FrozenDict(dict):
     """A read-only dict: the ``comms`` and ``meta`` of a validated scenario.
     Being a dict, it compares with plain dicts and json encodes it as one."""
@@ -301,16 +308,21 @@ class ScenarioProgram:
         """Check the scenario and freeze it; a frozen one returns at once."""
         if self.frozen:
             return
-        if self.world_size < 1:
-            raise ScenarioError("world size must be at least 1")
+        # Only a header the writer round-trips: json writes True as true, not
+        # 1, and a non-str key as a str.
+        for name, ok in (("world_size", type(self.world_size) is int and self.world_size > 0),
+                         ("name", type(self.name) is str),
+                         ("meta", isinstance(self.meta, dict) and _str_keys(self.meta))):
+            if not ok:
+                raise ScenarioError(f"scenario field {name!r} cannot be {getattr(self, name)!r}")
         for cid, members in self.comms.items():
-            if cid == WORLD:
-                raise ScenarioError("'world' is reserved")
+            if type(cid) is not str or cid == WORLD:
+                raise ScenarioError(f"communicator id {cid!r} is not a str other than 'world'")
             if not members:
                 raise ScenarioError(f"communicator {cid} has no members")
             if len(set(members)) != len(members):
                 raise ScenarioError(f"communicator {cid} has duplicate members")
-            if any(not 0 <= r < self.world_size for r in members):
+            if any(type(r) is not int or not 0 <= r < self.world_size for r in members):
                 raise ScenarioError(f"communicator {cid} member outside world")
 
         creators: dict[str, set] = {cid: set() for cid in self.comms}
@@ -319,8 +331,8 @@ class ScenarioProgram:
             known_reqs: set = set()
             created_here: set = set()
             for op in program:
-                if op.rank != rank:
-                    raise ScenarioError(f"op rank {op.rank} filed under program {rank}")
+                if type(op.rank) is not int or op.rank != rank:
+                    raise ScenarioError(f"op field 'rank' cannot be {op.rank!r} in program {rank}")
                 self._validate_op(op, known_reqs, created_here, creators)
                 if op.op != "comm_create" and op.comm in users:
                     users[op.comm].add(rank)
@@ -342,8 +354,9 @@ class ScenarioProgram:
         self.__class__ = FrozenScenario
 
     def _validate_op(self, op: Op, known_reqs: set, created_here: set, creators: dict):
-        # The loader's own field types, so the text of a frozen scenario loads
-        # back: a payload of exact ints (what the checksum folds) and an int tag.
+        # The loader's own types for the fields the op's kind uses, so the text
+        # of a frozen scenario loads back: a bool equals an int but is written
+        # as true. A payload is a list of exact ints, what the checksum folds.
         if op.data is not None and not _list_of(op.data, int):
             raise ScenarioError(f"op field 'data' cannot be {op.data!r}")
         if type(op.tag) is not int:
@@ -353,13 +366,13 @@ class ScenarioProgram:
                 raise ScenarioError(f"unknown collective kind {op.kind!r}")
             members = self._members_checked(op)
             if op.kind in ("bcast", "reduce", "gather"):
-                if op.root not in members:
-                    raise ScenarioError(f"root {op.root} not in communicator {op.comm}")
+                if type(op.root) is not int or op.root not in members:
+                    raise ScenarioError(f"root must be a member of {op.comm}, not {op.root!r}")
             if op.kind in ("reduce", "allreduce") and op.reduce_op not in REDUCE_OPS:
                 raise ScenarioError(f"reduce needs op in {REDUCE_OPS}, got {op.reduce_op!r}")
             if op.op == "icoll":
-                if not op.request_id:
-                    raise ScenarioError("icoll needs a request_id")
+                if not op.request_id or type(op.request_id) is not str:
+                    raise ScenarioError(f"icoll needs a str request_id, not {op.request_id!r}")
                 if op.request_id in known_reqs:
                     raise ScenarioError(f"request id {op.request_id} reused on rank {op.rank}")
                 known_reqs.add(op.request_id)
@@ -371,25 +384,26 @@ class ScenarioProgram:
             creators[op.new_comm].add(op.rank)
             created_here.add(op.new_comm)
         elif op.op in ("send", "recv"):
-            if op.peer is None or not 0 <= op.peer < self.world_size:
-                raise ScenarioError(f"{op.op} needs a peer inside the world")
+            if type(op.peer) is not int:
+                raise ScenarioError(f"{op.op} needs an int peer, not {op.peer!r}")
             if op.peer == op.rank:
                 raise ScenarioError("self point-to-point is not supported")
-            self._members_checked(op)
+            if op.peer not in self._members_checked(op):
+                raise ScenarioError(f"{op.op} peer {op.peer} not in {op.comm}")
             if op.op == "send" and op.data is None:
                 raise ScenarioError("send needs data")
         elif op.op in ("wait", "test"):
             if op.request_id not in known_reqs:
                 raise ScenarioError(f"{op.op} on unknown request {op.request_id!r}")
         elif op.op in ("waitall", "waitany"):
-            if not op.request_ids:
-                raise ScenarioError(f"{op.op} needs request_ids")
+            if not op.request_ids or type(op.request_ids) is not list:
+                raise ScenarioError(f"{op.op} needs a list of request_ids, not {op.request_ids!r}")
             for rid in op.request_ids:
                 if rid not in known_reqs:
                     raise ScenarioError(f"{op.op} on unknown request {rid!r}")
         elif op.op == "compute":
-            if not op.ticks or op.ticks < 1:
-                raise ScenarioError("compute needs ticks >= 1")
+            if type(op.ticks) is not int or op.ticks < 1:
+                raise ScenarioError(f"compute needs int ticks >= 1, not {op.ticks!r}")
         else:
             raise ScenarioError(f"unknown op {op.op!r}")
         if op.op != "comm_create" and op.comm != WORLD and op.comm not in created_here:

@@ -72,12 +72,12 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
             )
         if sim.round_pending:
             return STOP
-        view = rank.comms[op.comm]
         index = rank.comm_calls.get(op.comm, 0)  # peek; join increments later
         key = (op.comm, index)
         tb = self.tb_instances.get(key)
         if tb is None:
-            tb = Instance(op.comm, index, view.record.members, ("trivial_barrier",), True)
+            tb = Instance(op.comm, index, sim.comm_records[op.comm].members,
+                          ("trivial_barrier",), True)
             self.tb_instances[key] = tb
         tb.entered.add(rank.id)
         rank.blocked_ref = tb

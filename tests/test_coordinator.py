@@ -11,6 +11,7 @@ from ccsim import (
     SnapshotImage,
     SnapshotLoadError,
     by_label,
+    generate_workload,
     restart,
     run,
     run_restart,
@@ -452,3 +453,83 @@ def _drained_request_image(step=2):
     assert image.per_rank[0]["protocol"]["incomplete_requests"]["q0"] == {
         "state": "globally_complete", "payload": None, "op_index": 0}
     return image
+
+
+def _late_creation_scenario():
+    """Three ranks: two world collectives, then comm_create g, a world
+    barrier, comm_create h, and one collective on each of g and h."""
+    sc = scenario(3, comms={"g": (0, 1), "h": (1, 2)}, preamble=False, name="late-create")
+    for r in range(3):
+        sc.programs[r] += [op_coll(r), op_coll(r, kind="allreduce", reduce_op="sum", data=[r]),
+                           Op(rank=r, op="comm_create", new_comm="g"), op_coll(r),
+                           Op(rank=r, op="comm_create", new_comm="h")]
+    for r in (0, 1):
+        sc.programs[r].append(op_coll(r, comm="g"))
+    for r in (1, 2):
+        sc.programs[r].append(op_coll(r, comm="h"))
+    return sc
+
+
+def _golden_configurations():
+    """The three criterion-8 configurations: (scenario, algorithm, seed, placement)."""
+    return [
+        ("fig2", "cc", 11, ("trigger", "fig2-instant")),
+        (generate_workload(77, ranks=9, groups=3, ops=120, nonblocking_ratio=0.3,
+                           p2p_ratio=0.2), "cc", 5, ("at_step", 100)),
+        (generate_workload(78, ranks=8, groups=2, ops=100, p2p_ratio=0.2), "2pc", 6,
+         ("at_step", 80)),
+    ]
+
+
+def _every_step_placement():
+    sc = _late_creation_scenario()
+    for algorithm in ("cc", "2pc"):
+        steps = run(sc, algorithm, seed=0, checks=False).sim.step
+        for at in range(steps + 1):
+            yield sc, algorithm, 0, ("at_step", at)
+
+
+def _campaign_placements():
+    for seed in range(20):
+        algorithm = ("cc", "2pc")[seed % 2]
+        sc = generate_workload(seed + 500, ranks=3 + seed % 5, groups=1 + seed % 3,
+                               ops=40 + 7 * seed, p2p_ratio=0.2,
+                               nonblocking_ratio=0.3 if algorithm == "cc" else 0.0)
+        yield sc, algorithm, seed, ("random", seed)
+
+
+class TestCreatedComms:
+    """A snapshot's ``comms_created`` is derived from the ranks' pcs; it must
+    name exactly the communicators created before the safe state."""
+
+    @staticmethod
+    def _check(sc, algorithm, seed, placement):
+        result = run(sc, algorithm, seed=seed, ckpt=placement)
+        created = {}
+        for event in result.sim.trace:
+            if event["event"] == "safe_state":
+                break
+            if event["event"] == "comm_created":
+                created[event["detail"]["comm"]] = tuple(event["detail"]["members"])
+        else:
+            raise AssertionError(f"no safe_state marker under {placement}")
+        assert result.snapshot.comms_created == created, (algorithm, placement)
+        resumed = restart(result.snapshot).run()
+        assert resumed.all_finished()
+        assert resumed.checksums() == run(sc, algorithm, seed=seed, checks=False).checksums
+        return created
+
+    def test_golden_configurations(self):
+        for config in _golden_configurations():
+            self._check(*config)
+
+    def test_every_step_of_a_late_creation(self):
+        seen = {algorithm: set() for algorithm in ("cc", "2pc")}
+        for config in _every_step_placement():
+            seen[config[1]].add(tuple(sorted(self._check(*config))))
+        # each of none, g only, and g and h is a safe state of both protocols
+        assert all(states == {(), ("g",), ("g", "h")} for states in seen.values()), seen
+
+    def test_campaign_placements(self):
+        for config in _campaign_placements():
+            self._check(*config)

@@ -5,7 +5,9 @@ import re
 
 from ccsim import CollectiveClockProtocol, ProtocolAdapter, TwoPhaseCommitProtocol
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+ROADMAP = ROOT / "ROADMAP.md"
 
 
 def hook_table():
@@ -34,3 +36,11 @@ def test_readme_hook_table_matches_the_adapters():
     for name, (cc, tpc) in rows.items():
         assert cc == (name in vars(CollectiveClockProtocol)), f"README cc column for {name!r}"
         assert tpc == (name in vars(TwoPhaseCommitProtocol)), f"README 2pc column for {name!r}"
+
+
+def test_roadmap_states_the_src_line_count():
+    text = " ".join(ROADMAP.read_text(encoding="utf-8").split())  # the sentence wraps
+    stated = re.search(r"it is (\d+) lines now by `wc -l src/ccsim/\*\.py`", text)
+    assert stated, "ROADMAP's src line count sentence not found"
+    lines = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "ccsim").glob("*.py"))
+    assert int(stated.group(1)) == lines, "ROADMAP's src line count is stale"

@@ -45,11 +45,11 @@ def finished_sim(sc, seed=0):
 class TestWorldCreation:
     def test_singleton_world(self):
         sim = Simulator(ScenarioProgram(world_size=1, name="w1"))
-        assert translate_ranks(sim.ranks[0].comms["world"]) == [0]
+        assert translate_ranks(sim.comm_records["world"]) == [0]
 
     def test_seven_rank_world(self):
         sim = Simulator(ScenarioProgram(world_size=7, name="w7"))
-        assert translate_ranks(sim.ranks[3].comms["world"]) == list(range(7))
+        assert translate_ranks(sim.comm_records["world"]) == list(range(7))
 
     def test_zero_world_rejected(self):
         with pytest.raises(InvalidConfigurationError):
@@ -67,31 +67,28 @@ class TestCommCreate:
     def test_full_subset_duplicates_world(self):
         sc = scenario(4, comms={"dup": (0, 1, 2, 3)})
         sim = finished_sim(sc)
-        dup = sim.ranks[2].comms["dup"]
+        dup = sim.comm_records["dup"]
         assert translate_ranks(dup) == [0, 1, 2, 3]
         world = sim.comm_records["world"].key
         # same member set, its own clock identity: the second communicator over it
-        assert dup.record.key.members == world.members
-        assert (world.ordinal, dup.record.key.ordinal) == (0, 1)
+        assert dup.key.members == world.members
+        assert (world.ordinal, dup.key.ordinal) == (0, 1)
 
     def test_subset_translation(self):
         sc = scenario(7, comms={"mid": (3, 4, 5)})
         sim = finished_sim(sc)
-        assert translate_ranks(sim.ranks[4].comms["mid"]) == [3, 4, 5]
-        assert sim.ranks[4].comms["mid"].local_rank == 1
-        assert "mid" not in sim.ranks[0].comms
+        assert translate_ranks(sim.comm_records["mid"]) == [3, 4, 5]
 
     def test_singleton_subcommunicator(self):
         sc = scenario(2, comms={"solo": (1,)})
         sim = finished_sim(sc)
-        assert translate_ranks(sim.ranks[1].comms["solo"]) == [1]
-        assert sim.ranks[1].comms["solo"].local_rank == 0
+        assert translate_ranks(sim.comm_records["solo"]) == [1]
 
     def test_translate_ranks_sends_nothing(self):
         sc = scenario(4, comms={"g": (1, 2)})
         sim = finished_sim(sc)
         before = sim.counters.app_messages
-        translate_ranks(sim.ranks[1].comms["g"])
+        translate_ranks(sim.comm_records["g"])
         assert sim.counters.app_messages == before
 
     def test_mismatched_subsets_abort(self):

@@ -4,6 +4,7 @@ import copy
 import json
 import re
 from dataclasses import FrozenInstanceError, fields
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +25,16 @@ from ccsim import (
     run,
     verify,
 )
-from ccsim.scenario import _json_line
+from ccsim.scenario import BUILTIN_SCENARIOS, _json_line
 
-from conftest import op_coll, op_icoll, scenario
+from conftest import (
+    drained_request_scenario,
+    op_coll,
+    op_icoll,
+    same_member_set_scenario,
+    scenario,
+    wide_payload_scenario,
+)
 
 
 class TestFormat:
@@ -145,11 +153,15 @@ class TestCodec:
         assert text == _reference_dumps(sc)
         assert ScenarioProgram.loads(text) == sc
 
-    @pytest.mark.parametrize("make", [_every_field_scenario, lambda: builtin_scenario("fig2"),
-                                      lambda: builtin_scenario("bcast-invariant2")],
-                             ids=["every-field", "fig2", "bcast-invariant2"])
+    @pytest.mark.parametrize("make", [
+        _every_field_scenario, *(partial(builtin_scenario, name) for name in BUILTIN_SCENARIOS),
+        drained_request_scenario, same_member_set_scenario,
+        partial(wide_payload_scenario, "allreduce"), partial(wide_payload_scenario, "bcast"),
+    ], ids=["every-field", *BUILTIN_SCENARIOS, "drained-request", "same-member-set",
+            "wide-allreduce", "wide-bcast"])
     def test_built_dumps_match_reference_encoding(self, make):
         sc = make()
+        sc.validate()
         text = sc.dumps()
         assert text == _reference_dumps(sc)
         assert ScenarioProgram.loads(text) == sc
@@ -240,6 +252,39 @@ class TestCodec:
             ScenarioProgram.loads(text.replace('"rank":0', '"rank":'))
 
 
+def _pair(ops):
+    """A two-rank scenario; ``ops(r)`` is the list of rank r's ops."""
+    sc = scenario(2)
+    for r in range(2):
+        sc.programs[r] += ops(r)
+    return sc
+
+
+# (field the error names, build(value), a value that validates but does not
+# load back equal, a value that round-trips)
+ROUND_TRIP_FAULTS = [
+    ("name", lambda v: ScenarioProgram(world_size=2, name=v), 5, "5"),
+    ("world_size", lambda v: ScenarioProgram(world_size=v), True, 1),
+    ("meta", lambda v: ScenarioProgram(world_size=2, meta=v), {1: "x"}, {"1": "x"}),
+    ("meta", lambda v: ScenarioProgram(world_size=2, meta=v), {"a": {2: 3}}, {"a": {"2": 3}}),
+    ("meta", lambda v: ScenarioProgram(world_size=2, meta=v), {"a": [{2: 3}]},
+     {"a": [{"2": 3}]}),
+    ("communicator id", lambda v: ScenarioProgram(world_size=2, comms={v: (0, 1)}), 5, "5"),
+    ("rank", lambda v: _pair(lambda r: [op_coll(v if r else 0)]), True, 1),
+    ("peer", lambda v: _pair(lambda r: [Op(rank=0, op="send", peer=v, data=[1]) if r == 0
+                                        else Op(rank=1, op="recv", peer=0)]), True, 1),
+    ("root", lambda v: _pair(lambda r: [op_coll(r, kind="bcast", root=v,
+                                                data=[1] if r else None)]), True, 1),
+    ("ticks", lambda v: _pair(lambda r: [Op(rank=r, op="compute", ticks=v)]), 1.5, 2),
+    ("ticks", lambda v: _pair(lambda r: [Op(rank=r, op="compute", ticks=v)]), True, 1),
+    ("request_id", lambda v: _pair(lambda r: [op_icoll(r, v), Op(rank=r, op="wait",
+                                                                 request_id=v)]), 5, "5"),
+    ("request_ids", lambda v: _pair(lambda r: [op_icoll(r, "q0"), Op(rank=r, op="waitall",
+                                                                     request_ids=v)]),
+     ("q0",), ["q0"]),
+]
+
+
 class TestValidation:
     def test_duplicate_members_rejected(self):
         with pytest.raises(ScenarioError):
@@ -302,6 +347,22 @@ class TestValidation:
         sc.programs[0].append(Op(rank=0, op="send", peer=0, data=[1]))
         with pytest.raises(ScenarioError):
             sc.validate()
+
+    @pytest.mark.parametrize("op", ["send", "recv"])
+    def test_p2p_peer_must_be_a_member_of_the_communicator(self, op):
+        sc = scenario(3, comms={"g": (0, 1)})
+        sc.programs[0].append(Op(rank=0, op=op, comm="g", peer=2, data=[1]))
+        with pytest.raises(ScenarioError, match=rf"^{op} peer 2 not in g$"):
+            sc.validate()
+
+    @pytest.mark.parametrize("field, make, bad, good", ROUND_TRIP_FAULTS,
+                             ids=[f"{case[0]}-{case[2]!r}" for case in ROUND_TRIP_FAULTS])
+    def test_what_the_writer_cannot_round_trip_is_rejected(self, field, make, bad, good):
+        sc = make(good)
+        sc.validate()
+        assert ScenarioProgram.loads(sc.dumps()) == sc
+        with pytest.raises(ScenarioError, match=rf"\b{re.escape(field)}\b"):
+            make(bad).validate()
 
     @pytest.mark.parametrize("data", [[1.5], [True], ["x"], (1,)],
                              ids=["float", "bool", "str", "tuple"])

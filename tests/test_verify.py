@@ -1,6 +1,7 @@
 """Offline verifier checks."""
 
 from ccsim import (
+    GroupKey,
     Op,
     check_clock_skew,
     check_crossing_legality,
@@ -143,6 +144,55 @@ class TestSafeState:
         result = self._result()
         trace = [ev for ev in result.sim.trace if ev["event"] != "safe_state"]
         assert not check_safe_state(result.snapshot, trace).passed
+
+    # One doctored snapshot or trace per rule below, which that rule alone rejects.
+
+    @staticmethod
+    def _only_problem(snapshot, trace):
+        verdict = check_safe_state(snapshot, trace)
+        assert not verdict.passed
+        [problem] = verdict.detail["problems"]
+        return problem
+
+    @staticmethod
+    def _before_marker(trace, rank, event, **detail):
+        marker = next(i for i, ev in enumerate(trace) if ev["event"] == "safe_state")
+        return trace[:marker] + [{"step": trace[marker]["step"], "rank": rank,
+                                  "event": event, "detail": detail}] + trace[marker:]
+
+    def test_rank_left_inside_a_trivial_barrier_fails(self):
+        result = self._result()
+        trace = self._before_marker(result.sim.trace, 0, "tb_enter", comm="world", instance=99)
+        problem = self._only_problem(result.snapshot, trace)
+        assert problem == "rank 0 still inside trivial barrier ('world', 99)"
+
+    def test_unmatched_post_fails(self):
+        result = self._result()
+        trace = self._before_marker(result.sim.trace, 0, "send_post", peer=1, tag=99,
+                                    comm="world")
+        problem = self._only_problem(result.snapshot, trace)
+        assert problem == "send posts unmatched at snapshot: (0, 1, 99, 'world')"
+
+    def test_target_for_a_group_missing_from_a_clock_fails(self):
+        result = self._result()
+        label = GroupKey((0,), 7).label()
+        result.snapshot.final_targets[label] = 1
+        problem = self._only_problem(result.snapshot, result.sim.trace)
+        assert problem == f"rank 0 SEQ 0 != TARGET 1 for group {{{label}}}"
+
+    def test_clock_entry_for_a_group_missing_from_the_targets_fails(self):
+        result = self._result()
+        label = GroupKey((0,), 7).label()
+        result.snapshot.per_rank[0]["protocol"]["clock"][label] = 1
+        problem = self._only_problem(result.snapshot, result.sim.trace)
+        assert problem == f"rank 0 group {{{label}}} SEQ 1 missing from targets"
+
+    def test_pending_request_in_snapshot_fails(self):
+        result = self._result()
+        result.snapshot.per_rank[0]["protocol"]["incomplete_requests"]["q99"] = {
+            "state": "pending", "payload": None, "op_index": 0}
+        problem = self._only_problem(result.snapshot, result.sim.trace)
+        assert problem == "request q99 on rank 0 is pending in snapshot"
 
 
 class TestReplayEquivalence:
