@@ -97,13 +97,14 @@ class CollectiveClockProtocol(ProtocolAdapter):
         st = self.states[rank.id]
         if sim.round_pending and reached_all_targets(st.clock, st.targets, rank.id):
             return PARK
-        self._commit(sim, rank, st, sim.group_keys[rank.current_op().comm])
+        self._commit(sim, rank, st, sim.group_keys[rank.program[rank.pc].comm])
         return PROCEED
 
     def _commit(self, sim, rank, st: CcState, g: GroupKey):
         seq = st.clock[g] + 1
         st.clock[g] = seq
-        sim.emit(rank.id, "seq_inc", group=g.label(), value=seq)
+        if sim.trace is not None:
+            sim.emit(rank.id, "seq_inc", group=g.label(), value=seq)
         if sim.round_pending:
             sim.counters.drain_collectives += 1
             if seq > st.targets[g]:

@@ -193,7 +193,8 @@ class Instance:
 
 
 class RankState:
-    """Execution state of one simulated process."""
+    """Execution state of one simulated process. ``group_calls`` numbers the
+    rank's ``coll_enter`` events per group; an untraced runtime keeps none."""
 
     __slots__ = (
         "id", "program", "pc", "stage", "blocked_ref", "blocked_req",
@@ -452,7 +453,10 @@ class Simulator:
         since the last call are checked again. The list returned is the
         scheduler's own: read it, do not change it, and do not keep it past
         the next step."""
-        ready, ranks = self._ready, self.ranks
+        ready = self._ready
+        if not self._dirty:
+            return ready
+        ranks = self.ranks
         for rid in self._dirty:
             rank = ranks[rid]
             at = bisect_left(ready, rid)
@@ -467,9 +471,9 @@ class Simulator:
     def wake(self, rank_ids):
         """Mark ranks whose enabledness may have changed.
 
-        The stepped rank is always checked again. Any other change to a rank's
-        enabledness must wake it: a completed instance, a matched rendezvous,
-        a protocol message, a round start or a release.
+        ``step_actor`` checks the stepped rank again itself. Any other change
+        to a rank's enabledness must wake it: a completed instance, a matched
+        rendezvous, a protocol message, a round start or a release.
         """
         self._dirty.update(rank_ids)
 
@@ -520,8 +524,35 @@ class Simulator:
         return enabled
 
     def step_actor(self, rank_id: int):
-        self._dirty.add(rank_id)
-        self._step_rank(self.ranks[rank_id])
+        """Step a rank that ``enabled_actors`` returned or ``wake`` marked, then
+        check it again in place: at START it stays ready with no call, in any
+        other stage it leaves the ready list unless it is still enabled."""
+        rank = self.ranks[rank_id]
+        stage = rank.stage
+        if stage == START:
+            self._step_start(rank)
+        elif stage == BLOCKED_COLL:
+            self._step_collective_return(rank)
+        elif stage == TB_BLOCKED:
+            self._step_trivial_barrier(rank)
+        elif stage == BLOCKED_REQ:
+            self.protocol.blocked_poll(self, rank)
+            if self._requests_satisfied(rank):
+                self._finish_request_wait(rank)
+        elif stage == PARKED:
+            # Parked ranks always sit at an op boundary with work remaining.
+            if self.protocol.parked_step(self, rank):
+                self.emit(rank_id, "resume")
+                rank.stage = START
+        elif stage == FINISHED:
+            self.protocol.finished_step(self, rank)
+        else:
+            raise SimulationError(f"rank {rank_id} stepped in stage {stage}")
+        if rank.stage != START and not self._enabled(rank):
+            ready = self._ready
+            at = bisect_left(ready, rank_id)
+            if at < len(ready) and ready[at] == rank_id:
+                del ready[at]
         self.step += 1
         if self.step > MAX_STEPS:
             raise SimulationError(f"step budget {MAX_STEPS} exceeded")
@@ -569,30 +600,8 @@ class Simulator:
 
     # ---------------------------------------------------------- stepping
 
-    def _step_rank(self, rank: RankState):
-        stage = rank.stage
-        if stage == START:
-            self._step_start(rank)
-        elif stage == BLOCKED_COLL:
-            self._step_collective_return(rank)
-        elif stage == TB_BLOCKED:
-            self._step_trivial_barrier(rank)
-        elif stage == BLOCKED_REQ:
-            self.protocol.blocked_poll(self, rank)
-            if self._requests_satisfied(rank):
-                self._finish_request_wait(rank)
-        elif stage == PARKED:
-            # Parked ranks always sit at an op boundary with work remaining.
-            if self.protocol.parked_step(self, rank):
-                self.emit(rank.id, "resume")
-                rank.stage = START
-        elif stage == FINISHED:
-            self.protocol.finished_step(self, rank)
-        else:
-            raise SimulationError(f"rank {rank.id} stepped in stage {stage}")
-
     def _step_start(self, rank: RankState):
-        op = rank.current_op()
+        op = rank.program[rank.pc]
         kind = op.op
         if kind in ("coll", "comm_create", "icoll"):
             outcome = self.protocol.begin_collective(self, rank)
@@ -624,15 +633,13 @@ class Simulator:
 
     # ------------------------------------------------------- collectives
 
-    def _signature(self, op: Op):
-        if op.op == "comm_create":
-            return ("comm_create", op.new_comm, tuple(self.scenario.comms[op.new_comm]))
-        return (op.kind, op.root, op.reduce_op, op.op == "coll")
-
     def get_instance(self, comm: CommRecord, index: int, op: Op, blocking: bool) -> Instance:
         key = (comm.comm_id, index)
         inst = self.instances.get(key)
-        signature = self._signature(op)
+        if op.op == "comm_create":
+            signature = ("comm_create", op.new_comm, tuple(self.scenario.comms[op.new_comm]))
+        else:
+            signature = (op.kind, op.root, op.reduce_op, op.op == "coll")
         if inst is None:
             inst = Instance(comm.comm_id, index, comm.members, signature, blocking)
             if op.op == "comm_create":
@@ -653,12 +660,14 @@ class Simulator:
         inst = self.get_instance(comm, index, op, blocking=True)
         inst.entered.add(rank.id)
         inst.inputs[rank.id] = op.data
-        label = comm.key.label()
-        k = rank.group_calls.get(label, 0) + 1
-        rank.group_calls[label] = k
         self.counters.wrapper_invocations += 1
-        self.emit(rank.id, "coll_enter", comm=comm.comm_id, instance=index,
-                  kind=inst.signature[0], group=label, num=k)
+        if self.trace is not None:
+            # group_calls only numbers this event, which verify.hb_lists_from_trace reads
+            label = comm.key.label()
+            k = rank.group_calls.get(label, 0) + 1
+            rank.group_calls[label] = k
+            self.emit(rank.id, "coll_enter", comm=comm.comm_id, instance=index,
+                      kind=inst.signature[0], group=label, num=k)
         rank.stage = BLOCKED_COLL
         rank.blocked_ref = inst
         if len(inst.entered) == len(inst.members):
@@ -670,8 +679,9 @@ class Simulator:
         self._compute_outputs(inst)
         self.counters.app_messages += collective_cost(inst.signature[0], len(inst.members))
         self.counters.collectives_completed += 1
-        self.emit(completer, "coll_complete" if inst.blocking else "icoll_complete",
-                  comm=inst.comm_id, instance=inst.index, kind=inst.signature[0])
+        if self.trace is not None:
+            self.emit(completer, "coll_complete" if inst.blocking else "icoll_complete",
+                      comm=inst.comm_id, instance=inst.index, kind=inst.signature[0])
         if inst.new_comm is not None:
             self._create_comm(inst)
         if not inst.blocking:
@@ -738,10 +748,15 @@ class Simulator:
             rank.fold(rank.pc, output)
         elif inst.new_comm is not None and rank.id in inst.signature[2]:
             rank.fold(rank.pc, list(inst.signature[2]))
-        self.emit(rank.id, "coll_return", comm=inst.comm_id, instance=inst.index)
+        if self.trace is not None:
+            self.emit(rank.id, "coll_return", comm=inst.comm_id, instance=inst.index)
         rank.blocked_ref = None
         outcome = self.protocol.finish_collective(self, rank)
-        self._advance(rank)
+        rank.pc += 1
+        if rank.pc >= len(rank.program):
+            self._finish_rank(rank)
+        else:
+            rank.stage = START
         if outcome == PARK and not rank.finished:
             rank.stage = PARKED
             self.emit(rank.id, "park", at="finish", pc=rank.pc)
@@ -769,8 +784,9 @@ class Simulator:
         rank.requests[op.request_id] = RequestObject(op.request_id, (comm.comm_id, index), rank.pc)
         inst.request_ids[rank.id] = op.request_id
         self.counters.wrapper_invocations += 1
-        self.emit(rank.id, "icoll_init", comm=comm.comm_id, instance=index,
-                  kind=inst.signature[0], request=op.request_id)
+        if self.trace is not None:
+            self.emit(rank.id, "icoll_init", comm=comm.comm_id, instance=index,
+                      kind=inst.signature[0], request=op.request_id)
         if len(inst.entered) == len(inst.members):
             self._complete_instance(inst, rank.id)
         self._advance(rank)
@@ -781,12 +797,11 @@ class Simulator:
             req = rank.requests.get(op.request_id)
             if req is None:
                 raise ScenarioError(f"test on unknown request {op.request_id!r}")
-            if req.testable():
-                if req.state == COMPLETE:
-                    self._consume(rank, req)
-                self.emit(rank.id, "test", request=op.request_id, flag=True)
-            else:
-                self.emit(rank.id, "test", request=op.request_id, flag=False)
+            flag = req.testable()
+            if flag and req.state == COMPLETE:
+                self._consume(rank, req)
+            if self.trace is not None:
+                self.emit(rank.id, "test", request=op.request_id, flag=flag)
             self._advance(rank)
             return
         mode = op.op
@@ -821,7 +836,8 @@ class Simulator:
         req.state = CONSUMED
         if req.payload is not None:
             rank.fold(req.op_index, req.payload)
-        self.emit(rank.id, "req_consume", request=req.req_id)
+        if self.trace is not None:
+            self.emit(rank.id, "req_consume", request=req.req_id)
 
     # ---------------------------------------------------- point-to-point
 
@@ -829,7 +845,8 @@ class Simulator:
         """Post a send or recv. It matches the peer when the peer is blocked
         in the other half naming this rank, tag and communicator; otherwise
         this rank blocks until the peer posts."""
-        self.emit(rank.id, f"{op.op}_post", peer=op.peer, tag=op.tag, comm=op.comm)
+        if self.trace is not None:
+            self.emit(rank.id, f"{op.op}_post", peer=op.peer, tag=op.tag, comm=op.comm)
         sending = op.op == "send"
         peer = self.ranks[op.peer]
         if peer.stage == (BLOCKED_RECV if sending else BLOCKED_SEND):
@@ -844,8 +861,9 @@ class Simulator:
         receiver.fold(receiver.pc, sender.current_op().data)
         self.counters.app_messages += 1
         self.counters.p2p_messages += 1
-        self.emit(receiver.id, "p2p_match", src=sender.id, dst=receiver.id, tag=op.tag,
-                  comm=op.comm)
+        if self.trace is not None:
+            self.emit(receiver.id, "p2p_match", src=sender.id, dst=receiver.id, tag=op.tag,
+                      comm=op.comm)
         self.wake((sender.id, receiver.id))
         self._advance(sender)
         self._advance(receiver)
@@ -861,7 +879,8 @@ class Simulator:
 
     def _finish_rank(self, rank: RankState):
         rank.stage = FINISHED
-        self.emit(rank.id, "rank_finished")
+        if self.trace is not None:
+            self.emit(rank.id, "rank_finished")
 
     def release_rank(self, rank: RankState):
         """Coordinator hook: wake a parked or stopped rank after a round."""

@@ -15,6 +15,7 @@ runtimes, snapshots and forks share it without another check or copy.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import random
 from collections import Counter
@@ -135,11 +136,17 @@ def _list_of(value, item_type) -> bool:
     return True
 
 
-def _str_keys(value) -> bool:
-    """Whether every dict inside ``value`` has only str keys."""
+def _json_value(value) -> bool:
+    """Whether json writes ``value`` and reads it back equal: dicts with str
+    keys, lists and tuples of such values, str, int, bool, None and finite
+    floats. NaN loads back unequal; a set or other object does not encode."""
     if isinstance(value, dict):
-        return all(type(k) is str and _str_keys(v) for k, v in value.items())
-    return not isinstance(value, (list, tuple)) or all(map(_str_keys, value))
+        return all(type(k) is str and _json_value(v) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return all(map(_json_value, value))
+    if type(value) is float:
+        return math.isfinite(value)
+    return value is None or type(value) in (str, int, bool)
 
 
 class FrozenDict(dict):
@@ -312,7 +319,7 @@ class ScenarioProgram:
         # 1, and a non-str key as a str.
         for name, ok in (("world_size", type(self.world_size) is int and self.world_size > 0),
                          ("name", type(self.name) is str),
-                         ("meta", isinstance(self.meta, dict) and _str_keys(self.meta))):
+                         ("meta", isinstance(self.meta, dict) and _json_value(self.meta))):
             if not ok:
                 raise ScenarioError(f"scenario field {name!r} cannot be {getattr(self, name)!r}")
         for cid, members in self.comms.items():

@@ -65,7 +65,7 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
     # ------------------------------------------------------------ wrappers
 
     def begin_collective(self, sim, rank):
-        op = rank.current_op()
+        op = rank.program[rank.pc]
         if op.op == "icoll":
             raise UnsupportedOperationError(
                 "the two-phase-commit baseline does not support non-blocking collectives"
@@ -82,13 +82,15 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
         tb.entered.add(rank.id)
         rank.blocked_ref = tb
         sim.counters.wrapper_invocations += 1
-        sim.emit(rank.id, "tb_enter", comm=op.comm, instance=index)
+        if sim.trace is not None:
+            sim.emit(rank.id, "tb_enter", comm=op.comm, instance=index)
         if len(tb.entered) == len(tb.members):
             tb.complete = True
             sim.wake(tb.members)
-            sim.counters.tpc_barrier_messages += barrier_cost(len(tb.members))
-            sim.emit(rank.id, "tb_complete", comm=op.comm, instance=index,
-                     cost=barrier_cost(len(tb.members)))
+            cost = barrier_cost(len(tb.members))
+            sim.counters.tpc_barrier_messages += cost
+            if sim.trace is not None:
+                sim.emit(rank.id, "tb_complete", comm=op.comm, instance=index, cost=cost)
             del self.tb_instances[key]
         return BARRIER
 

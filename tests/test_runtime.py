@@ -28,6 +28,7 @@ from ccsim.scenario import Op
 from conftest import (
     build,
     drive,
+    drive_held,
     op_coll,
     op_icoll,
     same_member_set_scenario,
@@ -522,6 +523,14 @@ class TestWidePayloads:
             assert restarted.checksums == base.checksums, step
 
 
+def _generated(seed, algorithm):
+    """An 8-16 rank generated scenario with p2p ops, and non-blocking
+    collectives unless the algorithm is 2pc."""
+    return generate_workload(seed, ranks=8 + seed % 9, groups=1 + seed % 3, ops=90,
+                             nonblocking_ratio=0.0 if algorithm == "2pc" else 0.4,
+                             p2p_ratio=0.24)
+
+
 class TestReadySet:
     """The incremental ready set equals a full scan at every scheduler step."""
 
@@ -540,9 +549,7 @@ class TestReadySet:
         updates = aborts = 0
         for seed in range(18):
             for algorithm in ("cc", "2pc"):
-                sc = generate_workload(
-                    seed, ranks=8 + seed % 9, groups=1 + seed % 3, ops=90,
-                    nonblocking_ratio=0.4 if algorithm == "cc" else 0.0, p2p_ratio=0.24)
+                sc = _generated(seed, algorithm)
                 base = run(sc, algorithm, seed=seed, record=False, checks=False)
                 ck = run(sc, algorithm, seed=seed, ckpt=("at_step", base.sim.step // 2),
                          checks=False)
@@ -552,6 +559,27 @@ class TestReadySet:
                 assert ck.checksums == restarted.checksums == base.checksums
         # the rounds exercised the cc cascade and aborted 2pc barriers
         assert updates > 0 and aborts > 0
+
+    @pytest.mark.parametrize("pick", [min, max], ids=["min", "max"])
+    def test_direct_step_actor_drivers(self, pick):
+        # conftest.drive calls step_actor itself, outside run(), and requests
+        # the round mid-run; drive_held then stops half the ranks at a pc.
+        rounds = 0
+        for seed in range(8):
+            for algorithm in ("cc", "2pc"):
+                sc = _generated(seed, algorithm)
+                half = run(sc, algorithm, seed=seed, record=False, checks=False).sim.step // 2
+                sim, coordinator = build(sc, algorithm, seed=seed)
+                drive(sim, coordinator, pick=pick, request_when=lambda s: s.step >= half)
+                rounds += coordinator.declared
+                sim, coordinator = build(sc, algorithm, seed=seed)
+                drive_held(sim, {r: len(sc.programs[r]) // 2
+                                 for r in range(sc.world_size) if r % 2 == seed % 2})
+                coordinator.request_checkpoint(sim)
+                drive(sim, coordinator, pick=pick)
+                rounds += coordinator.declared
+                assert sim.all_finished()
+        assert rounds == 32
 
     def test_explored_reproductions(self):
         # unfenced point-to-point: some checkpoint placements deadlock
@@ -563,3 +591,35 @@ class TestReadySet:
         assert explore_small(same_member_set_scenario(), "cc").passed
         for algorithm in ("cc", "2pc"):
             assert not explore_small(unfenced, algorithm).passed
+
+
+class TestTracedAndUntracedAgree:
+    """record=False builds no trace events and keeps no group_calls; it must
+    change no exact output."""
+
+    @staticmethod
+    def _outputs(result):
+        sim = result.sim
+        return sim.step, sim.counters.to_dict(), sim.checksums()
+
+    @pytest.mark.parametrize("algorithm", ["none", "cc", "2pc"])
+    def test_runs_rounds_snapshots_and_restarts(self, algorithm):
+        for seed in range(6):
+            sc = _generated(seed, algorithm)
+            base = {record: run(sc, algorithm, seed=seed, record=record, checks=False)
+                    for record in (False, True)}
+            assert self._outputs(base[False]) == self._outputs(base[True])
+            assert not any(r.group_calls for r in base[False].sim.ranks)
+            assert any(r.group_calls for r in base[True].sim.ranks)
+            if algorithm == "none":
+                continue
+            at = ("at_step", base[False].sim.step // 2)
+            ck = {record: run(sc, algorithm, seed=seed, ckpt=at, record=record, checks=False)
+                  for record in (False, True)}
+            assert self._outputs(ck[False]) == self._outputs(ck[True])
+            assert ck[False].snapshot.dumps() == ck[True].snapshot.dumps()
+            restarted = [self._outputs(run_restart(ck[record].snapshot, record=record,
+                                                   checks=False))
+                         for record in (False, True)]
+            assert restarted[0] == restarted[1]
+            assert restarted[0][2] == base[False].sim.checksums()

@@ -269,6 +269,13 @@ ROUND_TRIP_FAULTS = [
     ("meta", lambda v: ScenarioProgram(world_size=2, meta=v), {"a": {2: 3}}, {"a": {"2": 3}}),
     ("meta", lambda v: ScenarioProgram(world_size=2, meta=v), {"a": [{2: 3}]},
      {"a": [{"2": 3}]}),
+    ("meta", lambda v: ScenarioProgram(world_size=2, meta=v), {"a": float("nan")}, {"a": 0.5}),
+    ("meta", lambda v: ScenarioProgram(world_size=2, meta=v), {"a": float("inf")}, {"a": 1e308}),
+    ("meta", lambda v: ScenarioProgram(world_size=2, meta=v), {"a": [float("-inf")]},
+     {"a": [-1e308]}),
+    ("meta", lambda v: ScenarioProgram(world_size=2, meta=v), {"a": {1, 2}}, {"a": [1, 2]}),
+    ("meta", lambda v: ScenarioProgram(world_size=2, meta=v), {"a": b"x"}, {"a": "x"}),
+    ("meta", lambda v: ScenarioProgram(world_size=2, meta=v), {"a": 1j}, {"a": None}),
     ("communicator id", lambda v: ScenarioProgram(world_size=2, comms={v: (0, 1)}), 5, "5"),
     ("rank", lambda v: _pair(lambda r: [op_coll(v if r else 0)]), True, 1),
     ("peer", lambda v: _pair(lambda r: [Op(rank=0, op="send", peer=v, data=[1]) if r == 0
@@ -363,6 +370,15 @@ class TestValidation:
         assert ScenarioProgram.loads(sc.dumps()) == sc
         with pytest.raises(ScenarioError, match=rf"\b{re.escape(field)}\b"):
             make(bad).validate()
+
+    def test_meta_reproductions_fail_validate_not_the_round_trip(self):
+        # A NaN used to validate and load back unequal (NaN != NaN); a set
+        # used to validate and then make dumps raise TypeError.
+        for bad in (float("nan"), {1}):
+            sc = ScenarioProgram(world_size=2, meta={"x": bad})
+            with pytest.raises(ScenarioError, match=r"^scenario field 'meta' cannot be "):
+                sc.validate()
+            assert not sc.frozen
 
     @pytest.mark.parametrize("data", [[1.5], [True], ["x"], (1,)],
                              ids=["float", "bool", "str", "tuple"])
