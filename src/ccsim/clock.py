@@ -26,9 +26,10 @@ _MASK64 = (1 << 64) - 1
 _PRIME_POWERS = tuple(pow(_FNV_PRIME, k, 1 << 64) for k in range(9))  # prime**k mod 2^64
 
 
-def fnv1a64(parts) -> int:
+def fnv1a64(parts, h: int = _FNV_OFFSET) -> int:
     """FNV-1a 64 over the 8-byte little-endian two's complement of each
-    integer's low 64 bits.
+    integer's low 64 bits, from state ``h`` (the FNV offset basis by
+    default): ``fnv1a64(a + b) == fnv1a64(b, fnv1a64(a))``.
 
     Stable across runs and platforms (unlike built-in hash()), so it is safe
     to persist in traces and snapshots. Any int is accepted: only its low 64
@@ -36,7 +37,6 @@ def fnv1a64(parts) -> int:
     highest nonzero byte and the zero bytes above it fold in one
     multiplication by a power of the prime.
     """
-    h = _FNV_OFFSET
     for value in parts:
         u, k = value & _MASK64, 8
         while u > 255:

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from itertools import chain
+from operator import add
 
 from .clock import GroupKey, fnv1a64
 from .errors import (
@@ -96,9 +98,10 @@ def checksum_fold(acc: int, op_index: int, values) -> int:
 
     Addition modulo 2^64 over per-delivery digests, so two runs that deliver
     the same multiset of (op index, payload) pairs agree exactly regardless
-    of scheduling.
+    of scheduling. A delivery's digest is ``fnv1a64([op_index, len(values),
+    *values])``, hashed as the header and then the payload, with no joined list.
     """
-    return (acc + fnv1a64([op_index, len(values), *values])) & _MASK64
+    return (acc + fnv1a64(values, fnv1a64((op_index, len(values))))) & _MASK64
 
 
 class RequestObject:
@@ -236,9 +239,6 @@ class RankState:
         if stage == BLOCKED_RECV:
             return f"recv from {self.current_op().peer} tag {self.current_op().tag}"
         return ""
-
-    def fold(self, op_index, values):
-        self.checksum = checksum_fold(self.checksum, op_index, values)
 
     def fork(self, memo):
         """A copy for a forked runtime; the program is shared: it is a tuple
@@ -435,7 +435,9 @@ class Simulator:
 
     @property
     def round_pending(self) -> bool:
-        """True from a checkpoint request until its safe state is declared."""
+        """True from a checkpoint request until its safe state is declared.
+        Hooks on the step hot path test ``sim.coordinator is not None`` first:
+        with no coordinator no round is ever pending."""
         coordinator = self.coordinator
         return coordinator is not None and coordinator.requested and not coordinator.declared
 
@@ -483,24 +485,30 @@ class Simulator:
         With one enabled rank nothing is drawn. With n > 1 the draw is
         ``getrandbits(n.bit_length())``, drawn again while it is >= n: the
         same draws as ``random.Random.choice`` makes. The first call seeds
-        the rng; a later call continues the same stream.
+        the rng; a later call continues the same stream. ``coordinator`` is
+        read once per call, and ``enabled_actors`` runs only when some rank
+        was woken since the last step: otherwise the ready list is current.
         """
         if self.rng is None:
             self.rng = random.Random(self.seed)
         getrandbits = self.rng.getrandbits
+        step_actor, coordinator = self.step_actor, self.coordinator
+        ready, dirty = self._ready, self._dirty
         while not self.halted:
-            if self.coordinator is not None:
-                self.coordinator.before_step(self)
-            enabled = self.enabled_actors() or self.runnable()
+            if coordinator is not None:
+                coordinator.before_step(self)
+            enabled = self.enabled_actors() if dirty else ready
+            if not enabled:
+                enabled = self.runnable()
             n = len(enabled)
             if n == 1:
-                self.step_actor(enabled[0])
+                step_actor(enabled[0])
             elif n:
                 k = n.bit_length()
                 r = getrandbits(k)
                 while r >= n:
                     r = getrandbits(k)
-                self.step_actor(enabled[r])
+                step_actor(enabled[r])
             else:
                 break
         return self
@@ -525,8 +533,9 @@ class Simulator:
 
     def step_actor(self, rank_id: int):
         """Step a rank that ``enabled_actors`` returned or ``wake`` marked, then
-        check it again in place: at START it stays ready with no call, in any
-        other stage it leaves the ready list unless it is still enabled."""
+        check it again in place: at START it stays ready with no call, waiting
+        on an instance it reads the instance, and in any other stage it leaves
+        the ready list unless ``_enabled`` says it is still enabled."""
         rank = self.ranks[rank_id]
         stage = rank.stage
         if stage == START:
@@ -548,13 +557,18 @@ class Simulator:
             self.protocol.finished_step(self, rank)
         else:
             raise SimulationError(f"rank {rank_id} stepped in stage {stage}")
-        if rank.stage != START and not self._enabled(rank):
+        stage = rank.stage
+        if stage == BLOCKED_COLL or stage == TB_BLOCKED:
+            enabled = rank.blocked_ref.complete or rank.blocked_ref.aborted
+        else:
+            enabled = stage == START or self._enabled(rank)
+        if not enabled:
             ready = self._ready
             at = bisect_left(ready, rank_id)
             if at < len(ready) and ready[at] == rank_id:
                 del ready[at]
-        self.step += 1
-        if self.step > MAX_STEPS:
+        self.step = step = self.step + 1
+        if step > MAX_STEPS:
             raise SimulationError(f"step budget {MAX_STEPS} exceeded")
 
     def all_finished(self):
@@ -573,9 +587,8 @@ class Simulator:
         stage = rank.stage
         if stage == START:
             return True
-        if stage == BLOCKED_COLL:
-            return rank.blocked_ref.complete
-        if stage == TB_BLOCKED:
+        if stage == BLOCKED_COLL or stage == TB_BLOCKED:
+            # only a trivial barrier is ever aborted
             return rank.blocked_ref.complete or rank.blocked_ref.aborted
         if stage == BLOCKED_REQ:
             return self._requests_satisfied(rank) or self.protocol.blocked_has_input(self, rank)
@@ -634,18 +647,21 @@ class Simulator:
     # ------------------------------------------------------- collectives
 
     def get_instance(self, comm: CommRecord, index: int, op: Op, blocking: bool) -> Instance:
+        """The instance an op joins, made by its first member. A coll or
+        icoll signature ends in ``blocking``, so a signature match is a
+        blocking match too."""
         key = (comm.comm_id, index)
         inst = self.instances.get(key)
         if op.op == "comm_create":
             signature = ("comm_create", op.new_comm, tuple(self.scenario.comms[op.new_comm]))
         else:
-            signature = (op.kind, op.root, op.reduce_op, op.op == "coll")
+            signature = (op.kind, op.root, op.reduce_op, blocking)
         if inst is None:
             inst = Instance(comm.comm_id, index, comm.members, signature, blocking)
             if op.op == "comm_create":
                 inst.new_comm = op.new_comm
             self.instances[key] = inst
-        elif inst.signature != signature or inst.blocking != blocking:
+        elif inst.signature != signature:
             raise CollectiveMismatchError(
                 f"collective mismatch on {comm.comm_id}#{index}: rank {op.rank} called "
                 f"{signature}, instance is {inst.signature} "
@@ -691,48 +707,47 @@ class Simulator:
                 req.payload = inst.outputs.get(rank_id)
 
     def _compute_outputs(self, inst: Instance):
+        """Each member's result, built at C level from the inputs, which are
+        the ops' own payloads: every output is a fresh list, never one of them."""
         kind = inst.signature[0]
-        members = inst.members
         if kind in ("barrier", "comm_create"):
             return
-        inputs = inst.inputs
+        members, inputs, outputs = inst.members, inst.inputs, inst.outputs
         if kind == "bcast":
             root = inst.signature[1]
             data = inputs.get(root)
             if data is None:
                 raise CollectiveMismatchError(f"bcast root {root} provided no data in {inst.describe()}")
             for m in members:
-                inst.outputs[m] = list(data)
+                outputs[m] = list(data)
             return
-        vectors = []
-        for m in members:
-            data = inputs.get(m)
-            if data is None:
-                raise CollectiveMismatchError(f"rank {m} provided no data in {inst.describe()}")
-            vectors.append(list(data))
-        lengths = {len(v) for v in vectors}
+        vectors = [inputs.get(m) for m in members]
+        if None in vectors:
+            raise CollectiveMismatchError(
+                f"rank {members[vectors.index(None)]} provided no data in {inst.describe()}")
+        lengths = set(map(len, vectors))
         if len(lengths) != 1:
             raise CollectiveMismatchError(f"ragged inputs in {inst.describe()}: {sorted(lengths)}")
         if kind in ("reduce", "allreduce"):
-            combine = (lambda a, b: a + b) if inst.signature[2] == "sum" else max
-            fold = list(vectors[0])
+            combine = add if inst.signature[2] == "sum" else max
+            fold = vectors[0]
             for vec in vectors[1:]:
-                fold = [combine(a, b) for a, b in zip(fold, vec)]
+                fold = map(combine, fold, vec)
+            fold = list(fold)
             if kind == "reduce":
-                inst.outputs[inst.signature[1]] = fold
+                outputs[inst.signature[1]] = fold
             else:
                 for m in members:
-                    inst.outputs[m] = list(fold)
+                    outputs[m] = list(fold)
         elif kind == "gather":
-            flat = [x for vec in vectors for x in vec]
-            inst.outputs[inst.signature[1]] = flat
+            outputs[inst.signature[1]] = list(chain.from_iterable(vectors))
         elif kind == "alltoall":
             if len(vectors[0]) != len(members):
                 raise CollectiveMismatchError(
                     f"alltoall in {inst.describe()} needs one block per member"
                 )
-            for i, m in enumerate(members):
-                inst.outputs[m] = [inputs[peer][i] for peer in members]
+            for m, column in zip(members, zip(*vectors)):
+                outputs[m] = list(column)
         else:
             raise CollectiveMismatchError(f"unknown collective kind {kind!r}")
 
@@ -745,9 +760,9 @@ class Simulator:
         inst.returned.add(rank.id)
         output = inst.outputs.get(rank.id)
         if output is not None:
-            rank.fold(rank.pc, output)
+            rank.checksum = checksum_fold(rank.checksum, rank.pc, output)
         elif inst.new_comm is not None and rank.id in inst.signature[2]:
-            rank.fold(rank.pc, list(inst.signature[2]))
+            rank.checksum = checksum_fold(rank.checksum, rank.pc, inst.signature[2])
         if self.trace is not None:
             self.emit(rank.id, "coll_return", comm=inst.comm_id, instance=inst.index)
         rank.blocked_ref = None
@@ -770,7 +785,7 @@ class Simulator:
             self.emit(rank.id, "tb_abort", comm=tb.comm_id, instance=tb.index, pc=rank.pc)
         else:
             rank.blocked_ref = None
-            self._join_collective(rank, rank.current_op())
+            self._join_collective(rank, rank.program[rank.pc])
 
     # ------------------------------------------------------ non-blocking
 
@@ -835,7 +850,7 @@ class Simulator:
     def _consume(self, rank: RankState, req: RequestObject):
         req.state = CONSUMED
         if req.payload is not None:
-            rank.fold(req.op_index, req.payload)
+            rank.checksum = checksum_fold(rank.checksum, req.op_index, req.payload)
         if self.trace is not None:
             self.emit(rank.id, "req_consume", request=req.req_id)
 
@@ -858,7 +873,8 @@ class Simulator:
 
     def _complete_match(self, sender: RankState, receiver: RankState):
         op = receiver.current_op()
-        receiver.fold(receiver.pc, sender.current_op().data)
+        receiver.checksum = checksum_fold(receiver.checksum, receiver.pc,
+                                          sender.current_op().data)
         self.counters.app_messages += 1
         self.counters.p2p_messages += 1
         if self.trace is not None:

@@ -105,18 +105,18 @@ def check_hb_acyclic(trace, scenario="", seed=None) -> Verdict:
 # --------------------------------------------------------------------------
 
 
-def _blocking_positions(scenario: ScenarioProgram, rank: int, comm_id: str) -> list:
-    """Program positions of rank's blocking collective calls on a communicator.
+def _blocking_positions(program) -> dict:
+    """Program positions of a rank's blocking collective calls, by communicator.
 
     Communicator creation is collective over the parent, so it counts as a
     blocking call on the parent (world).
     """
-    positions = []
-    for i, op in enumerate(scenario.programs[rank]):
-        if op.op == "coll" and op.comm == comm_id:
-            positions.append(i)
-        elif op.op == "comm_create" and comm_id == WORLD:
-            positions.append(i)
+    positions = {}
+    for i, op in enumerate(program):
+        if op.op == "coll":
+            positions.setdefault(op.comm, []).append(i)
+        elif op.op == "comm_create":
+            positions.setdefault(WORLD, []).append(i)
     return positions
 
 
@@ -127,10 +127,18 @@ def check_crossing_legality(scenario: ScenarioProgram, seed=None) -> Verdict:
     recvs: dict = {}
     for rank, program in enumerate(scenario.programs):
         for i, op in enumerate(program):
-            if op.op == "send":
+            kind = op.op
+            if kind == "send":
                 sends.setdefault((rank, op.peer, op.tag, op.comm), []).append(i)
-            elif op.op == "recv":
+            elif kind == "recv":
                 recvs.setdefault((op.peer, rank, op.tag, op.comm), []).append(i)
+
+    blocking = {}  # rank -> _blocking_positions of its program, once it is in a matched pair
+
+    def blocking_positions(rank, comm_id):
+        if rank not in blocking:
+            blocking[rank] = _blocking_positions(scenario.programs[rank])
+        return blocking[rank].get(comm_id, ())
 
     shared_comms = {}
     violations = []
@@ -151,8 +159,8 @@ def check_crossing_legality(scenario: ScenarioProgram, seed=None) -> Verdict:
         pair_recvs = recvs.get(key, [])
         for send_pos, recv_pos in zip(pair_sends, pair_recvs):
             for cid in comms_containing(src, dst):
-                src_positions = _blocking_positions(scenario, src, cid)
-                dst_positions = _blocking_positions(scenario, dst, cid)
+                src_positions = blocking_positions(src, cid)
+                dst_positions = blocking_positions(dst, cid)
                 for k in range(min(len(src_positions), len(dst_positions))):
                     a, b = src_positions[k], dst_positions[k]
                     before_a, after_b = send_pos < a, recv_pos > b

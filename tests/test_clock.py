@@ -3,7 +3,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccsim import (
@@ -12,6 +12,7 @@ from ccsim import (
     ProtocolViolationError,
     ScenarioProgram,
     by_label,
+    checksum_fold,
     reached_all_targets,
 )
 from ccsim.clock import fnv1a64
@@ -152,3 +153,26 @@ def test_fnv1a64_folds_the_low_64_bits_at_byte_boundaries(value):
 @settings(max_examples=300, deadline=None)
 def test_fnv1a64_of_any_int_is_the_bytewise_fold_of_its_low_64_bits(parts):
     assert fnv1a64(parts) == _fnv1a64_bytewise([_low64_signed(v) for v in parts])
+
+
+ANY_INT = st.one_of(st.integers(-300, 300), st.integers(-2**70, 2**70), st.integers(2**63, 2**200))
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 10_000), st.lists(ANY_INT, max_size=20))
+@example(acc=2**64 - 1, op_index=0, values=[])
+@example(acc=5, op_index=3, values=[-1, -2**63, 2**64 + 7, 2**200])
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_checksum_fold_is_the_fnv1a64_of_the_joined_delivery(acc, op_index, values):
+    # the fold hashes the (op index, length) header, then the payload, from
+    # that state; it equals one hash of the joined list, as the checksum
+    # definition reads
+    joined = (acc + fnv1a64([op_index, len(values), *values])) & ((1 << 64) - 1)
+    assert checksum_fold(acc, op_index, values) == joined
+    assert checksum_fold(acc, op_index, tuple(values)) == joined
+
+
+@given(st.lists(ANY_INT, max_size=12), st.lists(ANY_INT, max_size=12))
+@example(a=[], b=[])
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_fnv1a64_continues_from_a_given_state(a, b):
+    assert fnv1a64(a + b) == fnv1a64(b, fnv1a64(a))

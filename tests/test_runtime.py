@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccsim import (
     CollectiveMismatchError,
@@ -22,7 +24,7 @@ from ccsim import (
     run_restart,
     translate_ranks,
 )
-from ccsim.runtime import CONSUMED, PENDING
+from ccsim.runtime import CONSUMED, PENDING, Instance
 from ccsim.scenario import Op
 
 from conftest import (
@@ -523,6 +525,126 @@ class TestWidePayloads:
             assert restarted.checksums == base.checksums, step
 
 
+def _reference_outputs(inst):
+    """``Simulator._compute_outputs`` as it was before it built its outputs at
+    C level: per-member copies of the inputs and Python-level combines."""
+    kind = inst.signature[0]
+    members = inst.members
+    if kind in ("barrier", "comm_create"):
+        return
+    inputs = inst.inputs
+    if kind == "bcast":
+        root = inst.signature[1]
+        data = inputs.get(root)
+        if data is None:
+            raise CollectiveMismatchError(f"bcast root {root} provided no data in {inst.describe()}")
+        for m in members:
+            inst.outputs[m] = list(data)
+        return
+    vectors = []
+    for m in members:
+        data = inputs.get(m)
+        if data is None:
+            raise CollectiveMismatchError(f"rank {m} provided no data in {inst.describe()}")
+        vectors.append(list(data))
+    lengths = {len(v) for v in vectors}
+    if len(lengths) != 1:
+        raise CollectiveMismatchError(f"ragged inputs in {inst.describe()}: {sorted(lengths)}")
+    if kind in ("reduce", "allreduce"):
+        combine = (lambda a, b: a + b) if inst.signature[2] == "sum" else max
+        fold = list(vectors[0])
+        for vec in vectors[1:]:
+            fold = [combine(a, b) for a, b in zip(fold, vec)]
+        if kind == "reduce":
+            inst.outputs[inst.signature[1]] = fold
+        else:
+            for m in members:
+                inst.outputs[m] = list(fold)
+    elif kind == "gather":
+        flat = [x for vec in vectors for x in vec]
+        inst.outputs[inst.signature[1]] = flat
+    elif kind == "alltoall":
+        if len(vectors[0]) != len(members):
+            raise CollectiveMismatchError(
+                f"alltoall in {inst.describe()} needs one block per member"
+            )
+        for i, m in enumerate(members):
+            inst.outputs[m] = [inputs[peer][i] for peer in members]
+    else:
+        raise CollectiveMismatchError(f"unknown collective kind {kind!r}")
+
+
+@st.composite
+def _instance_inputs(draw):
+    """(members, signature, inputs) of one completed instance: 1-8 members,
+    any kind (an unknown one too), a root that may be no member, and payloads
+    that may be ragged, missing or an alltoall with the wrong block count."""
+    members = tuple(draw(st.lists(st.integers(0, 11), min_size=1, max_size=8, unique=True)))
+    kind = draw(st.sampled_from(["barrier", "comm_create", "bcast", "reduce", "allreduce",
+                                 "gather", "alltoall", "scan"]))
+    root = draw(st.one_of(st.sampled_from(members), st.integers(0, 11)))
+    reduce_op = draw(st.sampled_from(["sum", "max", "min", None]))
+    width = len(members) if kind == "alltoall" and draw(st.booleans()) else draw(st.integers(0, 6))
+    ints = st.one_of(st.integers(-5, 5), st.integers(-2**70, 2**70))
+    inputs = {}
+    for m in members:
+        data = draw(st.lists(ints, min_size=width, max_size=width))
+        inputs[m] = tuple(data) if draw(st.booleans()) else data
+    defect = draw(st.sampled_from(["none"] * 5 + ["ragged", "missing", "null"]))
+    odd = draw(st.sampled_from(members))
+    if defect == "ragged":
+        inputs[odd] = draw(st.lists(ints, max_size=6))
+    elif defect == "missing":
+        del inputs[odd]
+    elif defect == "null":
+        inputs[odd] = None
+    return members, (kind, root, reduce_op, True), inputs
+
+
+class TestComputeOutputs:
+    """Outputs built at C level equal the per-member Python version."""
+
+    @staticmethod
+    def _outcome(compute, members, signature, inputs):
+        inst = Instance("g", 3, members, signature, True)
+        inst.inputs = dict(inputs)
+        try:
+            compute(inst)
+        except CollectiveMismatchError as exc:
+            return inst.outputs, (type(exc), str(exc))
+        return inst.outputs, None
+
+    @given(_instance_inputs())
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_matches_the_reference(self, case):
+        members, signature, inputs = case
+        sim = Simulator(scenario(1))
+        got, error = self._outcome(sim._compute_outputs, members, signature, inputs)
+        want, want_error = self._outcome(_reference_outputs, members, signature, inputs)
+        assert error == want_error
+        if error is None:
+            assert list(got.items()) == list(want.items())
+        # every output is a fresh list: no op's payload, no other member's output
+        assert all(type(out) is list for out in got.values())
+        assert not any(out is data for out in got.values() for data in inputs.values())
+        assert len({id(out) for out in got.values()}) == len(got)
+
+    def test_named_error_cases_fail_alike(self):
+        # a bcast root without data, ragged inputs, the wrong alltoall block count
+        members = (0, 1, 2)
+        cases = [
+            (("bcast", 0, None, True), {1: [1]}, "bcast root 0 provided no data"),
+            (("gather", 0, None, True), {0: [1], 1: [1, 2], 2: [3]}, "ragged inputs"),
+            (("alltoall", None, None, True), {m: [m, m] for m in members},
+             "needs one block per member"),
+        ]
+        sim = Simulator(scenario(1))
+        for signature, inputs, message in cases:
+            got = self._outcome(sim._compute_outputs, members, signature, inputs)
+            assert got == self._outcome(_reference_outputs, members, signature, inputs)
+            assert message in got[1][1]
+
+
 def _generated(seed, algorithm):
     """An 8-16 rank generated scenario with p2p ops, and non-blocking
     collectives unless the algorithm is 2pc."""
@@ -543,7 +665,17 @@ class TestReadySet:
             assert ready == [r.id for r in sim.ranks if sim._enabled(r)], sim.step
             return ready
 
+        step_actor = Simulator.step_actor
+
+        def stepped(sim, rank_id):
+            # run() and the step loops here draw from the ready list only
+            # once no rank is left woken: run() reads it itself when none was
+            assert not sim._dirty, sim.step
+            assert sim._ready == [r.id for r in sim.ranks if sim._enabled(r)], sim.step
+            step_actor(sim, rank_id)
+
         monkeypatch.setattr(Simulator, "enabled_actors", checked)
+        monkeypatch.setattr(Simulator, "step_actor", stepped)
 
     def test_generated_runs_rounds_and_restarts(self):
         updates = aborts = 0

@@ -1,5 +1,8 @@
 """Offline verifier checks."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ccsim import (
     GroupKey,
     Op,
@@ -12,6 +15,7 @@ from ccsim import (
     generate_workload,
     run,
 )
+from ccsim.scenario import WORLD
 
 from conftest import op_coll, scenario
 
@@ -90,6 +94,86 @@ class TestCrossingLegality:
         for seed in range(5):
             sc = generate_workload(seed, ranks=6, groups=2, ops=40, p2p_ratio=0.4)
             assert check_crossing_legality(sc).passed
+
+
+def _reference_crossing_violations(scenario):
+    """``check_crossing_legality``'s violations as computed before it found
+    each rank's blocking positions in one scan: a rescan of the program for
+    every matched pair and shared communicator."""
+    def blocking_positions(rank, comm_id):
+        return [i for i, op in enumerate(scenario.programs[rank])
+                if (op.op == "coll" and op.comm == comm_id)
+                or (op.op == "comm_create" and comm_id == WORLD)]
+
+    sends, recvs = {}, {}
+    for rank, program in enumerate(scenario.programs):
+        for i, op in enumerate(program):
+            if op.op == "send":
+                sends.setdefault((rank, op.peer, op.tag, op.comm), []).append(i)
+            elif op.op == "recv":
+                recvs.setdefault((op.peer, rank, op.tag, op.comm), []).append(i)
+    violations = []
+    for key in sorted(set(sends) | set(recvs)):
+        src, dst, _, _ = key
+        for send_pos, recv_pos in zip(sends.get(key, []), recvs.get(key, [])):
+            shared = [WORLD] + [cid for cid, members in scenario.comms.items()
+                                if src in members and dst in members]
+            for cid in shared:
+                src_positions = blocking_positions(src, cid)
+                dst_positions = blocking_positions(dst, cid)
+                for k in range(min(len(src_positions), len(dst_positions))):
+                    a, b = src_positions[k], dst_positions[k]
+                    if (send_pos < a and recv_pos > b) or (send_pos > a and recv_pos < b):
+                        violations.append({"send": [src, send_pos], "recv": [dst, recv_pos],
+                                           "comm": cid, "instance": k})
+    return violations
+
+
+@st.composite
+def _p2p_programs(draw):
+    """2-4 ranks of random sends, recvs, barriers on world or on two
+    communicators, and communicator creations; not necessarily runnable."""
+    n = draw(st.integers(2, 4))
+    comms = {"a": tuple(range(n)), "b": tuple(draw(st.sets(st.integers(0, n - 1),
+                                                           min_size=2, max_size=n)))}
+    sc = scenario(n, comms=comms, preamble=False)
+    for rank in range(n):
+        for _ in range(draw(st.integers(0, 12))):
+            what = draw(st.sampled_from(["send", "recv", "send", "recv", "coll", "create"]))
+            if what == "coll":
+                comm = draw(st.sampled_from([WORLD] + [c for c in comms if rank in comms[c]]))
+                sc.programs[rank].append(op_coll(rank, comm=comm))
+            elif what == "create":
+                sc.programs[rank].append(Op(rank=rank, op="comm_create",
+                                            new_comm=draw(st.sampled_from(sorted(comms)))))
+            else:
+                peer = draw(st.sampled_from([r for r in range(n) if r != rank]))
+                sc.programs[rank].append(Op(rank=rank, op=what, peer=peer,
+                                            tag=draw(st.integers(0, 1)),
+                                            comm=draw(st.sampled_from([WORLD, "a"])),
+                                            data=[1] if what == "send" else None))
+    return sc
+
+
+class TestCrossingLegalityReference:
+    @given(_p2p_programs())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_violations_match_the_rescanning_version(self, sc):
+        verdict = check_crossing_legality(sc)
+        want = _reference_crossing_violations(sc)
+        assert verdict.detail["violations"] == want
+        assert verdict.passed == (not want)
+
+    def test_the_strategy_finds_violations(self):
+        found = []
+
+        @given(_p2p_programs())
+        @settings(derandomize=True, max_examples=100, deadline=None)
+        def collect(sc):
+            found.append(bool(_reference_crossing_violations(sc)))
+
+        collect()
+        assert any(found) and not all(found)
 
 
 class TestSafeState:
