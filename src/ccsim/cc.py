@@ -95,8 +95,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
         A non-blocking initiation commits exactly like a blocking call.
         """
         st = self.states[rank.id]
-        if (sim.coordinator is not None and sim.round_pending
-                and reached_all_targets(st.clock, st.targets, rank.id)):
+        if sim.round_pending and reached_all_targets(st.clock, st.targets, rank.id):
             return PARK
         self._commit(sim, rank, st, sim.group_keys[rank.program[rank.pc].comm])
         return PROCEED
@@ -106,7 +105,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
         st.clock[g] = seq
         if sim.trace is not None:
             sim.emit(rank.id, "seq_inc", group=g.label(), value=seq)
-        if sim.coordinator is not None and sim.round_pending:
+        if sim.round_pending:
             sim.counters.drain_collectives += 1
             if seq > st.targets[g]:
                 st.targets[g] = seq
@@ -122,8 +121,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
         parked rank. The park then happens at the next wrapper entry.
         """
         st = self.states[rank.id]
-        if (sim.coordinator is not None and sim.round_pending
-                and reached_all_targets(st.clock, st.targets, rank.id)):
+        if sim.round_pending and reached_all_targets(st.clock, st.targets, rank.id):
             if self._p2p_before_next_wrapper(rank):
                 return PROCEED
             return PARK

@@ -435,9 +435,7 @@ class Simulator:
 
     @property
     def round_pending(self) -> bool:
-        """True from a checkpoint request until its safe state is declared.
-        Hooks on the step hot path test ``sim.coordinator is not None`` first:
-        with no coordinator no round is ever pending."""
+        """True from a checkpoint request until its safe state is declared."""
         coordinator = self.coordinator
         return coordinator is not None and coordinator.requested and not coordinator.declared
 

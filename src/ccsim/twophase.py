@@ -70,7 +70,7 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
             raise UnsupportedOperationError(
                 "the two-phase-commit baseline does not support non-blocking collectives"
             )
-        if sim.coordinator is not None and sim.round_pending:
+        if sim.round_pending:
             return STOP
         index = rank.comm_calls.get(op.comm, 0)  # peek; join increments later
         key = (op.comm, index)
@@ -106,7 +106,7 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
         # Committed collectives complete before the checkpoint, but the rank
         # halts only at its next wrapper entry: intervening point-to-point
         # ops must drain so a matched peer is never stranded.
-        if sim.coordinator is not None and sim.round_pending:
+        if sim.round_pending:
             sim.counters.drain_collectives += 1
         return PROCEED
 

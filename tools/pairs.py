@@ -1,15 +1,16 @@
 """Alternating before/after pairs of perfbench runs in two checkouts.
 
-    python3 tools/pairs.py PARENT CHANGE --seeds 180-189 --seconds 30 --out BENCH.json
+    python3 tools/pairs.py PARENT CHANGE --out BENCH.json
 
 PARENT and CHANGE are the roots of two source checkouts, each with its own
-``perfbench/`` and ``src/``. For each seed (one pair), every workload runs
-``python3 perfbench/run.py --workload W --seed S --seconds N --trace 0`` once
+``perfbench/`` and ``src/``. For each seed of 180-189 (one pair), every
+workload in the change's ``BENCHMARK.json`` runs
+``python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` once
 in each checkout, one run at a time: the workloads are interleaved within a
 pair, and the side that runs first alternates by pair (the parent first on
-even pairs). With ``--pass-work`` it then runs one full pass per (workload,
-seed) on each side, each in a process of its own, and records the pass's
-exact work units, operations, failures and digest.
+even pairs). It then runs one full pass per (workload, seed) on each side,
+each in a process of its own, and records the pass's exact work units,
+operations, failures and digest.
 
 It prints, per workload and end-to-end metric, the median of each side, the
 relative change of the medians, in how many pairs the change was better, and
@@ -29,22 +30,15 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+SEEDS = range(180, 190)
+SECONDS = 30
 
 
-def parse_seeds(text: str) -> list:
-    """'180-189' or '1,5,9' (or a mix) as a list of ints."""
-    seeds = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
-    return seeds
-
-
-def bench_run(root: str, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(root: str, workload: str, seed: int) -> dict:
     """One perfbench run in ``root``: its result line, exit code and pass count."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -100,38 +94,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--seeds", default="180-189")
-    parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated; default: every workload in BENCHMARK.json")
-    parser.add_argument("--pass-work", action="store_true",
-                        help="also record one full pass per (workload, seed) on each side")
     parser.add_argument("--out", default=None, help="write the runs and the summary here")
     args = parser.parse_args(argv)
 
     roots = dict(zip(SIDES, (args.parent, args.change)))
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
-    seeds = parse_seeds(args.seeds)
+    workloads = [w["name"] for w in bench["workloads"]]
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     firsts = []
-    for i, seed in enumerate(seeds):
+    for i, seed in enumerate(SEEDS):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         firsts.append(order[0])
         for w in workloads:
             for side in order:
-                run = bench_run(roots[side], w, seed, args.seconds)
+                run = bench_run(roots[side], w, seed)
                 runs[w][side].append(run)
                 print(f"pair {i} seed {seed} {w} {side}: exit {run['exit']} "
                       f"work_per_s {run['metrics'].get('work_per_s', float('nan')):.6g}",
                       file=sys.stderr, flush=True)
 
-    report = {"protocol": {"seeds": seeds, "seconds": args.seconds, "first": firsts,
+    report = {"protocol": {"seeds": list(SEEDS), "seconds": SECONDS, "first": firsts,
                            "command": "python3 perfbench/run.py --workload W --seed S "
-                                      f"--seconds {args.seconds:g} --trace 0"},
+                                      f"--seconds {SECONDS} --trace 0"},
               "workloads": {}}
     for w in workloads:
         side_runs = runs[w]
@@ -154,18 +140,17 @@ def main(argv=None) -> int:
             flag = "  WORSE THAN BOUND" if s["worse_than_bound"] else ""
             print(f"{w:14} {metric['name']:12} {s['median_parent']:12.6g} "
                   f"{s['median_change']:12.6g} {s['median_delta']:+8.1%} "
-                  f"{s['change_better_pairs']:>4}/{len(seeds):<2} {s['parent_iqr']:11.4g}{flag}")
+                  f"{s['change_better_pairs']:>4}/{len(SEEDS):<2} {s['parent_iqr']:11.4g}{flag}")
         print(f"{w:14} correct {entry['correct']}, failed {entry['failed']}")
 
-    if args.pass_work:
-        for w in workloads:
-            work = {}
-            for seed in seeds:
-                sides = {side: pass_work(roots[side], w, seed) for side in SIDES}
-                work[str(seed)] = dict(sides, same_on_both_sides=sides["parent"] == sides["change"])
-            report["workloads"][w]["pass_work"] = work
-            same = all(v["same_on_both_sides"] for v in work.values())
-            print(f"{w:14} pass work and digest equal on both sides: {same}")
+    for w in workloads:
+        work = {}
+        for seed in SEEDS:
+            sides = {side: pass_work(roots[side], w, seed) for side in SIDES}
+            work[str(seed)] = dict(sides, same_on_both_sides=sides["parent"] == sides["change"])
+        report["workloads"][w]["pass_work"] = work
+        same = all(v["same_on_both_sides"] for v in work.values())
+        print(f"{w:14} pass work and digest equal on both sides: {same}")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
