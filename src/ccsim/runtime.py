@@ -453,10 +453,7 @@ class Simulator:
         since the last call are checked again. The list returned is the
         scheduler's own: read it, do not change it, and do not keep it past
         the next step."""
-        ready = self._ready
-        if not self._dirty:
-            return ready
-        ranks = self.ranks
+        ready, ranks = self._ready, self.ranks
         for rid in self._dirty:
             rank = ranks[rid]
             at = bisect_left(ready, rid)
@@ -531,9 +528,8 @@ class Simulator:
 
     def step_actor(self, rank_id: int):
         """Step a rank that ``enabled_actors`` returned or ``wake`` marked, then
-        check it again in place: at START it stays ready with no call, waiting
-        on an instance it reads the instance, and in any other stage it leaves
-        the ready list unless ``_enabled`` says it is still enabled."""
+        check it again in place: at START it stays ready with no call, in any
+        other stage it leaves the ready list unless it is still enabled."""
         rank = self.ranks[rank_id]
         stage = rank.stage
         if stage == START:
@@ -555,18 +551,13 @@ class Simulator:
             self.protocol.finished_step(self, rank)
         else:
             raise SimulationError(f"rank {rank_id} stepped in stage {stage}")
-        stage = rank.stage
-        if stage == BLOCKED_COLL or stage == TB_BLOCKED:
-            enabled = rank.blocked_ref.complete or rank.blocked_ref.aborted
-        else:
-            enabled = stage == START or self._enabled(rank)
-        if not enabled:
+        if rank.stage != START and not self._enabled(rank):
             ready = self._ready
             at = bisect_left(ready, rank_id)
             if at < len(ready) and ready[at] == rank_id:
                 del ready[at]
-        self.step = step = self.step + 1
-        if step > MAX_STEPS:
+        self.step += 1
+        if self.step > MAX_STEPS:
             raise SimulationError(f"step budget {MAX_STEPS} exceeded")
 
     def all_finished(self):
@@ -585,8 +576,9 @@ class Simulator:
         stage = rank.stage
         if stage == START:
             return True
-        if stage == BLOCKED_COLL or stage == TB_BLOCKED:
-            # only a trivial barrier is ever aborted
+        if stage == BLOCKED_COLL:
+            return rank.blocked_ref.complete
+        if stage == TB_BLOCKED:
             return rank.blocked_ref.complete or rank.blocked_ref.aborted
         if stage == BLOCKED_REQ:
             return self._requests_satisfied(rank) or self.protocol.blocked_has_input(self, rank)
