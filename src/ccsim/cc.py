@@ -49,21 +49,17 @@ class TargetUpdateMsg:
 class CcState:
     """Per-rank protocol state."""
 
-    __slots__ = ("clock", "targets", "update_queue", "update_sent_count", "update_recv_count")
+    __slots__ = ("clock", "targets", "update_queue")
 
     def __init__(self):
         self.clock = Counter()
         self.targets = Counter()
         self.update_queue = []
-        self.update_sent_count = 0
-        self.update_recv_count = 0
 
     def fork(self):
         twin = CcState.__new__(CcState)
         twin.clock, twin.targets = self.clock.copy(), self.targets.copy()
         twin.update_queue = list(self.update_queue)
-        twin.update_sent_count, twin.update_recv_count = \
-            self.update_sent_count, self.update_recv_count
         return twin
 
 
@@ -97,7 +93,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
         st = self.states[rank.id]
         if sim.round_pending and reached_all_targets(st.clock, st.targets, rank.id):
             return PARK
-        self._commit(sim, rank, st, sim.group_keys[rank.program[rank.pc].comm])
+        self._commit(sim, rank, st, sim.comm_records[rank.program[rank.pc].comm].key)
         return PROCEED
 
     def _commit(self, sim, rank, st: CcState, g: GroupKey):
@@ -142,14 +138,13 @@ class CollectiveClockProtocol(ProtocolAdapter):
             if member == origin:
                 continue
             self.states[member].update_queue.append(TargetUpdateMsg(g, value, origin))
-            st.update_sent_count += 1
             sim.counters.target_updates_sent += 1
             sim.emit(origin, "update_sent", group=g.label(), value=value, to=member)
         sim.wake(g.members)
 
     # ------------------------------------------------------ probe channel
 
-    def _apply_queue(self, sim, rank_id: int, finished: bool = False) -> bool:
+    def _apply_queue(self, sim, rank_id: int, finished: bool) -> bool:
         """Drain every queued update before deciding anything; returns True
         if some target rose (the receiving rank is no longer at its targets).
         """
@@ -157,7 +152,6 @@ class CollectiveClockProtocol(ProtocolAdapter):
         raised = False
         while st.update_queue:
             msg = st.update_queue.pop(0)
-            st.update_recv_count += 1
             applied = msg.new_target > st.targets[msg.ggid]
             if applied:
                 st.targets[msg.ggid] = msg.new_target
@@ -174,31 +168,22 @@ class CollectiveClockProtocol(ProtocolAdapter):
                 )
         return raised
 
-    def parked_enabled(self, sim, rank):
-        return bool(self.states[rank.id].update_queue)
-
-    def parked_step(self, sim, rank) -> bool:
+    def has_input(self, sim, rank) -> bool:
+        """A parked or finished rank takes any queued update. A rank at a wait
+        or a test probes only while a round is pending and it has reached its
+        targets, as a parked rank would."""
         st = self.states[rank.id]
-        self._apply_queue(sim, rank.id)
-        return not reached_all_targets(st.clock, st.targets, rank.id)
-
-    def blocked_has_input(self, sim, rank):
-        st = self.states[rank.id]
-        if not st.update_queue or not sim.round_pending:
+        if not st.update_queue:
             return False
-        return reached_all_targets(st.clock, st.targets, rank.id)
+        if rank.stage in (PARKED, FINISHED):
+            return True
+        return sim.round_pending and reached_all_targets(st.clock, st.targets, rank.id)
 
-    def blocked_poll(self, sim, rank):
-        st = self.states[rank.id]
-        if st.update_queue and sim.round_pending and \
-                reached_all_targets(st.clock, st.targets, rank.id):
-            self._apply_queue(sim, rank.id)
-
-    def finished_has_input(self, sim, rank):
-        return bool(self.states[rank.id].update_queue)
-
-    def finished_step(self, sim, rank):
-        self._apply_queue(sim, rank.id, finished=True)
+    def take_input(self, sim, rank) -> bool:
+        """Apply the queue if there is input; True if a target rose. A parked
+        rank sits at its targets, so a risen target is what un-parks it."""
+        return self.has_input(sim, rank) and \
+            self._apply_queue(sim, rank.id, finished=rank.stage == FINISHED)
 
     # --------------------------------------------------------- round hooks
 
@@ -224,8 +209,9 @@ class CollectiveClockProtocol(ProtocolAdapter):
                 continue
             if rank.stage != PARKED:
                 return False
-        sent = sum(st.update_sent_count for st in self.states)
-        recv = sum(st.update_recv_count for st in self.states)
+        counters = sim.counters
+        sent = counters.target_updates_sent
+        recv = counters.target_updates_applied + counters.target_updates_stale
         if recv > sent:
             raise ProtocolViolationError(f"applied {recv} updates but only {sent} were sent")
         return sent == recv
@@ -283,8 +269,8 @@ class CollectiveClockProtocol(ProtocolAdapter):
 
     def restore_rank(self, sim, rank, saved: dict):
         # At a safe state the clock counts the wrapped calls before the pc.
-        keys = sim.group_keys
-        clock = Counter(keys[op.comm] for op in rank.program[:rank.pc]
+        comms = sim.comm_records
+        clock = Counter(comms[op.comm].key for op in rank.program[:rank.pc]
                         if op.op in ("coll", "icoll", "comm_create"))
         if saved.get("clock", {}) != by_label(clock):
             raise SnapshotLoadError(
@@ -324,7 +310,6 @@ class CollectiveClockProtocol(ProtocolAdapter):
             (
                 frozenset(st.targets.items()),
                 tuple((m.ggid.label(), m.new_target, m.origin) for m in st.update_queue),
-                st.update_sent_count, st.update_recv_count,
             )
             for st in self.states
         )

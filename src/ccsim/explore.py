@@ -27,8 +27,8 @@ from it. Each sibling but the last continues a fork of the frozen copy
 copies every container a step can change (ranks, instances, requests,
 counters, the scheduler's ready set, the adapter's per-rank state and the
 coordinator's round fields) and shares the rest: the scenario,
-its ops and programs, group keys, the static communicator records and the
-already-emitted trace events. No step writes to those, and the scenario and
+its ops and programs, the static communicator records with their group keys
+and the already-emitted trace events. No step writes to those, and the scenario and
 its programs are frozen by validation, so a write would raise; a branch
 never sees its sibling's steps. The scheduler's rng is made by the first
 ``Simulator.run``, which the search never calls, so a fork copies no rng.

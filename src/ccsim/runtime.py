@@ -148,6 +148,11 @@ class CommRecord:
         return f"CommRecord({self.comm_id}:{self.members})"
 
 
+def wait_ids(op: Op) -> list:
+    """The request ids a wait, waitall or waitany op names, in its order."""
+    return [op.request_id] if op.op == "wait" else op.request_ids
+
+
 def translate_ranks(comm: CommRecord) -> list:
     """World ranks of a communicator's members; purely local, sends nothing."""
     return list(comm.members)
@@ -200,9 +205,8 @@ class RankState:
     rank's ``coll_enter`` events per group; an untraced runtime keeps none."""
 
     __slots__ = (
-        "id", "program", "pc", "stage", "blocked_ref", "blocked_req",
-        "compute_left", "comm_calls", "requests", "checksum",
-        "group_calls",
+        "id", "program", "pc", "stage", "blocked_ref", "compute_left",
+        "comm_calls", "requests", "checksum", "group_calls",
     )
 
     def __init__(self, rank_id: int, program):
@@ -211,7 +215,6 @@ class RankState:
         self.pc = 0
         self.stage = START if program else FINISHED
         self.blocked_ref = None
-        self.blocked_req = None
         self.compute_left = None
         self.comm_calls = {}
         self.requests = {}
@@ -231,7 +234,8 @@ class RankState:
         if stage == BLOCKED_COLL:
             return f"in {self.blocked_ref.describe()}"
         if stage == BLOCKED_REQ:
-            return "{} on {}".format(*self.blocked_req)
+            op = self.current_op()
+            return f"{op.op} on {wait_ids(op)}"
         if stage == TB_BLOCKED:
             return f"trivial barrier {self.current_op().comm}"
         if stage == BLOCKED_SEND:
@@ -246,7 +250,7 @@ class RankState:
         twin = RankState.__new__(RankState)
         twin.id, twin.program, twin.pc, twin.stage = self.id, self.program, self.pc, self.stage
         twin.blocked_ref = None if self.blocked_ref is None else self.blocked_ref.fork(memo)
-        twin.blocked_req, twin.compute_left = self.blocked_req, self.compute_left
+        twin.compute_left = self.compute_left
         twin.comm_calls = dict(self.comm_calls)
         twin.requests = {rid: req.fork() for rid, req in self.requests.items()}
         twin.checksum, twin.group_calls = self.checksum, dict(self.group_calls)
@@ -317,26 +321,17 @@ class ProtocolAdapter:
     def finish_collective(self, sim, rank):
         return PROCEED
 
-    def blocked_poll(self, sim, rank):
-        pass
-
-    def blocked_has_input(self, sim, rank):
-        return False
-
-    def finished_has_input(self, sim, rank):
-        return False
-
-    def parked_enabled(self, sim, rank):
-        self._never("parks ranks")
-
-    def parked_step(self, sim, rank):
-        self._never("parks ranks")
-
     def barrier_step(self, sim, rank):
         self._never("inserts barriers")
 
-    def finished_step(self, sim, rank):
-        self._never("delivers to finished ranks")
+    def has_input(self, sim, rank) -> bool:
+        """Whether a parked or finished rank, or one at a wait or a test, has
+        protocol input to take."""
+        return False
+
+    def take_input(self, sim, rank) -> bool:
+        """Take the rank's protocol input; True resumes a parked rank."""
+        return False
 
     # ------------------------------------------------ coordinator rounds
 
@@ -395,9 +390,8 @@ class Simulator:
         self.counters = Counters()
         self.coordinator = None
 
-        self.group_keys = scenario.group_keys()
         self.comm_records = {cid: CommRecord(cid, scenario.comm_members(cid), key)
-                             for cid, key in self.group_keys.items()}
+                             for cid, key in scenario.group_keys().items()}
         self.ranks = [RankState(r, scenario.programs[r]) for r in range(self.world_size)]
 
         self.instances = {}        # (comm_id, index) -> Instance
@@ -410,11 +404,11 @@ class Simulator:
         """An independent runtime in this one's state: stepping either leaves
         the other unchanged. Each part copies its own mutable state; what no
         step changes stays shared: the scenario and its programs (frozen by
-        validation, so a write raises), their ops, the group keys, the
-        static ``comm_records`` (one per communicator, built by ``__init__``)
-        and the trace's events (the trace list itself is copied). The rng
-        state is copied only once run() has made the rng: the explorer never
-        runs, so its forks copy none."""
+        validation, so a write raises), their ops, the static
+        ``comm_records`` (one per communicator with its group key, built by
+        ``__init__``) and the trace's events (the trace list itself is
+        copied). The rng state is copied only once run() has made the rng:
+        the explorer never runs, so its forks copy none."""
         twin = Simulator.__new__(Simulator)
         twin.scenario, twin.world_size, twin.seed = self.scenario, self.world_size, self.seed
         twin.rng = None
@@ -425,7 +419,7 @@ class Simulator:
         twin.trace = None if self.trace is None else list(self.trace)
         twin.counters = self.counters.fork()
         twin.coordinator = None if self.coordinator is None else self.coordinator.fork()
-        twin.group_keys, twin.comm_records = self.group_keys, self.comm_records
+        twin.comm_records = self.comm_records
         memo = {}
         twin.ranks = [rank.fork(memo) for rank in self.ranks]
         twin.instances = {key: inst.fork(memo) for key, inst in self.instances.items()}
@@ -539,16 +533,15 @@ class Simulator:
         elif stage == TB_BLOCKED:
             self._step_trivial_barrier(rank)
         elif stage == BLOCKED_REQ:
-            self.protocol.blocked_poll(self, rank)
+            self.protocol.take_input(self, rank)
             if self._requests_satisfied(rank):
                 self._finish_request_wait(rank)
-        elif stage == PARKED:
-            # Parked ranks always sit at an op boundary with work remaining.
-            if self.protocol.parked_step(self, rank):
+        elif stage in (PARKED, FINISHED):
+            # Parked ranks always sit at an op boundary with work remaining;
+            # a finished rank's input never resumes it.
+            if self.protocol.take_input(self, rank):
                 self.emit(rank_id, "resume")
                 rank.stage = START
-        elif stage == FINISHED:
-            self.protocol.finished_step(self, rank)
         else:
             raise SimulationError(f"rank {rank_id} stepped in stage {stage}")
         if rank.stage != START and not self._enabled(rank):
@@ -581,19 +574,18 @@ class Simulator:
         if stage == TB_BLOCKED:
             return rank.blocked_ref.complete or rank.blocked_ref.aborted
         if stage == BLOCKED_REQ:
-            return self._requests_satisfied(rank) or self.protocol.blocked_has_input(self, rank)
+            return self._requests_satisfied(rank) or self.protocol.has_input(self, rank)
         if stage in (BLOCKED_SEND, BLOCKED_RECV, STOPPED):
             # the matching peer completes a rendezvous; a stopped rank waits
             # for the coordinator's release
             return False
-        if stage == PARKED:
-            return self.protocol.parked_enabled(self, rank)
-        # FINISHED: schedulable only to absorb late protocol messages
-        return self.protocol.finished_has_input(self, rank)
+        # PARKED, or FINISHED: schedulable only to absorb late protocol messages
+        return self.protocol.has_input(self, rank)
 
     def _requests_satisfied(self, rank: RankState) -> bool:
-        mode, rids = rank.blocked_req
-        reqs = [rank.requests[rid] for rid in rids]
+        op = rank.program[rank.pc]
+        mode = op.op
+        reqs = [rank.requests[rid] for rid in wait_ids(op)]
         if mode == "wait":
             return reqs[0].testable()
         if mode == "waitall":
@@ -797,7 +789,7 @@ class Simulator:
         self._advance(rank)
 
     def _step_request_op(self, rank: RankState, op: Op):
-        self.protocol.blocked_poll(self, rank)
+        self.protocol.take_input(self, rank)
         if op.op == "test":
             req = rank.requests.get(op.request_id)
             if req is None:
@@ -809,20 +801,18 @@ class Simulator:
                 self.emit(rank.id, "test", request=op.request_id, flag=flag)
             self._advance(rank)
             return
-        mode = op.op
-        rids = [op.request_id] if mode == "wait" else list(op.request_ids)
-        for rid in rids:
+        for rid in wait_ids(op):
             if rid not in rank.requests:
-                raise ScenarioError(f"{mode} on unknown request {rid!r}")
-        rank.blocked_req = (mode, rids)
+                raise ScenarioError(f"{op.op} on unknown request {rid!r}")
         if self._requests_satisfied(rank):
             self._finish_request_wait(rank)
         else:
             rank.stage = BLOCKED_REQ
 
     def _finish_request_wait(self, rank: RankState):
-        mode, rids = rank.blocked_req
-        if mode == "waitany":
+        op = rank.program[rank.pc]
+        rids = wait_ids(op)
+        if op.op == "waitany":
             for rid in rids:
                 req = rank.requests[rid]
                 if req.state == COMPLETE:
@@ -834,7 +824,6 @@ class Simulator:
                 req = rank.requests[rid]
                 if req.state == COMPLETE:
                     self._consume(rank, req)
-        rank.blocked_req = None
         self._advance(rank)
 
     def _consume(self, rank: RankState, req: RequestObject):

@@ -119,6 +119,29 @@ encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _scan_once = json.JSONDecoder().scan_once
 
 
+def _unused_fields() -> dict:
+    """Per op, and per kind for a collective: the optional fields it leaves
+    unused (``tag`` and ``data`` are checked for every op), one getter over
+    them and their defaults."""
+    uses = {"comm_create": ("comm", "new_comm"), "send": ("comm", "peer"),
+            "recv": ("comm", "peer"), "wait": ("request_id",), "test": ("request_id",),
+            "waitall": ("request_ids",), "waitany": ("request_ids",), "compute": ("ticks",)}
+    for kind in COLLECTIVE_KINDS:
+        used = ("comm", "kind",
+                *(("root",) if kind in ("bcast", "reduce", "gather") else ()),
+                *(("reduce_op",) if kind in ("reduce", "allreduce") else ()))
+        uses["coll", kind], uses["icoll", kind] = used, (*used, "request_id")
+    table = {}
+    for key, used in uses.items():
+        names = tuple(n for n in _OP_OPTIONAL if n not in used and n not in ("tag", "data"))
+        getter = operator.attrgetter(*names)
+        table[key] = (names, getter, getter(Op(rank=0, op="compute")))
+    return table
+
+
+_UNUSED_FIELDS = _unused_fields()
+
+
 def _typed(value, want) -> bool:
     if isinstance(want, tuple):
         return _list_of(value, want[1])
@@ -413,6 +436,15 @@ class ScenarioProgram:
                 raise ScenarioError(f"compute needs int ticks >= 1, not {op.ticks!r}")
         else:
             raise ScenarioError(f"unknown op {op.op!r}")
+        # A field the op leaves unused is written too, so it needs the
+        # loader's type unless it keeps its default.
+        names, getter, defaults = _UNUSED_FIELDS[
+            (op.op, op.kind) if op.op in ("coll", "icoll") else op.op]
+        values = getter(op)
+        if values != defaults:
+            for name, value, default in zip(names, values, defaults):
+                if value != default and not _typed(value, _OP_FIELD_TYPES[name]):
+                    raise ScenarioError(f"op field {name!r} cannot be {value!r}")
         if op.op != "comm_create" and op.comm != WORLD and op.comm not in created_here:
             # Uses must come after the rank's own creation op.
             if op.comm in self.comms and op.rank in self.comms[op.comm]:

@@ -114,17 +114,16 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
 
     def on_round_start(self, sim):
         # Decide every in-progress trivial barrier. Complete ones were
-        # already committed when their last member entered; the rest abort.
+        # already committed when their last member entered; the rest abort
+        # and leave the table.
         for key in sorted(self.tb_instances):
             tb = self.tb_instances[key]
             decision = tpc_safe_state_decision(m in tb.entered for m in tb.members)
             if decision == ABORT_AND_CHECKPOINT:
                 tb.aborted = True
+                del self.tb_instances[key]
                 sim.emit(COORD, "tb_decision", comm=tb.comm_id, instance=tb.index,
                          decision=decision, entered=sorted(tb.entered))
-        for key, tb in list(self.tb_instances.items()):
-            if tb.aborted:
-                del self.tb_instances[key]
         return {}
 
     def quiescent(self, sim) -> bool:

@@ -5,10 +5,11 @@ import pytest
 from ccsim import (
     GroupKey,
     ProtocolViolationError,
+    TargetUpdateMsg,
     by_label,
     run,
 )
-from ccsim.runtime import COMPLETE, CONSUMED, PARKED, PENDING
+from ccsim.runtime import COMPLETE, CONSUMED, FINISHED, PARKED, PENDING, START
 from ccsim.scenario import Op
 
 from conftest import build, drive, drive_held, op_coll, op_icoll, scenario
@@ -198,6 +199,55 @@ class TestParking:
         assert max(p["step"] for p in parks) <= releases[0]["step"]
         assert sim.all_finished()
         assert sim.protocol.states[0].clock[world_key(2)] == 3
+
+
+class TestProbeInput:
+    """``take_input``: what a queued update does to a parked or finished rank."""
+
+    def _parked_rank_0(self):
+        # both ranks at pc 2 of three world barriers when the round starts
+        # (world target 2), then rank 0 parks at its next wrapper entry
+        sc = scenario(2)
+        for r in range(2):
+            sc.programs[r] += [op_coll(r), op_coll(r), op_coll(r)]
+        sim, coordinator = build(sc, "cc")
+        drive_held(sim, {0: 2, 1: 2})
+        coordinator.request_checkpoint(sim)
+        sim.step_actor(0)
+        assert sim.ranks[0].stage == PARKED
+        return sim
+
+    def _deliver(self, sim, rank_id, value):
+        sim.protocol.states[rank_id].update_queue.append(
+            TargetUpdateMsg(world_key(2), value, 1 - rank_id))
+        sim.wake((rank_id,))
+        assert rank_id in sim.enabled_actors()
+        sim.step_actor(rank_id)
+
+    def test_stale_update_keeps_rank_parked(self):
+        sim = self._parked_rank_0()
+        self._deliver(sim, 0, 2)
+        assert sim.ranks[0].stage == PARKED
+        assert sim.counters.target_updates_stale == 1
+        assert not any(ev["event"] == "resume" for ev in sim.trace)
+        assert 0 not in sim.enabled_actors()
+
+    def test_raising_update_unparks_rank(self):
+        sim = self._parked_rank_0()
+        self._deliver(sim, 0, 3)
+        assert sim.ranks[0].stage == START
+        assert sim.counters.target_updates_applied == 1
+        assert [ev["rank"] for ev in sim.trace if ev["event"] == "resume"] == [0]
+
+    def test_raising_update_to_finished_rank_is_violation(self):
+        sc = scenario(2)
+        for r in range(2):
+            sc.programs[r].append(op_coll(r))
+        sim, coordinator = build(sc, "cc")
+        drive(sim, coordinator)
+        assert sim.ranks[0].stage == FINISHED
+        with pytest.raises(ProtocolViolationError, match="members do not run equal counts"):
+            self._deliver(sim, 0, 2)
 
 
 def live_requests(rank):

@@ -74,9 +74,9 @@ class TestQuiescence:
 
     def test_quiescent_when_reached_and_balanced(self):
         sim = _cc_round(["ckpt", 0, 1])
-        states = sim.protocol.states
-        states[0].update_sent_count, states[0].update_recv_count = 2, 1
-        states[1].update_sent_count, states[1].update_recv_count = 0, 1
+        counters = sim.counters
+        counters.target_updates_sent = 2
+        counters.target_updates_applied, counters.target_updates_stale = 1, 1
         assert [r.stage for r in sim.ranks] == [PARKED, PARKED]
         assert sim.protocol.quiescent(sim)
 
@@ -86,15 +86,15 @@ class TestQuiescence:
 
     def test_unbalanced_counters_block(self):
         sim = _cc_round(["ckpt", 0, 1])
-        states = sim.protocol.states
-        states[0].update_sent_count, states[0].update_recv_count = 3, 0
-        states[1].update_sent_count, states[1].update_recv_count = 0, 2
+        counters = sim.counters
+        counters.target_updates_sent = 3
+        counters.target_updates_applied, counters.target_updates_stale = 1, 1
         assert not sim.protocol.quiescent(sim)
 
     def test_more_received_than_sent_is_violation(self):
         sim = _cc_round(["ckpt", 0, 1])
-        sim.protocol.states[0].update_recv_count = 1
-        with pytest.raises(ProtocolViolationError):
+        sim.counters.target_updates_stale = 1
+        with pytest.raises(ProtocolViolationError, match="applied 1 updates but only 0"):
             sim.protocol.quiescent(sim)
 
     def test_finished_below_target_is_violation(self):

@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields
 from functools import partial
 
@@ -289,7 +290,27 @@ ROUND_TRIP_FAULTS = [
     ("request_ids", lambda v: _pair(lambda r: [op_icoll(r, "q0"), Op(rank=r, op="waitall",
                                                                      request_ids=v)]),
      ("q0",), ["q0"]),
+    # fields the op's kind leaves unused are written and loaded too
+    ("peer", lambda v: _pair(lambda r: [Op(rank=r, op="compute", ticks=1, peer=v)]), True, 3),
+    ("new_comm", lambda v: _pair(lambda r: [Op(rank=r, op="compute", ticks=1, new_comm=v)]),
+     5, "x"),
+    ("comm", lambda v: _pair(lambda r: [Op(rank=r, op="compute", ticks=1, comm=v)]), 5, "x"),
+    ("request_ids", lambda v: _pair(lambda r: [Op(rank=r, op="compute", ticks=1,
+                                                  request_ids=v)]), [1], ["q0"]),
+    ("reduce_op", lambda v: _pair(lambda r: [op_coll(r, reduce_op=v)]), 5, "sum"),
+    ("root", lambda v: _pair(lambda r: [op_coll(r, kind="allreduce", reduce_op="sum",
+                                                root=v, data=[r])]), True, 1),
 ]
+
+
+def _case_ids(cases):
+    """``field-bad`` per case; a repeated id gets its ordinal appended."""
+    seen, ids = Counter(), []
+    for case in cases:
+        base = f"{case[0]}-{case[2]!r}"
+        seen[base] += 1
+        ids.append(base if seen[base] == 1 else f"{base}-{seen[base]}")
+    return ids
 
 
 class TestValidation:
@@ -363,7 +384,7 @@ class TestValidation:
             sc.validate()
 
     @pytest.mark.parametrize("field, make, bad, good", ROUND_TRIP_FAULTS,
-                             ids=[f"{case[0]}-{case[2]!r}" for case in ROUND_TRIP_FAULTS])
+                             ids=_case_ids(ROUND_TRIP_FAULTS))
     def test_what_the_writer_cannot_round_trip_is_rejected(self, field, make, bad, good):
         sc = make(good)
         sc.validate()
