@@ -58,9 +58,16 @@ class CcState:
 
     def fork(self):
         twin = CcState.__new__(CcState)
-        twin.clock, twin.targets = self.clock.copy(), self.targets.copy()
+        twin.clock, twin.targets = _copy_counter(self.clock), _copy_counter(self.targets)
         twin.update_queue = list(self.update_queue)
         return twin
+
+
+def _copy_counter(counts: Counter) -> Counter:
+    """``counts.copy()`` at dict level, without ``Counter.__init__``."""
+    twin = dict.__new__(Counter)
+    dict.update(twin, counts)
+    return twin
 
 
 class CollectiveClockProtocol(ProtocolAdapter):

@@ -24,17 +24,19 @@ The search is stateful: the depth-first stack holds, for each branching node
 on the current path, a frozen copy of that node and the actions not yet taken
 from it. Each sibling but the last continues a fork of the frozen copy
 (``Simulator.fork``); the last continues the frozen copy itself. A fork
-copies every container a step can change (ranks, instances, requests,
-counters, the scheduler's ready set, the adapter's per-rank state and the
-coordinator's round fields) and shares the rest: the scenario,
-its ops and programs, the static communicator records with their group keys
-and the already-emitted trace events. No step writes to those, and the scenario and
-its programs are frozen by validation, so a write would raise; a branch
-never sees its sibling's steps. The scheduler's rng is made by the first
-``Simulator.run``, which the search never calls, so a fork copies no rng.
-No adapter keeps a reference to its runtime, so a node dropped from the
-stack is freed at once by reference counting. A failure is reported under
-the full path of the branch that raised it.
+copies every container a step can change (ranks, live instances, pending and
+complete requests, counters, the scheduler's ready set, the adapter's
+per-rank state and the coordinator's round fields) and shares the rest: the
+scenario, its ops and programs, the static communicator records with their
+group keys, the already-emitted trace events, settled instances (complete,
+and returned by every member or non-blocking) and consumed requests. No step
+writes to those, and the scenario and its programs are frozen by validation,
+so a write would raise; a branch never sees its sibling's steps. The
+scheduler's rng is made by the first ``Simulator.run``, which the search
+never calls, so a fork copies no rng. No adapter keeps a reference to its
+runtime, so a node dropped from the stack is freed at once by reference
+counting. A failure is reported under the full path of the branch that
+raised it.
 
 Bounded to at most 4 ranks and 12 events per rank; use generated campaigns
 for anything larger.
@@ -44,10 +46,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .coordinator import CheckpointCoordinator, make_protocol
 from .errors import InvalidConfigurationError, SimulationError
-from .runtime import Simulator
+from .runtime import Counters, Simulator
 from .scenario import ScenarioProgram
 from .verify import check_hb_acyclic
 
@@ -112,20 +115,26 @@ class _Bundle:
         return actions
 
 
+_COUNTS = attrgetter(*Counters.FIELDS)
+_STATE = attrgetter("state")
+
+
 def _state_key(bundle: _Bundle):
     """The part of a node's state that the ranks' pcs and stages do not fix
-    (see the module docstring)."""
+    (see the module docstring), built with no sort: a rank's requests are in
+    the order its program initiated them, which its pc fixes, and the initial
+    targets are in ``by_label``'s member order."""
     sim = bundle.sim
     coordinator = sim.coordinator
     coord = None
     if coordinator is not None:
         coord = (coordinator.requested, coordinator.declared,
-                 tuple(sorted(coordinator.initial_targets.items())))
+                 tuple(coordinator.initial_targets.items()))
     return (
-        tuple((r.pc, r.stage, r.compute_left,
-               tuple(sorted((rid, rq.state) for rid, rq in r.requests.items())))
-              for r in sim.ranks),
-        tuple(getattr(sim.counters, name) for name in sim.counters.FIELDS),
+        tuple([(r.pc, r.stage, r.compute_left,
+                tuple(zip(r.requests, map(_STATE, r.requests.values()))) if r.requests else ())
+               for r in sim.ranks]),
+        _COUNTS(sim.counters),
         sim.protocol.state_key(),
         coord,
     )
@@ -180,11 +189,11 @@ def explore_small(scenario: ScenarioProgram, algorithm: str = "cc",
                     _finish_path(result, bundle, per_path_check)
                     break
                 if len(actions) > 1:
-                    key = _state_key(bundle)
-                    if key in visited:
+                    seen = len(visited)
+                    visited.add(_state_key(bundle))  # one hash of the key: a tuple caches none
+                    if len(visited) == seen:
                         result.dedup_hits += 1
                         break
-                    visited.add(key)
                     result.states += 1
                     if result.states > MAX_STATES:
                         raise SimulationError(

@@ -125,6 +125,8 @@ class RequestObject:
         return self.state in (COMPLETE, CONSUMED)
 
     def fork(self):
+        """A copy for a forked runtime; a consumed request is final, so
+        ``RankState.fork`` shares it instead."""
         twin = RequestObject(self.req_id, self.instance_id, self.op_index)
         twin.state, twin.payload = self.state, self.payload
         return twin
@@ -185,10 +187,18 @@ class Instance:
     def describe(self):
         return f"{self.comm_id}#{self.index}:{self.signature[0]}"
 
+    def settled(self) -> bool:
+        """Complete, and either returned by every member or non-blocking: no
+        step writes to it again, as every member has entered and a
+        non-blocking instance's results already sit on its requests. No
+        rank's ``blocked_ref`` and no 2pc live trivial barrier is settled."""
+        return self.complete and (not self.blocking or len(self.returned) == len(self.members))
+
     def fork(self, memo):
         """This instance's copy in a forked runtime. memo maps the id() of an
         original to its copy, so every holder of one instance (the instance
-        table, ranks' blocked_ref, an adapter's table) gets the same copy."""
+        table, ranks' blocked_ref, an adapter's table) gets the same copy.
+        ``Simulator.fork`` shares a settled instance instead."""
         twin = memo.get(id(self))
         if twin is None:
             twin = memo[id(self)] = Instance(
@@ -252,7 +262,8 @@ class RankState:
         twin.blocked_ref = None if self.blocked_ref is None else self.blocked_ref.fork(memo)
         twin.compute_left = self.compute_left
         twin.comm_calls = dict(self.comm_calls)
-        twin.requests = {rid: req.fork() for rid, req in self.requests.items()}
+        twin.requests = {rid: req if req.state == CONSUMED else req.fork()
+                         for rid, req in self.requests.items()} if self.requests else {}
         twin.checksum, twin.group_calls = self.checksum, dict(self.group_calls)
         return twin
 
@@ -336,7 +347,8 @@ class ProtocolAdapter:
     # ------------------------------------------------ coordinator rounds
 
     def on_round_start(self, sim) -> dict:
-        """Start a round; returns the initial targets, by group label."""
+        """Start a round; returns the initial targets, by group label in
+        ``clock.by_label``'s order, which the explorer's state key keeps."""
         return {}
 
     def quiescent(self, sim) -> bool:
@@ -406,8 +418,9 @@ class Simulator:
         step changes stays shared: the scenario and its programs (frozen by
         validation, so a write raises), their ops, the static
         ``comm_records`` (one per communicator with its group key, built by
-        ``__init__``) and the trace's events (the trace list itself is
-        copied). The rng state is copied only once run() has made the rng:
+        ``__init__``), the trace's events (the trace list itself is
+        copied), settled instances (``Instance.settled``) and consumed
+        requests. The rng state is copied only once run() has made the rng:
         the explorer never runs, so its forks copy none."""
         twin = Simulator.__new__(Simulator)
         twin.scenario, twin.world_size, twin.seed = self.scenario, self.world_size, self.seed
@@ -422,7 +435,10 @@ class Simulator:
         twin.comm_records = self.comm_records
         memo = {}
         twin.ranks = [rank.fork(memo) for rank in self.ranks]
-        twin.instances = {key: inst.fork(memo) for key, inst in self.instances.items()}
+        twin.instances = instances = dict(self.instances)
+        for key, inst in instances.items():
+            if not inst.settled():
+                instances[key] = inst.fork(memo)
         twin._ready, twin._dirty = list(self._ready), set(self._dirty)
         twin.protocol = self.protocol.fork(memo)
         return twin

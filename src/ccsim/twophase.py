@@ -36,6 +36,8 @@ def tpc_safe_state_decision(entered_flags) -> str:
     ``entered_flags`` holds one boolean per member of the communicator:
     whether that member is inside the trivial barrier. Everyone in means the
     wrapped collective is committed and must complete before the checkpoint.
+    ``begin_collective`` applies that outcome when the barrier's last member
+    enters, so ``on_round_start`` only ever meets the abort outcome.
     """
     flags = list(entered_flags)
     return COMPLETE_THEN_CHECKPOINT if flags and all(flags) else ABORT_AND_CHECKPOINT
@@ -113,17 +115,15 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
     # --------------------------------------------------------- round hooks
 
     def on_round_start(self, sim):
-        # Decide every in-progress trivial barrier. Complete ones were
-        # already committed when their last member entered; the rest abort
-        # and leave the table.
+        # Abort every in-progress trivial barrier. A barrier leaves the table
+        # when its last member enters (committed), so each one still here
+        # misses a member: tpc_safe_state_decision would answer abort.
         for key in sorted(self.tb_instances):
             tb = self.tb_instances[key]
-            decision = tpc_safe_state_decision(m in tb.entered for m in tb.members)
-            if decision == ABORT_AND_CHECKPOINT:
-                tb.aborted = True
-                del self.tb_instances[key]
-                sim.emit(COORD, "tb_decision", comm=tb.comm_id, instance=tb.index,
-                         decision=decision, entered=sorted(tb.entered))
+            tb.aborted = True
+            sim.emit(COORD, "tb_decision", comm=tb.comm_id, instance=tb.index,
+                     decision=ABORT_AND_CHECKPOINT, entered=sorted(tb.entered))
+        self.tb_instances.clear()
         return {}
 
     def quiescent(self, sim) -> bool:

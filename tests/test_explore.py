@@ -22,7 +22,7 @@ from ccsim import (
 )
 from ccsim.clock import GroupKey
 from ccsim.explore import CKPT_ACTION, ExplorationResult, _Bundle, _finish_path
-from ccsim.runtime import TB_BLOCKED
+from ccsim.runtime import COMPLETE, CONSUMED, PENDING
 from ccsim.scenario import Op
 
 from conftest import op_coll, op_icoll, same_member_set_scenario, scenario
@@ -288,7 +288,8 @@ class TestFork:
     # branching node and path end against the whole replay search (TestReplayOracle).
     CASES = {"x-same-set": ("cc", same_member_set_scenario),
              "item2/cc": ("cc", item2_reproduction), "item2/2pc": ("2pc", item2_reproduction),
-             "unequal/cc": ("cc", unequal_group_counts), "x-data/cc": ("cc", data_collectives)}
+             "unequal/cc": ("cc", unequal_group_counts), "x-data/cc": ("cc", data_collectives),
+             "x-test/cc": ("cc", request_polling), "w2/2pc": ("2pc", two_world_barriers)}
 
     @pytest.mark.parametrize("name", CASES)
     def test_fork_continues_like_a_replay_at_every_branching_node(self, name, monkeypatch):
@@ -316,6 +317,42 @@ class TestFork:
         monkeypatch.setattr(_Bundle, "fork", checked_fork)
         result = explore_small(sc, algorithm)
         assert len(checked) == result.states > 0
+
+    def test_settled_instances_and_consumed_requests_are_shared(self):
+        # Three ranks: a world barrier all return from, then icoll q0, wait q0,
+        # icoll q1, a world barrier A and icoll q2. Rank 2 has entered A and
+        # not returned; only rank 0 has initiated q2.
+        sc = scenario(3, name="x-share")
+        for r in range(3):
+            sc.programs[r] += [op_coll(r), op_icoll(r, "q0"), Op(rank=r, op="wait", request_id="q0"),
+                               op_icoll(r, "q1"), op_coll(r), op_icoll(r, "q2"),
+                               Op(rank=r, op="waitall", request_ids=["q1", "q2"])]
+        node = replayed(sc, "cc", [0, 1, 2] * 5 + [0, 1, 2, 0, 1, 0])
+        sim = node.sim
+        settled, returning, initiated = ([sim.instances["world", i] for i in keys]
+                                         for keys in ((0, 1, 2), (3,), (4,)))
+        assert all(inst.complete for inst in settled) and settled[0].returned == {0, 1, 2}
+        assert returning[0].complete and returning[0].returned == {0, 1}
+        assert not initiated[0].complete and initiated[0].entered == {0}
+        requests = sim.ranks[0].requests
+        assert [requests[rid].state for rid in ("q0", "q1", "q2")] == [CONSUMED, COMPLETE, PENDING]
+        before = value(sim)
+        twin = sim.fork()
+        for inst in settled:
+            assert twin.instances["world", inst.index] is inst
+        for inst in returning + initiated:  # live: entered and not complete, or not yet returned
+            assert twin.instances["world", inst.index] is not inst
+        assert twin.ranks[2].blocked_ref is twin.instances["world", 3]
+        for rank, copy in zip(sim.ranks, twin.ranks):
+            assert copy.requests["q0"] is rank.requests["q0"]
+            assert copy.requests["q1"] is not rank.requests["q1"]
+        assert twin.ranks[0].requests["q2"] is not requests["q2"]
+        assert value(twin) == before
+        fork, replay = _Bundle(twin, list(node.path)), replayed(sc, "cc", node.path)
+        for rank_id in (2, 1, 2):  # rank 2 leaves A; ranks 1 and 2 complete q2
+            _continue_both(fork, replay, rank_id)
+        assert fork.sim.ranks[0].requests["q2"].state == COMPLETE
+        assert value(sim) == before
 
     def test_aborted_barrier_held_by_two_ranks_stays_one_object(self):
         sc = scenario(3)
