@@ -42,7 +42,7 @@ from .scenario import (
     builtin_scenario,
     generate_workload,
 )
-from .twophase import TwoPhaseCommitProtocol, tpc_safe_state_decision
+from .twophase import TwoPhaseCommitProtocol
 from .verify import (
     Verdict,
     check_clock_skew,

@@ -13,7 +13,7 @@ rank the ticks left of a compute and the states of its requests, the
 counters, the adapter's ``state_key`` and the coordinator's round flags and
 initial targets. That is exact because every path starts at one root and a
 search never restarts: a rank has executed exactly its program before its
-pc, so its call counts, folded results and communicators, the cc clocks, the
+pc, so its folded results and communicators, the cc clocks, the
 instance table, 2pc's live trivial barriers and what a blocked rank waits
 for all follow from the pcs and stages. Step counters and other path-length
 artifacts are left out. A test compares the whole state of the nodes merged

@@ -211,12 +211,11 @@ class Instance:
 
 
 class RankState:
-    """Execution state of one simulated process. ``group_calls`` numbers the
-    rank's ``coll_enter`` events per group; an untraced runtime keeps none."""
+    """Execution state of one simulated process. It counts no calls (see ``Op``)."""
 
     __slots__ = (
         "id", "program", "pc", "stage", "blocked_ref", "compute_left",
-        "comm_calls", "requests", "checksum", "group_calls",
+        "requests", "checksum",
     )
 
     def __init__(self, rank_id: int, program):
@@ -226,10 +225,8 @@ class RankState:
         self.stage = START if program else FINISHED
         self.blocked_ref = None
         self.compute_left = None
-        self.comm_calls = {}
         self.requests = {}
         self.checksum = 0
-        self.group_calls = {}
 
     def current_op(self) -> Op:
         return self.program[self.pc]
@@ -245,7 +242,7 @@ class RankState:
             return f"in {self.blocked_ref.describe()}"
         if stage == BLOCKED_REQ:
             op = self.current_op()
-            return f"{op.op} on {wait_ids(op)}"
+            return f"{op.op} on {list(wait_ids(op))}"
         if stage == TB_BLOCKED:
             return f"trivial barrier {self.current_op().comm}"
         if stage == BLOCKED_SEND:
@@ -260,11 +257,9 @@ class RankState:
         twin = RankState.__new__(RankState)
         twin.id, twin.program, twin.pc, twin.stage = self.id, self.program, self.pc, self.stage
         twin.blocked_ref = None if self.blocked_ref is None else self.blocked_ref.fork(memo)
-        twin.compute_left = self.compute_left
-        twin.comm_calls = dict(self.comm_calls)
+        twin.compute_left, twin.checksum = self.compute_left, self.checksum
         twin.requests = {rid: req if req.state == CONSUMED else req.fork()
                          for rid, req in self.requests.items()} if self.requests else {}
-        twin.checksum, twin.group_calls = self.checksum, dict(self.group_calls)
         return twin
 
 
@@ -644,24 +639,24 @@ class Simulator:
 
     # ------------------------------------------------------- collectives
 
-    def get_instance(self, comm: CommRecord, index: int, op: Op, blocking: bool) -> Instance:
-        """The instance an op joins, made by its first member. A coll or
-        icoll signature ends in ``blocking``, so a signature match is a
-        blocking match too."""
-        key = (comm.comm_id, index)
+    def get_instance(self, comm: CommRecord, op: Op, blocking: bool) -> Instance:
+        """The instance ``op.instance`` on ``comm`` that an op joins, made by
+        its first member. A coll or icoll signature ends in ``blocking``, so a
+        signature match is a blocking match too."""
+        key = (comm.comm_id, op.instance)
         inst = self.instances.get(key)
         if op.op == "comm_create":
             signature = ("comm_create", op.new_comm, tuple(self.scenario.comms[op.new_comm]))
         else:
             signature = (op.kind, op.root, op.reduce_op, blocking)
         if inst is None:
-            inst = Instance(comm.comm_id, index, comm.members, signature, blocking)
+            inst = Instance(comm.comm_id, op.instance, comm.members, signature, blocking)
             if op.op == "comm_create":
                 inst.new_comm = op.new_comm
             self.instances[key] = inst
         elif inst.signature != signature:
             raise CollectiveMismatchError(
-                f"collective mismatch on {comm.comm_id}#{index}: rank {op.rank} called "
+                f"collective mismatch on {comm.comm_id}#{op.instance}: rank {op.rank} called "
                 f"{signature}, instance is {inst.signature} "
                 f"(blocking={inst.blocking}, members={inst.members})"
             )
@@ -669,19 +664,13 @@ class Simulator:
 
     def _join_collective(self, rank: RankState, op: Op):
         comm = self.comm_records[op.comm]
-        index = rank.comm_calls.get(comm.comm_id, 0)
-        rank.comm_calls[comm.comm_id] = index + 1
-        inst = self.get_instance(comm, index, op, blocking=True)
+        inst = self.get_instance(comm, op, blocking=True)
         inst.entered.add(rank.id)
         inst.inputs[rank.id] = op.data
         self.counters.wrapper_invocations += 1
         if self.trace is not None:
-            # group_calls only numbers this event, which verify.hb_lists_from_trace reads
-            label = comm.key.label()
-            k = rank.group_calls.get(label, 0) + 1
-            rank.group_calls[label] = k
-            self.emit(rank.id, "coll_enter", comm=comm.comm_id, instance=index,
-                      kind=inst.signature[0], group=label, num=k)
+            self.emit(rank.id, "coll_enter", comm=comm.comm_id, instance=op.instance,
+                      kind=inst.signature[0], group=comm.key.label(), num=op.num)
         rank.stage = BLOCKED_COLL
         rank.blocked_ref = inst
         if len(inst.entered) == len(inst.members):
@@ -788,17 +777,14 @@ class Simulator:
     # ------------------------------------------------------ non-blocking
 
     def _initiate_nonblocking(self, rank: RankState, op: Op):
-        comm = self.comm_records[op.comm]
-        index = rank.comm_calls.get(comm.comm_id, 0)
-        rank.comm_calls[comm.comm_id] = index + 1
-        inst = self.get_instance(comm, index, op, blocking=False)
+        inst = self.get_instance(self.comm_records[op.comm], op, blocking=False)
         inst.entered.add(rank.id)
         inst.inputs[rank.id] = op.data
-        rank.requests[op.request_id] = RequestObject(op.request_id, (comm.comm_id, index), rank.pc)
+        rank.requests[op.request_id] = RequestObject(op.request_id, (op.comm, op.instance), rank.pc)
         inst.request_ids[rank.id] = op.request_id
         self.counters.wrapper_invocations += 1
         if self.trace is not None:
-            self.emit(rank.id, "icoll_init", comm=comm.comm_id, instance=index,
+            self.emit(rank.id, "icoll_init", comm=op.comm, instance=op.instance,
                       kind=inst.signature[0], request=op.request_id)
         if len(inst.entered) == len(inst.members):
             self._complete_instance(inst, rank.id)

@@ -7,8 +7,8 @@ to identical bytes.
 
 A builder appends ops to the per-rank lists, then calls ``validate``. A
 scenario that passes is frozen: it becomes a ``FrozenScenario``, its programs
-tuples, its ``comms`` and ``meta`` read-only mappings, and any later
-attribute assignment raises. So a validated scenario never changes, and
+tuples of ``FrozenOp``s, its ``comms`` and ``meta`` read-only mappings, and
+any later attribute assignment to it or to an op raises. So it never changes:
 runtimes, snapshots and forks share it without another check or copy.
 """
 
@@ -43,9 +43,16 @@ FIG2_SEED = 11
 BCAST_INV2_SEED = 3
 
 
-@dataclass
-class Op:
-    """One operation in a rank's program."""
+class _PcFacts:
+    __slots__ = ("instance", "num")  # not dataclass fields: the codec and fields(Op) skip them
+
+
+@dataclass(slots=True)
+class Op(_PcFacts):
+    """One operation in a rank's program. ``validate`` makes it a ``FrozenOp``
+    and sets two facts its rank and pc fix, None where they do not apply:
+    ``instance``, its call index on ``comm`` among coll, icoll and comm_create
+    calls, and ``num``, a blocking call's 1-based ``coll_enter`` number."""
 
     rank: int
     op: str
@@ -360,12 +367,28 @@ class ScenarioProgram:
         for rank, program in enumerate(self.programs):
             known_reqs: set = set()
             created_here: set = set()
-            for op in program:
+            last: dict = {}     # comm id -> instance of the rank's last call on it
+            entered: dict = {}  # comm id -> num of its last blocking call on it
+            for pc, op in enumerate(program):
+                if type(op) is FrozenOp:  # validated, maybe at another pc: check a copy
+                    op = program[pc] = Op(op.rank, op.op, *(list(v) if type(v) is tuple else v
+                                                            for v in _optional_values(op)))
                 if type(op.rank) is not int or op.rank != rank:
                     raise ScenarioError(f"op field 'rank' cannot be {op.rank!r} in program {rank}")
                 self._validate_op(op, known_reqs, created_here, creators)
                 if op.op != "comm_create" and op.comm in users:
                     users[op.comm].add(rank)
+                # Freeze each op that passes: its facts hold here even if a later check fails.
+                op.instance = op.num = None
+                if op.op in ("coll", "icoll", "comm_create"):
+                    op.instance = last[op.comm] = last.get(op.comm, -1) + 1
+                    if op.op != "icoll":
+                        op.num = entered[op.comm] = entered.get(op.comm, 0) + 1
+                if op.data is not None:
+                    op.data = tuple(op.data)
+                if op.request_ids is not None:
+                    op.request_ids = tuple(op.request_ids)
+                op.__class__ = FrozenOp
 
         for cid, ranks_seen in creators.items():
             parent = tuple(range(self.world_size))  # creation is collective over world
@@ -462,6 +485,19 @@ class ScenarioProgram:
         if op.rank not in members:
             raise ScenarioError(f"rank {op.rank} is not a member of {op.comm}")
         return members
+
+
+class FrozenOp(Op):
+    """A validated op, its ``data`` and ``request_ids`` tuples: any assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to {name!r} of a validated op")
+
+    def __setstate__(self, state):  # copy and pickle restore the slots past __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 class FrozenScenario(ScenarioProgram):

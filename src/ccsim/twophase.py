@@ -26,21 +26,7 @@ from .runtime import (
     barrier_cost,
 )
 
-COMPLETE_THEN_CHECKPOINT = "complete_then_checkpoint"
-ABORT_AND_CHECKPOINT = "abort_and_checkpoint"
-
-
-def tpc_safe_state_decision(entered_flags) -> str:
-    """Per-instance decision at checkpoint time.
-
-    ``entered_flags`` holds one boolean per member of the communicator:
-    whether that member is inside the trivial barrier. Everyone in means the
-    wrapped collective is committed and must complete before the checkpoint.
-    ``begin_collective`` applies that outcome when the barrier's last member
-    enters, so ``on_round_start`` only ever meets the abort outcome.
-    """
-    flags = list(entered_flags)
-    return COMPLETE_THEN_CHECKPOINT if flags and all(flags) else ABORT_AND_CHECKPOINT
+ABORT_AND_CHECKPOINT = "abort_and_checkpoint"  # the tb_decision event's decision
 
 
 class TwoPhaseCommitProtocol(ProtocolAdapter):
@@ -74,25 +60,24 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
             )
         if sim.round_pending:
             return STOP
-        index = rank.comm_calls.get(op.comm, 0)  # peek; join increments later
-        key = (op.comm, index)
+        key = (op.comm, op.instance)
         tb = self.tb_instances.get(key)
         if tb is None:
-            tb = Instance(op.comm, index, sim.comm_records[op.comm].members,
+            tb = Instance(op.comm, op.instance, sim.comm_records[op.comm].members,
                           ("trivial_barrier",), True)
             self.tb_instances[key] = tb
         tb.entered.add(rank.id)
         rank.blocked_ref = tb
         sim.counters.wrapper_invocations += 1
         if sim.trace is not None:
-            sim.emit(rank.id, "tb_enter", comm=op.comm, instance=index)
+            sim.emit(rank.id, "tb_enter", comm=op.comm, instance=op.instance)
         if len(tb.entered) == len(tb.members):
             tb.complete = True
             sim.wake(tb.members)
             cost = barrier_cost(len(tb.members))
             sim.counters.tpc_barrier_messages += cost
             if sim.trace is not None:
-                sim.emit(rank.id, "tb_complete", comm=op.comm, instance=index, cost=cost)
+                sim.emit(rank.id, "tb_complete", comm=op.comm, instance=op.instance, cost=cost)
             del self.tb_instances[key]
         return BARRIER
 
@@ -117,7 +102,7 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
     def on_round_start(self, sim):
         # Abort every in-progress trivial barrier. A barrier leaves the table
         # when its last member enters (committed), so each one still here
-        # misses a member: tpc_safe_state_decision would answer abort.
+        # misses a member.
         for key in sorted(self.tb_instances):
             tb = self.tb_instances[key]
             tb.aborted = True
@@ -137,8 +122,7 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
 
     def restore_rank(self, sim, rank, saved: dict):
         # Each record names the wrapped collective, at or before the pc, whose
-        # trivial barrier the rank aborted. Its instance is not checked against
-        # the program prefix: a restart numbers instances from 0 again.
+        # trivial barrier the rank aborted: its comm and its instance are the op's.
         log = saved.get("aborted_barrier_log", [])
         if type(log) is not list:
             raise SnapshotLoadError(f"rank {rank.id} aborted-barrier log {log!r} is not a list")
@@ -147,14 +131,13 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
             op = (rank.program[pc] if type(pc) is int and 0 <= pc <= rank.pc
                   and pc < len(rank.program) else None)
             if (op is None or op.op not in ("coll", "comm_create") or rec["comm"] != op.comm
-                    or type(rec["instance"]) is not int or rec["instance"] < 0):
+                    or type(rec["instance"]) is not int or rec["instance"] != op.instance):
                 raise SnapshotLoadError(
                     f"rank {rank.id} aborted-barrier record {rec!r} names no collective "
                     f"at or before pc {rank.pc}")
         self.aborted_barrier_logs[rank.id] = list(log)
 
     def state_key(self):
-        # Which trivial barriers are live, and who entered them, follows from
-        # the ranks' pcs and stages; which ones a round aborted does not.
-        return tuple(map(str, self.aborted_barrier_logs))
+        # Live barriers follow from pcs and stages, aborted ones do not; a record's pc fixes it.
+        return tuple(tuple(rec["pc"] for rec in log) for log in self.aborted_barrier_logs)
 

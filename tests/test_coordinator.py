@@ -349,8 +349,11 @@ class TestSnapshotImage:
         [{"pc": 2, "comm": "world", "instance": -1}],
         [{"pc": 2, "comm": "world", "instance": True}],
         [{"pc": 2, "comm": "world", "instance": 2, "x": 0}],
+        [{"pc": 2, "comm": "world", "instance": 1}],
+        [{"pc": 2, "comm": "world", "instance": 3}],
     ], ids=["str", "ints", "pc-only", "all-wrong", "comm-other", "pc-past-pc",
-            "instance-negative", "instance-bool", "extra-key"])
+            "instance-negative", "instance-bool", "extra-key", "instance-earlier",
+            "instance-later"])
     def test_restart_rejects_malformed_aborted_barrier_log(self, log):
         image = run("fig2", algorithm="2pc", seed=11, ckpt=("at_step", 40)).snapshot
         row = image.per_rank[1]
@@ -383,6 +386,31 @@ class TestSnapshotImage:
         ck = run(sc, "cc", seed=5, ckpt=("at_step", 12))
         restarted = run_restart(ck.snapshot)
         assert restarted.checksums == base.checksums
+
+    @pytest.mark.parametrize("algorithm", ["cc", "2pc"])
+    def test_restart_numbers_instances_as_the_uninterrupted_run(self, algorithm):
+        # Each op's pc fixes its instance and coll_enter num, so a restarted
+        # rank enters what the uninterrupted run entered from that pc on.
+        def enters(sim):
+            per_rank = {r: [] for r in range(sim.world_size)}
+            for ev in sim.trace:
+                if ev["event"] == "coll_enter":
+                    d = ev["detail"]
+                    per_rank[ev["rank"]].append((d["comm"], d["instance"], d["num"]))
+            return per_rank
+
+        renumbered = 0
+        for seed in range(20):
+            sc = generate_workload(seed, ranks=4, groups=2, ops=30, p2p_ratio=0.2,
+                                   nonblocking_ratio=0.25 if algorithm == "cc" else 0.0)
+            base = run(sc, algorithm, seed=seed, checks=False)
+            ck = run(sc, algorithm, seed=seed, ckpt=("at_step", base.sim.step // 2),
+                     checks=False)
+            whole, after = enters(base.sim), enters(run_restart(ck.snapshot).sim)
+            for r, tail in after.items():
+                assert whole[r][len(whole[r]) - len(tail):] == tail, (seed, r)
+                renumbered += any(instance for _, instance, _ in tail)
+        assert renumbered
 
     def test_restart_with_pending_wait_on_drained_request(self):
         # the checkpoint drains an initiated ibarrier while rank 0 has not

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import pickle
 import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields
@@ -473,6 +474,37 @@ class TestFrozen:
         with pytest.raises(TypeError):
             del sc.comms[next(iter(sc.comms))]
         assert sc.frozen and sc.name == "gen-4" and sc.meta["params"]["ops"] == 30
+        for op in sc.ops():
+            assert type(op.data) in (tuple, type(None))
+            for name in [f.name for f in fields(Op)] + ["instance", "num"]:
+                with pytest.raises(FrozenInstanceError):
+                    setattr(op, name, getattr(op, name))
+        with pytest.raises(AttributeError):
+            next(op for op in sc.ops() if op.data).data.append(1)
+
+    def test_copies_and_pickles_stay_frozen(self):
+        sc = builtin_scenario("fig2")
+        for twin in (copy.deepcopy(sc), pickle.loads(pickle.dumps(sc))):
+            assert twin == sc and twin.dumps() == sc.dumps()
+            op = twin.programs[1][5]
+            assert (op.instance, op.num) == (1, 2) and type(op.data) is tuple
+            with pytest.raises(FrozenInstanceError):
+                op.tag = 1
+
+    def test_an_op_at_two_positions_takes_each_positions_facts(self):
+        op = op_coll(0)
+        first = scenario(2)
+        first.programs[0] += [op, op]
+        first.programs[1] += [op_coll(1), op_coll(1)]
+        first.validate()
+        assert [(o.instance, o.num) for o in first.programs[0]] == [(0, 1), (1, 2)]
+        second = scenario(2)
+        second.programs[0].append(first.programs[0][1])  # instance 1 there, 0 here
+        second.programs[1].append(op_coll(1))
+        second.validate()
+        assert (second.programs[0][0].instance, second.programs[0][0].num) == (0, 1)
+        assert first.programs[0][1].instance == 1 and second.programs[0][0] == first.programs[0][1]
+        assert run(second, "none", seed=0).sim.all_finished()
 
     def test_loaded_meta_is_frozen_and_dumps_the_same(self):
         text = ('{"comms":{},"meta":{"tags":[1,[2,3]],"x":{"y":[4]}},"name":"m",'

@@ -10,11 +10,6 @@ from ccsim import (
 )
 from ccsim.runtime import TB_BLOCKED
 from ccsim.scenario import Op
-from ccsim.twophase import (
-    ABORT_AND_CHECKPOINT,
-    COMPLETE_THEN_CHECKPOINT,
-    tpc_safe_state_decision,
-)
 
 from conftest import build, drive, drive_held, op_coll, op_icoll, scenario
 
@@ -28,18 +23,6 @@ def trace_barrier_oracle(none_result):
         if ev["event"] == "coll_complete":
             total += barrier_cost(len(sc.comm_members(ev["detail"]["comm"])))
     return total
-
-
-class TestDecision:
-    def test_all_entered_commits(self):
-        assert tpc_safe_state_decision([True, True, True]) == COMPLETE_THEN_CHECKPOINT
-
-    def test_missing_member_aborts(self):
-        assert tpc_safe_state_decision([True, False, True]) == ABORT_AND_CHECKPOINT
-
-    def test_none_entered_aborts(self):
-        assert tpc_safe_state_decision([]) == ABORT_AND_CHECKPOINT
-        assert tpc_safe_state_decision([False, False]) == ABORT_AND_CHECKPOINT
 
 
 class TestOverheadAccounting:
