@@ -18,7 +18,7 @@ from .errors import SimulationError, UnsupportedOperationError
 from .explore import explore_small
 from .metrics import CSV_FIELDS
 from .scenario import BUILTIN_SCENARIOS, GenParams, generate_workload
-from .verify import check_crossing_legality, check_replay_equivalence
+from .verify import check_replay_equivalence
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -156,14 +156,10 @@ def cmd_compare(args) -> int:
 def cmd_verify(args) -> int:
     scenario = driver.load_scenario(args.scenario)
     placement = _placement_from(args)
-    verdicts = [check_crossing_legality(scenario, args.seed)]
-    if verdicts[0].passed:
-        result = driver.run(scenario, algorithm=args.algo, seed=args.seed,
-                            ckpt=placement)
-        verdicts = result.verdicts
-        if placement is not None:
-            verdicts.append(check_replay_equivalence(
-                scenario, args.algo, args.seed, placement))
+    result = driver.run(scenario, algorithm=args.algo, seed=args.seed, ckpt=placement)
+    verdicts = result.verdicts
+    if placement is not None and not result.error:
+        verdicts.append(check_replay_equivalence(scenario, args.algo, args.seed, placement))
     for verdict in verdicts:
         print(verdict.to_json_line())
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_FAIL

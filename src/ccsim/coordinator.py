@@ -6,10 +6,11 @@ counter reports and installs targets, all in one scheduler event, like a
 checkpoint thread would). Its ``requested`` and ``declared`` flags are the
 one record that a round is pending (``Simulator.round_pending``). Whenever no
 rank can step, it asks the protocol's ``quiescent`` check, the one safe-state
-gate; once that holds it drains incomplete requests, takes the snapshot, and
-either releases the ranks or halts the run. It knows protocol state only through
-the adapter hooks declared on ``runtime.ProtocolAdapter``. All coordinator
-traffic is control-plane: it never appears in simulated message counts.
+gate; once that holds it checks that every started instance is complete,
+traces the drained requests, takes the snapshot, and either releases the ranks
+or halts the run. It knows protocol state only through the adapter hooks
+declared on ``runtime.ProtocolAdapter``. All coordinator traffic is
+control-plane: it never appears in simulated message counts.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from .errors import (
 from .runtime import (
     COORD,
     FINISHED,
-    PARKED,
     START,
-    STOPPED,
     NullProtocol,
     Simulator,
 )
@@ -86,7 +85,7 @@ class SnapshotImage:
     @classmethod
     def from_json(cls, obj: dict) -> "SnapshotImage":
         try:
-            if obj["version"] != SNAPSHOT_VERSION:
+            if obj["version"] != SNAPSHOT_VERSION or type(obj["version"]) is not int:
                 raise SnapshotLoadError(f"unsupported snapshot version {obj['version']}")
             if any(type(obj[k]) is not int for k in ("seed", "step", "round_id", "world_size")):
                 raise SnapshotLoadError("snapshot seed, step, round_id and world_size must be ints")
@@ -253,8 +252,8 @@ class CheckpointCoordinator:
     def declare_safe_state(self, sim):
         self.declared = True
         self.declared_step = sim.step
-        sim.protocol.drain(sim)
         self._assert_safe(sim)
+        sim.protocol.drain(sim)
         self.final_targets = sim.protocol.final_targets()
         sim.emit(COORD, "safe_state", round=self.round_id, step=sim.step,
                  targets=self.final_targets)
@@ -269,11 +268,8 @@ class CheckpointCoordinator:
             sim.emit(COORD, "release", round=self.round_id)
 
     def _assert_safe(self, sim):
-        for rank in sim.ranks:
-            if rank.stage not in (PARKED, STOPPED, FINISHED):
-                raise ProtocolViolationError(
-                    f"safe state declared with rank {rank.id} in stage {rank.stage}"
-                )
+        """Instance rules only: ``handle_idle`` has just passed the protocol's
+        ``quiescent`` check, which owns the rule on the ranks' stages."""
         for inst in sim.instances.values():
             if not inst.entered:
                 continue

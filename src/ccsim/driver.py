@@ -92,14 +92,11 @@ def run(scenario_spec, algorithm: str = "none", seed: int = 0, ckpt=None,
         checks: bool = True) -> RunResult:
     """Execute one run end-to-end with verifier checks and metrics.
 
-    Raises UnsupportedOperationError up front when the two-phase baseline is
-    pointed at a scenario containing non-blocking collectives.
+    With checks, a scenario that fails crossing legality is not run. The
+    two-phase baseline raises UnsupportedOperationError at the first
+    non-blocking collective a run (or a random placement's probe) meets.
     """
     scenario = load_scenario(scenario_spec)
-    if algorithm == "2pc" and any(op.op == "icoll" for op in scenario.ops()):
-        raise UnsupportedOperationError(
-            "the two-phase-commit baseline does not support non-blocking collectives"
-        )
     verdicts = []
     if checks:
         legality = check_crossing_legality(scenario, seed)

@@ -105,15 +105,14 @@ def checksum_fold(acc: int, op_index: int, values) -> int:
 
 
 class RequestObject:
-    """Handle for one initiated non-blocking collective on one rank."""
+    """Handle for one initiated non-blocking collective on one rank. The
+    icoll op at ``op_index`` names the request and its instance."""
 
-    __slots__ = ("req_id", "state", "payload", "instance_id", "op_index")
+    __slots__ = ("state", "payload", "op_index")
 
-    def __init__(self, req_id, instance_id, op_index):
-        self.req_id = req_id
+    def __init__(self, op_index):
         self.state = PENDING
         self.payload = None
-        self.instance_id = instance_id
         self.op_index = op_index
 
     @property
@@ -127,12 +126,12 @@ class RequestObject:
     def fork(self):
         """A copy for a forked runtime; a consumed request is final, so
         ``RankState.fork`` shares it instead."""
-        twin = RequestObject(self.req_id, self.instance_id, self.op_index)
+        twin = RequestObject(self.op_index)
         twin.state, twin.payload = self.state, self.payload
         return twin
 
     def __repr__(self):
-        return f"RequestObject({self.req_id}:{self.state})"
+        return f"RequestObject(pc {self.op_index}:{self.state})"
 
 
 class CommRecord:
@@ -161,12 +160,13 @@ def translate_ranks(comm: CommRecord) -> list:
 
 
 class Instance:
-    """One collective instance: the k-th collective call on a communicator."""
+    """One collective instance: the k-th collective call on a communicator.
+    A comm_create's signature is ("comm_create", new comm id, its members)."""
 
     __slots__ = (
         "comm_id", "index", "members", "signature", "blocking",
         "entered", "returned", "complete", "inputs",
-        "outputs", "new_comm", "request_ids", "aborted",
+        "outputs", "request_ids", "aborted",
     )
 
     def __init__(self, comm_id, index, members, signature, blocking):
@@ -180,7 +180,6 @@ class Instance:
         self.complete = False
         self.inputs = {}
         self.outputs = {}
-        self.new_comm = None
         self.request_ids = {}
         self.aborted = False  # only used for trivial barriers
 
@@ -204,7 +203,7 @@ class Instance:
             twin = memo[id(self)] = Instance(
                 self.comm_id, self.index, self.members, self.signature, self.blocking)
             twin.entered, twin.returned = set(self.entered), set(self.returned)
-            twin.complete, twin.aborted, twin.new_comm = self.complete, self.aborted, self.new_comm
+            twin.complete, twin.aborted = self.complete, self.aborted
             twin.inputs, twin.outputs = dict(self.inputs), dict(self.outputs)
             twin.request_ids = dict(self.request_ids)
         return twin
@@ -351,7 +350,7 @@ class ProtocolAdapter:
         self._never("takes checkpoints")
 
     def drain(self, sim):
-        """Check and trace the requests the safe state leaves pending."""
+        """Trace the unconsumed requests; the coordinator has checked their instances."""
 
     def assert_safe(self, sim):
         """Protocol-specific checks at a declared safe state."""
@@ -627,15 +626,13 @@ class Simulator:
             self._post(rank, op)
         elif kind in ("wait", "test", "waitall", "waitany"):
             self._step_request_op(rank, op)
-        elif kind == "compute":
+        else:  # compute, the one op kind left after validation
             if rank.compute_left is None:
                 rank.compute_left = op.ticks
             rank.compute_left -= 1
             if rank.compute_left <= 0:
                 rank.compute_left = None
                 self._advance(rank)
-        else:
-            raise ScenarioError(f"unknown op {kind!r}")
 
     # ------------------------------------------------------- collectives
 
@@ -650,10 +647,8 @@ class Simulator:
         else:
             signature = (op.kind, op.root, op.reduce_op, blocking)
         if inst is None:
-            inst = Instance(comm.comm_id, op.instance, comm.members, signature, blocking)
-            if op.op == "comm_create":
-                inst.new_comm = op.new_comm
-            self.instances[key] = inst
+            inst = self.instances[key] = Instance(
+                comm.comm_id, op.instance, comm.members, signature, blocking)
         elif inst.signature != signature:
             raise CollectiveMismatchError(
                 f"collective mismatch on {comm.comm_id}#{op.instance}: rank {op.rank} called "
@@ -685,7 +680,7 @@ class Simulator:
         if self.trace is not None:
             self.emit(completer, "coll_complete" if inst.blocking else "icoll_complete",
                       comm=inst.comm_id, instance=inst.index, kind=inst.signature[0])
-        if inst.new_comm is not None:
+        if inst.signature[0] == "comm_create":
             self._create_comm(inst)
         if not inst.blocking:
             for rank_id, rid in sorted(inst.request_ids.items()):
@@ -739,8 +734,8 @@ class Simulator:
             raise CollectiveMismatchError(f"unknown collective kind {kind!r}")
 
     def _create_comm(self, inst: Instance):
-        self.emit(min(inst.entered), "comm_created", comm=inst.new_comm,
-                  members=list(self.comm_records[inst.new_comm].members))
+        self.emit(min(inst.entered), "comm_created", comm=inst.signature[1],
+                  members=list(inst.signature[2]))
 
     def _step_collective_return(self, rank: RankState):
         inst = rank.blocked_ref
@@ -748,7 +743,7 @@ class Simulator:
         output = inst.outputs.get(rank.id)
         if output is not None:
             rank.checksum = checksum_fold(rank.checksum, rank.pc, output)
-        elif inst.new_comm is not None and rank.id in inst.signature[2]:
+        elif inst.signature[0] == "comm_create" and rank.id in inst.signature[2]:
             rank.checksum = checksum_fold(rank.checksum, rank.pc, inst.signature[2])
         if self.trace is not None:
             self.emit(rank.id, "coll_return", comm=inst.comm_id, instance=inst.index)
@@ -780,7 +775,7 @@ class Simulator:
         inst = self.get_instance(self.comm_records[op.comm], op, blocking=False)
         inst.entered.add(rank.id)
         inst.inputs[rank.id] = op.data
-        rank.requests[op.request_id] = RequestObject(op.request_id, (op.comm, op.instance), rank.pc)
+        rank.requests[op.request_id] = RequestObject(rank.pc)
         inst.request_ids[rank.id] = op.request_id
         self.counters.wrapper_invocations += 1
         if self.trace is not None:
@@ -833,7 +828,7 @@ class Simulator:
         if req.payload is not None:
             rank.checksum = checksum_fold(rank.checksum, req.op_index, req.payload)
         if self.trace is not None:
-            self.emit(rank.id, "req_consume", request=req.req_id)
+            self.emit(rank.id, "req_consume", request=rank.program[req.op_index].request_id)
 
     # ---------------------------------------------------- point-to-point
 

@@ -292,7 +292,7 @@ class ScenarioProgram:
         header = _json_line(lines[start])
         if header.get("type") != "scenario":
             raise ScenarioError("first line must be the scenario header")
-        if header.get("version") != SCENARIO_VERSION:
+        if header.get("version") != SCENARIO_VERSION or type(header["version"]) is not int:
             raise ScenarioError(f"unsupported scenario version {header.get('version')}")
         if "world_size" not in header:
             raise ScenarioError("scenario header has no world_size")

@@ -14,6 +14,7 @@ route to the property it guards:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .clock import GroupKey
@@ -105,71 +106,42 @@ def check_hb_acyclic(trace, scenario="", seed=None) -> Verdict:
 # --------------------------------------------------------------------------
 
 
-def _blocking_positions(program) -> dict:
-    """Program positions of a rank's blocking collective calls, by communicator.
-
-    Communicator creation is collective over the parent, so it counts as a
-    blocking call on the parent (world).
-    """
-    positions = {}
-    for i, op in enumerate(program):
-        if op.op == "coll":
-            positions.setdefault(op.comm, []).append(i)
-        elif op.op == "comm_create":
-            positions.setdefault(WORLD, []).append(i)
-    return positions
-
-
 def check_crossing_legality(scenario: ScenarioProgram, seed=None) -> Verdict:
     """No matched send/recv pair may straddle a blocking collective instance
-    on a communicator containing both endpoints, in either direction."""
-    sends: dict = {}
-    recvs: dict = {}
+    on a communicator containing both endpoints, in either direction.
+
+    A channel's k-th send and k-th recv match. With a and b the counts of
+    blocking calls each end makes on a shared communicator before its post
+    (a comm_create counts on world), the pair straddles the instances that
+    both ends call from min(a, b) up to max(a, b).
+    """
+    blocking = []  # per rank: comm id -> pcs of its blocking calls
+    channels: dict = {}  # (src, dst, tag, comm) -> (send pcs, recv pcs)
     for rank, program in enumerate(scenario.programs):
+        pcs: dict = {}
         for i, op in enumerate(program):
             kind = op.op
-            if kind == "send":
-                sends.setdefault((rank, op.peer, op.tag, op.comm), []).append(i)
+            if kind == "coll":
+                pcs.setdefault(op.comm, []).append(i)
+            elif kind == "comm_create":
+                pcs.setdefault(WORLD, []).append(i)
+            elif kind == "send":
+                channels.setdefault((rank, op.peer, op.tag, op.comm), ([], []))[0].append(i)
             elif kind == "recv":
-                recvs.setdefault((op.peer, rank, op.tag, op.comm), []).append(i)
+                channels.setdefault((op.peer, rank, op.tag, op.comm), ([], []))[1].append(i)
+        blocking.append(pcs)
 
-    blocking = {}  # rank -> _blocking_positions of its program, once it is in a matched pair
-
-    def blocking_positions(rank, comm_id):
-        if rank not in blocking:
-            blocking[rank] = _blocking_positions(scenario.programs[rank])
-        return blocking[rank].get(comm_id, ())
-
-    shared_comms = {}
     violations = []
-
-    def comms_containing(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in shared_comms:
-            found = [WORLD]
-            for cid, members in scenario.comms.items():
-                if a in members and b in members:
-                    found.append(cid)
-            shared_comms[key] = found
-        return shared_comms[key]
-
-    for key in sorted(set(sends) | set(recvs)):
-        src, dst, tag, comm = key
-        pair_sends = sends.get(key, [])
-        pair_recvs = recvs.get(key, [])
-        for send_pos, recv_pos in zip(pair_sends, pair_recvs):
-            for cid in comms_containing(src, dst):
-                src_positions = blocking_positions(src, cid)
-                dst_positions = blocking_positions(dst, cid)
-                for k in range(min(len(src_positions), len(dst_positions))):
-                    a, b = src_positions[k], dst_positions[k]
-                    before_a, after_b = send_pos < a, recv_pos > b
-                    after_a, before_b = send_pos > a, recv_pos < b
-                    if (before_a and after_b) or (after_a and before_b):
-                        violations.append({
-                            "send": [src, send_pos], "recv": [dst, recv_pos],
-                            "comm": cid, "instance": k,
-                        })
+    for (src, dst, _, _), (send_pcs, recv_pcs) in sorted(channels.items()):
+        shared = [WORLD] + [cid for cid, members in scenario.comms.items()
+                            if src in members and dst in members]
+        for send_pc, recv_pc in zip(send_pcs, recv_pcs):
+            for cid in shared:
+                src_pcs, dst_pcs = blocking[src].get(cid, ()), blocking[dst].get(cid, ())
+                a, b = bisect_left(src_pcs, send_pc), bisect_left(dst_pcs, recv_pc)
+                for k in range(min(a, b), min(max(a, b), len(src_pcs), len(dst_pcs))):
+                    violations.append({"send": [src, send_pc], "recv": [dst, recv_pc],
+                                       "comm": cid, "instance": k})
     return Verdict("crossing_legality", not violations,
                    {"violations": violations}, scenario.name, seed)
 

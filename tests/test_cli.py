@@ -227,6 +227,34 @@ class TestVerifyAndRestart:
         assert run_cli("verify", "--scenario", str(generated), "--algo", "cc",
                        "--seed", "4", "--ckpt-at-step", "30") == 0
 
+    def test_verify_checks_crossing_legality_once(self, generated, monkeypatch):
+        from ccsim import cli, driver, verify
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return verify.check_crossing_legality(*args)
+
+        for module in (cli, driver):
+            monkeypatch.setattr(module, "check_crossing_legality", counted, raising=False)
+        assert run_cli("verify", "--scenario", str(generated), "--algo", "cc",
+                       "--seed", "4", "--ckpt-at-step", "30") == 0
+        assert len(calls) == 1
+
+    def test_verify_prints_only_the_failed_crossing_verdict(self, tmp_path, capsys):
+        path = tmp_path / "crossing.jsonl"
+        path.write_text(
+            '{"type":"scenario","version":1,"world_size":2}\n'
+            '{"rank":0,"op":"send","peer":1,"data":[1]}\n'
+            '{"rank":0,"op":"coll","kind":"barrier"}\n'
+            '{"rank":1,"op":"coll","kind":"barrier"}\n'
+            '{"rank":1,"op":"recv","peer":0}\n')
+        assert run_cli("verify", "--scenario", str(path), "--ckpt-at-step", "1") == 1
+        [line] = capsys.readouterr().out.splitlines()
+        verdict = json.loads(line)
+        assert verdict["check"] == "crossing_legality" and not verdict["pass"]
+
     def test_restart_roundtrip(self, generated, tmp_path, capsys):
         snap = tmp_path / "snap.json"
         assert run_cli("run", "--scenario", str(generated), "--algo", "cc",

@@ -130,6 +130,15 @@ class TestRounds:
         assert result.coordinator.initial_targets == {}
         assert result.sim.all_finished()
 
+    def test_pending_request_fails_the_instance_rule_before_any_drain(self):
+        # Declared by hand with q0 initiated by rank 0 alone: the coordinator's
+        # instance rule rejects it before cc traces a drained request.
+        program = [(op_icoll(r, "q0"), Op(rank=r, op="wait", request_id="q0")) for r in (0, 1)]
+        sim = _cc_round([0], programs=program)
+        with pytest.raises(ProtocolViolationError, match="started but incomplete"):
+            sim.coordinator.declare_safe_state(sim)
+        assert not any(ev["event"] == "drain_request" for ev in sim.trace)
+
     def test_request_after_program_end_is_immediately_safe(self):
         sc = scenario(2)
         for r in range(2):
@@ -210,6 +219,13 @@ class TestSnapshotImage:
         blob = image.dumps()
         again = SnapshotImage.loads(blob)
         assert again.dumps() == blob
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_load_rejects_a_version_that_only_equals_1(self, version):
+        obj = json.loads(self._snapshot().snapshot.dumps())
+        obj["version"] = version
+        with pytest.raises(SnapshotLoadError, match=f"^unsupported snapshot version {version}$"):
+            SnapshotImage.loads(json.dumps(obj))
 
     def test_corrupt_image_rejected(self):
         with pytest.raises(SnapshotLoadError):

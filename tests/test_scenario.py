@@ -72,6 +72,12 @@ class TestFormat:
         with pytest.raises(ScenarioError):
             ScenarioProgram.loads(text)
 
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_version_that_only_equals_1_rejected(self, version):
+        header = '{"type":"scenario","version":%s,"world_size":1}' % version
+        with pytest.raises(ScenarioError, match=r"^unsupported scenario version (True|1\.0)$"):
+            ScenarioProgram.loads(header)
+
     def test_unknown_field_rejected(self):
         sc = scenario(1)
         sc.programs[0].append(op_coll(0))

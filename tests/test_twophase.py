@@ -45,6 +45,14 @@ class TestOverheadAccounting:
         with pytest.raises(UnsupportedOperationError):
             run(sc, "2pc", seed=0)
 
+    def test_random_placement_probe_rejects_nonblocking(self):
+        # The probe run that draws the step meets the icoll first.
+        sc = scenario(2)
+        for r in range(2):
+            sc.programs[r] += [op_icoll(r, "q0"), Op(rank=r, op="wait", request_id="q0")]
+        with pytest.raises(UnsupportedOperationError):
+            run(sc, "2pc", seed=0, ckpt=("random", 3))
+
     def test_adapter_rejects_nonblocking_at_runtime(self):
         from ccsim import Simulator, TwoPhaseCommitProtocol
 

@@ -17,7 +17,7 @@ from ccsim import (
 )
 from ccsim.scenario import WORLD
 
-from conftest import op_coll, scenario
+from conftest import op_coll, op_icoll, scenario
 
 
 def coll_enters(per_rank):
@@ -131,18 +131,21 @@ def _reference_crossing_violations(scenario):
 
 @st.composite
 def _p2p_programs(draw):
-    """2-4 ranks of random sends, recvs, barriers on world or on two
-    communicators, and communicator creations; not necessarily runnable."""
+    """2-4 ranks of random sends, recvs, blocking and non-blocking barriers
+    on world or on two communicators, and communicator creations; not
+    necessarily runnable. An icoll is no blocking call: it never separates a pair."""
     n = draw(st.integers(2, 4))
     comms = {"a": tuple(range(n)), "b": tuple(draw(st.sets(st.integers(0, n - 1),
                                                            min_size=2, max_size=n)))}
     sc = scenario(n, comms=comms, preamble=False)
     for rank in range(n):
-        for _ in range(draw(st.integers(0, 12))):
-            what = draw(st.sampled_from(["send", "recv", "send", "recv", "coll", "create"]))
-            if what == "coll":
+        for i in range(draw(st.integers(0, 12))):
+            what = draw(st.sampled_from(["send", "recv", "send", "recv", "coll", "icoll",
+                                         "create"]))
+            if what in ("coll", "icoll"):
                 comm = draw(st.sampled_from([WORLD] + [c for c in comms if rank in comms[c]]))
-                sc.programs[rank].append(op_coll(rank, comm=comm))
+                sc.programs[rank].append(op_coll(rank, comm=comm) if what == "coll"
+                                         else op_icoll(rank, f"q{i}", comm=comm))
             elif what == "create":
                 sc.programs[rank].append(Op(rank=rank, op="comm_create",
                                             new_comm=draw(st.sampled_from(sorted(comms)))))
