@@ -36,7 +36,6 @@ from .runtime import (
 )
 from .scenario import (
     BUILTIN_SCENARIOS,
-    GenParams,
     Op,
     ScenarioProgram,
     builtin_scenario,

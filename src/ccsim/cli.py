@@ -17,7 +17,7 @@ from .coordinator import SnapshotImage, TRIGGERS
 from .errors import SimulationError, UnsupportedOperationError
 from .explore import explore_small
 from .metrics import CSV_FIELDS
-from .scenario import BUILTIN_SCENARIOS, GenParams, generate_workload
+from .scenario import BUILTIN_SCENARIOS, generate_workload
 from .verify import check_replay_equivalence
 
 EXIT_OK = 0
@@ -120,10 +120,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    params = GenParams(ranks=args.ranks, groups=args.groups, ops=args.ops,
-                       nonblocking_ratio=args.nonblocking_ratio,
-                       p2p_ratio=args.p2p_ratio)
-    scenario = generate_workload(args.seed, params)
+    scenario = generate_workload(args.seed, ranks=args.ranks, groups=args.groups, ops=args.ops,
+                                 nonblocking_ratio=args.nonblocking_ratio,
+                                 p2p_ratio=args.p2p_ratio)
     _write_text(args.output, scenario.dumps())
     return EXIT_OK
 
@@ -159,7 +158,9 @@ def cmd_verify(args) -> int:
     result = driver.run(scenario, algorithm=args.algo, seed=args.seed, ckpt=placement)
     verdicts = result.verdicts
     if placement is not None and not result.error:
-        verdicts.append(check_replay_equivalence(scenario, args.algo, args.seed, placement))
+        base = driver.run(scenario, algorithm=args.algo, seed=args.seed,
+                          record=False, checks=False)
+        verdicts.append(check_replay_equivalence(result, base.checksums, placement))
     for verdict in verdicts:
         print(verdict.to_json_line())
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_FAIL

@@ -93,8 +93,9 @@ def run(scenario_spec, algorithm: str = "none", seed: int = 0, ckpt=None,
     """Execute one run end-to-end with verifier checks and metrics.
 
     With checks, a scenario that fails crossing legality is not run. The
-    two-phase baseline raises UnsupportedOperationError at the first
-    non-blocking collective a run (or a random placement's probe) meets.
+    two-phase baseline raises UnsupportedOperationError for a scenario with
+    a non-blocking collective before a run (or a random placement's probe)
+    takes its first step.
     """
     scenario = load_scenario(scenario_spec)
     verdicts = []

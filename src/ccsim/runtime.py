@@ -305,7 +305,8 @@ class ProtocolAdapter:
     policy = {}  # the snapshot's "policy" field, fixed per protocol
 
     def bind(self, sim):
-        """Set up per-rank state for sim's world; adapters with none inherit this."""
+        """Set up per-rank state for sim's world, or reject a scenario the
+        protocol cannot run; adapters with neither inherit this."""
 
     def fork(self, memo):
         """An independent adapter in this one's state, for Simulator.fork; memo

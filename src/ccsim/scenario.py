@@ -623,58 +623,39 @@ def builtin_scenario(name: str) -> ScenarioProgram:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class GenParams:
-    """Bounds and mix knobs for generated workloads (desk scale)."""
-
-    ranks: int = 8
-    groups: int = 3
-    ops: int = 60
-    nonblocking_ratio: float = 0.0
-    p2p_ratio: float = 0.0
-
-    def check(self):
-        if not 1 <= self.ranks <= 64:
-            raise GenerationError("ranks must be within [1, 64]")
-        if self.groups < 0 or self.ops < 1:
-            raise GenerationError("groups must be >= 0 and ops >= 1")
-        for name in ("nonblocking_ratio", "p2p_ratio"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise GenerationError(f"{name} must be within [0, 1]")
-
-
-def generate_workload(seed: int, params: GenParams | None = None, **kwargs) -> ScenarioProgram:
-    """Produce a legality-checked random scenario.
+def generate_workload(seed: int, *, ranks: int = 8, groups: int = 3, ops: int = 60,
+                      nonblocking_ratio: float = 0.0, p2p_ratio: float = 0.0) -> ScenarioProgram:
+    """Produce a validated random scenario within desk-scale bounds.
 
     Structure guarantees: equal collective counts per group across members,
     every request eventually waited, and every point-to-point burst fenced by
     world barriers so matched pairs can never straddle the collectives that
-    bound a safe state. The result is legal by construction; it is still
-    validated and crossing-checked once, and a failure raises
-    ``GenerationError``.
+    bound a safe state. So the result is crossing-legal by construction; it
+    is still validated once, and a failure raises ``GenerationError``.
     """
-    from .verify import check_crossing_legality  # verify imports this module
-
-    params = params or GenParams(**kwargs)
-    params.check()
-    scenario = _build_workload(params, seed)
+    if not 1 <= ranks <= 64:
+        raise GenerationError("ranks must be within [1, 64]")
+    if groups < 0 or ops < 1:
+        raise GenerationError("groups must be >= 0 and ops >= 1")
+    for name, ratio in (("nonblocking_ratio", nonblocking_ratio), ("p2p_ratio", p2p_ratio)):
+        if not 0.0 <= ratio <= 1.0:
+            raise GenerationError(f"{name} must be within [0, 1]")
+    scenario = _build_workload(seed, {"ranks": ranks, "groups": groups, "ops": ops,
+                                      "nonblocking_ratio": nonblocking_ratio,
+                                      "p2p_ratio": p2p_ratio})
     try:
         scenario.validate()
     except ScenarioError as exc:
         raise GenerationError(f"generated scenario {scenario.name} is illegal: {exc}") from exc
-    verdict = check_crossing_legality(scenario)
-    if not verdict.passed:
-        raise GenerationError(
-            f"generated scenario {scenario.name} fails crossing legality: {verdict.detail}")
     return scenario
 
 
-def _build_workload(params, seed) -> ScenarioProgram:
+def _build_workload(seed, params: dict) -> ScenarioProgram:
     rng = random.Random(seed)
-    n = params.ranks
+    n = params["ranks"]
     comms = {}
     seen_sets = set()
-    for i in range(params.groups):
+    for i in range(params["groups"]):
         if n < 2:
             break
         size = rng.randint(2, min(MAX_GROUP_SIZE, n))
@@ -688,13 +669,10 @@ def _build_workload(params, seed) -> ScenarioProgram:
         world_size=n,
         comms=comms,
         name=f"gen-{seed}",
-        meta={"seed": seed, "params": {
-            "ranks": params.ranks, "groups": params.groups, "ops": params.ops,
-            "nonblocking_ratio": params.nonblocking_ratio, "p2p_ratio": params.p2p_ratio,
-        }},
+        meta={"seed": seed, "params": params},
     )
     _creation_preamble(sc)
-    budget = params.ops
+    budget = params["ops"]
     pending: dict[int, list] = {r: [] for r in range(n)}
     req_counter = [0]
     tag_counter = [0]
@@ -706,7 +684,7 @@ def _build_workload(params, seed) -> ScenarioProgram:
         kind = rng.choice(COLLECTIVE_KINDS)
         root = rng.choice(members) if kind in ("bcast", "reduce", "gather") else None
         red = rng.choice(REDUCE_OPS) if kind in ("reduce", "allreduce") else None
-        nonblocking = rng.random() < params.nonblocking_ratio
+        nonblocking = rng.random() < params["nonblocking_ratio"]
         used = 0
         for r in members:
             if kind == "alltoall":
@@ -772,7 +750,7 @@ def _build_workload(params, seed) -> ScenarioProgram:
     rounds_since_completion = 0
     while budget > 0:
         roll = rng.random()
-        if roll < params.p2p_ratio and n >= 2:
+        if roll < params["p2p_ratio"] and n >= 2:
             budget -= emit_p2p_round()
         else:
             budget -= emit_collective()

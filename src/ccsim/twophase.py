@@ -40,6 +40,11 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
         self.tb_instances = {}  # (comm_id, index) -> Instance
 
     def bind(self, sim):
+        # Rejected before any step, so no run takes a snapshot it cannot resume.
+        if any(op.op == "icoll" for op in sim.scenario.ops()):
+            raise UnsupportedOperationError(
+                "the two-phase-commit baseline does not support non-blocking collectives"
+            )
         self.aborted_barrier_logs = [[] for _ in range(sim.world_size)]
 
     def fork(self, memo):
@@ -54,10 +59,6 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
 
     def begin_collective(self, sim, rank):
         op = rank.program[rank.pc]
-        if op.op == "icoll":
-            raise UnsupportedOperationError(
-                "the two-phase-commit baseline does not support non-blocking collectives"
-            )
         if sim.round_pending:
             return STOP
         key = (op.comm, op.instance)

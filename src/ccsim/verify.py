@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
 from .clock import GroupKey
+from .coordinator import restart
 from .scenario import ScenarioProgram, WORLD, encode
 
 
@@ -52,53 +54,25 @@ def hb_lists_from_trace(trace) -> list:
     return [per_rank.get(r, []) for r in range(max(per_rank) + 1)]
 
 
-def _find_cycle(adjacency: dict):
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in adjacency}
-    parent = {}
-    for start in sorted(adjacency):
-        if color[start] != WHITE:
-            continue
-        stack = [(start, iter(sorted(adjacency[start])))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt, WHITE) == WHITE:
-                    color[nxt] = GRAY
-                    parent[nxt] = node
-                    stack.append((nxt, iter(sorted(adjacency.get(nxt, ())))))
-                    advanced = True
-                    break
-                if color.get(nxt) == GRAY:
-                    cycle = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return None
-
-
 def check_hb_acyclic(trace, scenario="", seed=None) -> Verdict:
     """Program-order edges per rank between consecutive blocking instances;
-    the transitive closure is a DAG iff this base graph is."""
-    adjacency: dict = {}
+    the transitive closure is a DAG iff this base graph is. Sorted insertion
+    makes the search, and the cycle it names, a function of the graph alone."""
+    preds: dict = {}
     for sequence in hb_lists_from_trace(trace):
         for node in sequence:
-            adjacency.setdefault(node, set())
+            preds.setdefault(node, set())
         for a, b in zip(sequence, sequence[1:]):
-            adjacency[a].add(b)
-    cycle = _find_cycle(adjacency)
-    detail = {"nodes": len(adjacency)}
-    if cycle:
-        detail["cycle"] = [list(n) for n in cycle]
-    return Verdict("hb_acyclic", cycle is None, detail, scenario, seed)
+            preds[b].add(a)
+    graph = TopologicalSorter(dict.fromkeys(sorted(preds), ()))
+    for node in sorted(preds):
+        graph.add(node, *sorted(preds[node]))
+    detail = {"nodes": len(preds)}
+    try:
+        graph.prepare()
+    except CycleError as exc:  # args[1] is a closed walk along the edges
+        detail["cycle"] = [list(n) for n in exc.args[1]]
+    return Verdict("hb_acyclic", "cycle" not in detail, detail, scenario, seed)
 
 
 # --------------------------------------------------------------------------
@@ -262,29 +236,22 @@ def check_safe_state(snapshot, trace, scenario="", seed=None) -> Verdict:
 # --------------------------------------------------------------------------
 
 
-def check_replay_equivalence(scenario, algorithm, seed, placement) -> Verdict:
-    """Uninterrupted run vs. checkpoint + restart: final checksums must agree.
-
-    Also asserts the resumed original run (release path) matches, which is
-    strictly stronger.
-    """
-    from . import driver  # late import; driver depends on this module
-
-    base = driver.run(scenario, algorithm=algorithm, seed=seed, record=False, checks=False)
-    ck = driver.run(scenario, algorithm=algorithm, seed=seed, ckpt=placement,
-                    record=True, checks=False)
+def check_replay_equivalence(checkpointed, uninterrupted: dict, placement) -> Verdict:
+    """Checkpoint + restart vs. the uninterrupted run's checksums: they must
+    agree. ``checkpointed`` is the RunResult that took the snapshot, and
+    ``placement`` only the text the verdict prints. The resumed run (release
+    path) must match too, which is strictly stronger."""
     detail = {"placement": str(placement)}
-    if ck.snapshot is None:
+    name, seed = checkpointed.scenario_name, checkpointed.seed
+    if checkpointed.snapshot is None:
         return Verdict("replay_equivalence", False,
-                       {"problems": ["no snapshot taken"], **detail},
-                       ck.scenario_name, seed)
-    resumed_ok = ck.checksums == base.checksums
-    rs = driver.run_restart(ck.snapshot, record=False)
-    restarted_ok = rs.checksums == base.checksums
-    detail["resumed_matches"] = resumed_ok
-    detail["restarted_matches"] = restarted_ok
-    return Verdict("replay_equivalence", resumed_ok and restarted_ok, detail,
-                   ck.scenario_name, seed)
+                       {"problems": ["no snapshot taken"], **detail}, name, seed)
+    restarted = restart(checkpointed.snapshot, record=False)
+    restarted.run()
+    detail["resumed_matches"] = checkpointed.checksums == uninterrupted
+    detail["restarted_matches"] = restarted.checksums() == uninterrupted
+    return Verdict("replay_equivalence",
+                   detail["resumed_matches"] and detail["restarted_matches"], detail, name, seed)
 
 
 # --------------------------------------------------------------------------

@@ -216,8 +216,9 @@ class TestCriterion6ReplayEquivalence:
                 probe = run(sc, algorithm, seed=seed, record=False, checks=False)
                 for frac in (3, 7):
                     at = (probe.sim.step * frac) // 10
-                    verdict = check_replay_equivalence(sc, algorithm, seed,
-                                                       ("at_step", at))
+                    ck = run(sc, algorithm, seed=seed, ckpt=("at_step", at),
+                             record=False, checks=False)
+                    verdict = check_replay_equivalence(ck, probe.checksums, ("at_step", at))
                     assert verdict.passed, (sc.name, algorithm, at, verdict.detail)
                     counts[algorithm] += 1
         elapsed = time.time() - t0

@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, artifacts, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -241,6 +242,34 @@ class TestVerifyAndRestart:
         assert run_cli("verify", "--scenario", str(generated), "--algo", "cc",
                        "--seed", "4", "--ckpt-at-step", "30") == 0
         assert len(calls) == 1
+
+    # fig2 verify: the checked run (and a random placement's probe), one
+    # uninterrupted run and one restart; the stdout digest pins the verdicts.
+    @pytest.mark.parametrize("flags, most_runs, digest", [
+        (("--ckpt-at-step", "30"), 3,
+         "80ef6bc969b6d6b4e1e7cb045c29e48910f83832098d6cdf7dadc565fc130c07"),
+        (("--ckpt-random", "3"), 4,
+         "f90b6a8e1e253d38370c4e52c6367be9db41cea8d2455787ba3d16658bf89b46"),
+        (("--seed", "11", "--ckpt-trigger", "fig2-instant"), 3,
+         "979f53de4d8cebcf84cab0d32c5780e1288e82afaed1f1d66dbbe43f5eb93720"),
+        (("--algo", "2pc", "--ckpt-at-step", "40"), 3,
+         "55f654785513f91220d186e60b9b8dc15988c0c1047a8f4a80fed3a70cc6e55d"),
+    ], ids=["cc-at-step", "cc-random", "cc-trigger", "2pc-at-step"])
+    def test_verify_runs_each_simulation_once(self, flags, most_runs, digest, monkeypatch,
+                                              capsys):
+        from ccsim import Simulator
+
+        runs = []
+        simulate = Simulator.run
+
+        def counted(sim):
+            runs.append(sim)
+            return simulate(sim)
+
+        monkeypatch.setattr(Simulator, "run", counted)
+        assert run_cli("verify", "--scenario", "fig2", *flags) == 0
+        assert len(runs) <= most_runs
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_verify_prints_only_the_failed_crossing_verdict(self, tmp_path, capsys):
         path = tmp_path / "crossing.jsonl"

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccsim import (
-    GenParams,
     GenerationError,
     Op,
     ScenarioProgram,
@@ -25,7 +24,6 @@ from ccsim import (
     generate_workload,
     restart,
     run,
-    verify,
 )
 from ccsim.scenario import BUILTIN_SCENARIOS, _json_line
 
@@ -648,11 +646,11 @@ class TestGenerator:
 
     def test_bad_params_rejected(self):
         with pytest.raises(GenerationError):
-            GenParams(ranks=0).check()
+            generate_workload(0, ranks=0)
         with pytest.raises(GenerationError):
-            GenParams(ranks=100).check()
+            generate_workload(0, ranks=100)
         with pytest.raises(GenerationError):
-            GenParams(nonblocking_ratio=1.5).check()
+            generate_workload(0, nonblocking_ratio=1.5)
 
     def test_illegal_output_fails_closed(self, monkeypatch):
         from ccsim import scenario as scenario_module
@@ -668,11 +666,6 @@ class TestGenerator:
         with pytest.raises(GenerationError, match="gen-5 is illegal") as raised:
             generate_workload(5, ranks=4, ops=20)
         assert isinstance(raised.value.__cause__, ScenarioError)
-        monkeypatch.setattr(scenario_module, "_build_workload", build)
-        crossing = verify.Verdict("crossing_legality", False, {"violations": ["v"]})
-        monkeypatch.setattr(verify, "check_crossing_legality", lambda sc: crossing)
-        with pytest.raises(GenerationError, match="gen-5 fails crossing legality"):
-            generate_workload(5, ranks=4, ops=20)
 
     @given(seed=st.integers(0, 2**32), ranks=st.integers(2, 12),
            groups=st.integers(0, 4), ops=st.integers(10, 120),

@@ -46,7 +46,7 @@ class TestOverheadAccounting:
             run(sc, "2pc", seed=0)
 
     def test_random_placement_probe_rejects_nonblocking(self):
-        # The probe run that draws the step meets the icoll first.
+        # The probe run that draws the step is rejected when its adapter binds.
         sc = scenario(2)
         for r in range(2):
             sc.programs[r] += [op_icoll(r, "q0"), Op(rank=r, op="wait", request_id="q0")]
@@ -59,9 +59,18 @@ class TestOverheadAccounting:
         sc = scenario(2)
         for r in range(2):
             sc.programs[r] += [op_icoll(r, "q0"), Op(rank=r, op="wait", request_id="q0")]
-        sim = Simulator(sc, TwoPhaseCommitProtocol(), seed=0)
         with pytest.raises(UnsupportedOperationError):
-            sim.run()
+            Simulator(sc, TwoPhaseCommitProtocol(), seed=0).run()
+
+    def test_halted_run_before_the_first_icoll_takes_no_snapshot(self):
+        # The snapshot at step 0 would precede the icoll, and its restart
+        # would then fail at it: the run is rejected before any step instead.
+        sc = scenario(2)
+        for r in range(2):
+            sc.programs[r] += [op_coll(r), op_icoll(r, "q0"),
+                               Op(rank=r, op="wait", request_id="q0")]
+        with pytest.raises(UnsupportedOperationError, match="non-blocking collectives"):
+            run(sc, "2pc", seed=0, ckpt=("at_step", 0), halt_at_snapshot=True)
 
 
 class TestCheckpointPaths:

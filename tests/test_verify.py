@@ -1,5 +1,8 @@
 """Offline verifier checks."""
 
+import ast
+import pathlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +55,90 @@ class TestHappensBefore:
     def test_two_rank_cycle_reported(self):
         verdict = check_hb_acyclic(coll_enters([[("a", 1), ("b", 1)], [("b", 1), ("a", 1)]]))
         assert not verdict.passed
+
+
+def _reference_find_cycle(adjacency):
+    """The cycle ``check_hb_acyclic`` names, as its hand-written depth-first
+    search found it before it used graphlib: nodes and successors in sorted
+    order, the cycle as a closed walk along the edges."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {node: WHITE for node in adjacency}
+    parent = {}
+    for start in sorted(adjacency):
+        if color[start] != WHITE:
+            continue
+        stack = [(start, iter(sorted(adjacency[start])))]
+        color[start] = GRAY
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color.get(nxt, WHITE) == WHITE:
+                    color[nxt] = GRAY
+                    parent[nxt] = node
+                    stack.append((nxt, iter(sorted(adjacency.get(nxt, ())))))
+                    advanced = True
+                    break
+                if color.get(nxt) == GRAY:
+                    cycle = [nxt, node]
+                    cur = node
+                    while cur != nxt:
+                        cur = parent[cur]
+                        cycle.append(cur)
+                    cycle.reverse()
+                    return cycle
+            if not advanced:
+                color[node] = BLACK
+                stack.pop()
+    return None
+
+
+def _reference_hb_detail(per_rank):
+    adjacency = {}
+    for sequence in per_rank:
+        for node in sequence:
+            adjacency.setdefault(node, set())
+        for a, b in zip(sequence, sequence[1:]):
+            adjacency[a].add(b)
+    detail = {"nodes": len(adjacency)}
+    cycle = _reference_find_cycle(adjacency)
+    if cycle:
+        detail["cycle"] = [list(n) for n in cycle]
+    return detail
+
+
+# 2-4 ranks, each a sequence of (group, num) nodes drawn from a small pool,
+# so that ranks share nodes and orders often disagree.
+_hb_sequences = st.lists(
+    st.lists(st.tuples(st.sampled_from(["0,1", "1,2", "0,1,2", "0,2,3"]), st.integers(1, 3)),
+             max_size=6),
+    min_size=2, max_size=4)
+
+
+class TestHappensBeforeReference:
+    @given(_hb_sequences)
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    def test_detail_matches_the_depth_first_search(self, per_rank):
+        verdict = check_hb_acyclic(coll_enters(per_rank))
+        want = _reference_hb_detail(per_rank)
+        assert verdict.detail == want
+        assert verdict.passed == ("cycle" not in want)
+        if not verdict.passed:
+            edges = {(a, b) for seq in per_rank for a, b in zip(seq, seq[1:])}
+            walk = [tuple(n) for n in verdict.detail["cycle"]]
+            assert len(walk) >= 2 and walk[0] == walk[-1]
+            assert all(step in edges for step in zip(walk, walk[1:]))
+
+    def test_the_strategy_finds_cycles(self):
+        found = []
+
+        @given(_hb_sequences)
+        @settings(derandomize=True, max_examples=100, deadline=None)
+        def collect(per_rank):
+            found.append("cycle" in _reference_hb_detail(per_rank))
+
+        collect()
+        assert any(found) and not all(found)
 
 
 class TestCrossingLegality:
@@ -283,26 +370,39 @@ class TestSafeState:
 
 
 class TestReplayEquivalence:
+    @staticmethod
+    def _verdict(sc, algorithm, seed, placement):
+        base = run(sc, algorithm, seed=seed, record=False, checks=False)
+        ck = run(sc, algorithm, seed=seed, ckpt=placement, record=False, checks=False)
+        return check_replay_equivalence(ck, base.checksums, placement)
+
     def test_blocking_only_cc(self):
         sc = generate_workload(21, ranks=5, groups=2, ops=40, p2p_ratio=0.2)
-        assert check_replay_equivalence(sc, "cc", 1, ("at_step", 30)).passed
+        assert self._verdict(sc, "cc", 1, ("at_step", 30)).passed
 
     def test_nonblocking_heavy_cc(self):
         sc = generate_workload(22, ranks=5, groups=2, ops=40,
                                nonblocking_ratio=0.6)
-        assert check_replay_equivalence(sc, "cc", 2, ("at_step", 25)).passed
+        assert self._verdict(sc, "cc", 2, ("at_step", 25)).passed
 
     def test_blocking_2pc_with_aborted_barrier(self):
         sc = generate_workload(23, ranks=4, groups=2, ops=30, p2p_ratio=0.2)
+        base = run(sc, "2pc", seed=3, record=False, checks=False).checksums
         found_abort = False
         for step in (5, 9, 13, 17, 21):
-            verdict = check_replay_equivalence(sc, "2pc", 3, ("at_step", step))
-            assert verdict.passed
             probe = run(sc, "2pc", seed=3, ckpt=("at_step", step))
+            assert check_replay_equivalence(probe, base, ("at_step", step)).passed
             if any(row["protocol"]["aborted_barrier_log"]
                    for row in probe.snapshot.per_rank):
                 found_abort = True
         assert found_abort, "no placement aborted a barrier; widen the sweep"
+
+    def test_run_without_a_snapshot_fails(self):
+        sc = generate_workload(21, ranks=5, groups=2, ops=40, p2p_ratio=0.2)
+        base = run(sc, "cc", seed=1, record=False, checks=False)
+        verdict = check_replay_equivalence(base, base.checksums, None)
+        assert not verdict.passed
+        assert verdict.detail == {"problems": ["no snapshot taken"], "placement": "None"}
 
 
 class TestChecksumFold:
@@ -341,3 +441,17 @@ class TestClockSkew:
             {"step": 2, "rank": 0, "event": "seq_inc", "detail": {"group": "0,1", "value": 2}},
         ]
         assert check_clock_skew(trace).passed
+
+
+def test_verify_imports_neither_driver_nor_cli():
+    """verify is imported by driver and cli; an import back, even a late one
+    inside a function, would make a cycle."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "src" / "ccsim" / "verify.py"
+    parts = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            dotted = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom) and node.module:
+                dotted.append(node.module)
+            parts.update(part for name in dotted for part in name.split("."))
+    assert not parts & {"driver", "cli"}, sorted(parts & {"driver", "cli"})
