@@ -158,9 +158,11 @@ def cmd_verify(args) -> int:
     result = driver.run(scenario, algorithm=args.algo, seed=args.seed, ckpt=placement)
     verdicts = result.verdicts
     if placement is not None and not result.error:
-        base = driver.run(scenario, algorithm=args.algo, seed=args.seed,
-                          record=False, checks=False)
-        verdicts.append(check_replay_equivalence(result, base.checksums, placement))
+        base = result.uninterrupted  # a random placement's probe ran it already
+        if base is None:
+            base = driver.run(scenario, algorithm=args.algo, seed=args.seed,
+                              record=False, checks=False).checksums
+        verdicts.append(check_replay_equivalence(result, base, placement))
     for verdict in verdicts:
         print(verdict.to_json_line())
     return EXIT_OK if all(v.passed for v in verdicts) else EXIT_FAIL

@@ -30,6 +30,7 @@ class RunResult:
     verdicts: list = field(default_factory=list)
     snapshot: SnapshotImage | None = None
     error: str = ""
+    uninterrupted: dict | None = None  # a random placement's probe checksums
 
     @property
     def passed(self) -> bool:
@@ -55,21 +56,21 @@ def load_scenario(spec) -> ScenarioProgram:
 
 
 def resolve_placement(scenario: ScenarioProgram, algorithm: str, seed: int,
-                      ckpt) -> tuple | None:
-    """Normalize a checkpoint placement.
+                      ckpt) -> tuple:
+    """Normalize a checkpoint placement: (placement, the uninterrupted run's
+    checksums if a probe ran, else None).
 
     ("random", s) draws a step uniformly from the length of the same run
     without a checkpoint, so the placement is reproducible from s alone.
     """
     if ckpt is None:
-        return None
+        return None, None
     kind, arg = ckpt
     if kind in ("at_step", "trigger"):
-        return ckpt
+        return ckpt, None
     if kind == "random":
         probe = _execute(scenario, algorithm, seed, None, False, False)
-        steps = probe.sim.step
-        return ("at_step", random.Random(arg).randrange(steps + 1))
+        return ("at_step", random.Random(arg).randrange(probe.sim.step + 1)), probe.checksums
     raise SimulationError(f"unknown checkpoint placement {ckpt!r}")
 
 
@@ -105,9 +106,9 @@ def run(scenario_spec, algorithm: str = "none", seed: int = 0, ckpt=None,
         if not legality.passed:
             return RunResult(scenario.name, algorithm, seed, None, None, None, None,
                              verdicts, error="scenario fails crossing legality")
-    placement = resolve_placement(scenario, algorithm, seed, ckpt)
+    placement, uninterrupted = resolve_placement(scenario, algorithm, seed, ckpt)
     result = _execute(scenario, algorithm, seed, placement, halt_at_snapshot, record)
-    result.verdicts = verdicts
+    result.verdicts, result.uninterrupted = verdicts, uninterrupted
     if checks and result.sim.trace is not None:
         result.verdicts.append(check_hb_acyclic(result.sim.trace, scenario.name, seed))
         if algorithm == "cc":

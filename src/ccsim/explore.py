@@ -38,6 +38,12 @@ runtime, so a node dropped from the stack is freed at once by reference
 counting. A failure is reported under the full path of the branch that
 raised it.
 
+A path end checks that the round declared a safe state, the cc update
+cascade bound and happens-before acyclicity, then calls ``per_path_check``.
+The happens-before verdict depends only on the per-rank (group, num) lists
+of the trace (``hb_lists_from_trace``), so one search computes it once per
+distinct order and gives every path with that order the same verdict.
+
 Bounded to at most 4 ranks and 12 events per rank; use generated campaigns
 for anything larger.
 """
@@ -52,7 +58,7 @@ from .coordinator import CheckpointCoordinator, make_protocol
 from .errors import InvalidConfigurationError, SimulationError
 from .runtime import Counters, Simulator
 from .scenario import ScenarioProgram
-from .verify import check_hb_acyclic
+from .verify import check_hb_acyclic, hb_lists_from_trace
 
 MAX_RANKS = 4
 MAX_EVENTS_PER_RANK = 12
@@ -140,8 +146,10 @@ def _state_key(bundle: _Bundle):
     )
 
 
-def _finish_path(result: ExplorationResult, bundle: _Bundle, per_path_check):
-    """Count a terminated path and check it; raises SimulationError."""
+def _finish_path(result: ExplorationResult, bundle: _Bundle, per_path_check, hb_details):
+    """Count a terminated path and check it; raises SimulationError.
+    ``hb_details`` maps each per-rank (group, num) order seen to its
+    happens-before verdict's detail, or to None when it passed."""
     result.paths += 1
     result.max_depth = max(result.max_depth, len(bundle.path))
     coordinator = bundle.sim.coordinator
@@ -159,9 +167,13 @@ def _finish_path(result: ExplorationResult, bundle: _Bundle, per_path_check):
             result.update_bound_worst = max(
                 result.update_bound_worst,
                 counters.target_updates_sent / allowed)
-    verdict = check_hb_acyclic(bundle.sim.trace)
-    if not verdict.passed:
-        raise SimulationError(f"happens-before cycle: {verdict.detail}")
+    trace = bundle.sim.trace
+    order = tuple(map(tuple, hb_lists_from_trace(trace)))
+    if order not in hb_details:
+        verdict = check_hb_acyclic(trace)
+        hb_details[order] = None if verdict.passed else verdict.detail
+    if hb_details[order] is not None:
+        raise SimulationError(f"happens-before cycle: {hb_details[order]}")
     if per_path_check is not None:
         per_path_check(bundle.sim, coordinator)
 
@@ -177,6 +189,7 @@ def explore_small(scenario: ScenarioProgram, algorithm: str = "cc",
 
     result = ExplorationResult()
     visited = set()
+    hb_details = {}  # happens-before input -> failing detail or None (_finish_path)
     stack = []  # (frozen branching node, its actions not yet taken)
     bundle, action = _Bundle.root(scenario, algorithm), None
     while True:
@@ -186,7 +199,7 @@ def explore_small(scenario: ScenarioProgram, algorithm: str = "cc",
             while True:
                 actions = bundle.choices()
                 if not actions:
-                    _finish_path(result, bundle, per_path_check)
+                    _finish_path(result, bundle, per_path_check, hb_details)
                     break
                 if len(actions) > 1:
                     seen = len(visited)

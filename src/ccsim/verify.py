@@ -209,6 +209,13 @@ def check_safe_state(snapshot, trace, scenario="", seed=None) -> Verdict:
             if matches.get(pkey, 0) < count:
                 problems.append(f"{kind} posts unmatched at snapshot: {pkey}")
 
+    groups: dict = {}  # label -> members: each label is parsed once per call
+
+    def members_of_label(label):
+        if label not in groups:
+            groups[label] = GroupKey.from_label(label).members
+        return groups[label]
+
     targets = snapshot.final_targets
     for row in snapshot.per_rank:
         clock = row.get("protocol", {}).get("clock")
@@ -216,13 +223,11 @@ def check_safe_state(snapshot, trace, scenario="", seed=None) -> Verdict:
             continue
         rank = row["rank"]
         for label, tgt in targets.items():
-            members = GroupKey.from_label(label).members
-            if rank in members and clock.get(label, 0) != tgt:
+            if rank in members_of_label(label) and clock.get(label, 0) != tgt:
                 problems.append(f"rank {rank} SEQ {clock.get(label, 0)} != TARGET {tgt} "
                                 f"for group {{{label}}}")
         for label, seq in clock.items():
-            members = GroupKey.from_label(label).members
-            if rank in members and seq > 0 and targets.get(label, 0) != seq:
+            if rank in members_of_label(label) and seq > 0 and targets.get(label, 0) != seq:
                 problems.append(f"rank {rank} group {{{label}}} SEQ {seq} missing from targets")
         for rid, rec in row.get("protocol", {}).get("incomplete_requests", {}).items():
             if rec["state"] not in ("globally_complete", "consumed"):

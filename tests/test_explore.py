@@ -24,6 +24,7 @@ from ccsim.clock import GroupKey
 from ccsim.explore import CKPT_ACTION, ExplorationResult, _Bundle, _finish_path
 from ccsim.runtime import COMPLETE, CONSUMED, PENDING
 from ccsim.scenario import Op
+from ccsim.verify import Verdict, hb_lists_from_trace
 
 from conftest import op_coll, op_icoll, same_member_set_scenario, scenario
 
@@ -203,7 +204,8 @@ def replay_search(sc, algorithm, per_path_check=None):
     """The explorer before it forked nodes: stateless, VeriSoft-style. Each
     stack entry is an action path, replayed on a fresh runtime from the root.
     Kept here as the oracle of explore_small; ``forks`` counts the paths
-    pushed, one per node copy that a search run to its end makes."""
+    pushed, one per node copy that a search run to its end makes. Each path
+    end gets a happens-before memo of its own, so every path runs the check."""
     result, visited, stack = ExplorationResult(), set(), [[]]
     while stack:
         bundle = _Bundle.root(sc, algorithm)
@@ -214,7 +216,7 @@ def replay_search(sc, algorithm, per_path_check=None):
             while True:
                 actions = bundle.choices()
                 if not actions:
-                    _finish_path(result, bundle, per_path_check)
+                    _finish_path(result, bundle, per_path_check, {})
                     break
                 if len(actions) > 1:
                     key = explore._state_key(bundle)
@@ -564,3 +566,46 @@ class TestReplayOracle:
         assert new_ends == old_ends    # every per_path_check call, in the same order
         assert len(new_ends) == new.paths and new.paths + len(new.failures) > 0
         return new
+
+
+class TestHappensBeforeMemo:
+    """explore_small checks happens-before once per distinct per-rank
+    (group, num) order, and every path end still gets that order's verdict."""
+
+    @staticmethod
+    def _counted(monkeypatch, check):
+        orders = []
+
+        def counted(trace, *args):
+            orders.append(tuple(map(tuple, hb_lists_from_trace(trace))))
+            return check(trace, *args)
+
+        monkeypatch.setattr(explore, "check_hb_acyclic", counted)
+        return orders
+
+    @pytest.mark.parametrize("case", range(5), ids=[sc.name for _, sc in criterion5_cases()])
+    def test_one_check_per_distinct_order(self, case, monkeypatch):
+        algorithm, sc = criterion5_cases()[case]
+        orders = self._counted(monkeypatch, explore.check_hb_acyclic)
+        result = explore_small(sc, algorithm)
+        assert result.passed and result.paths > 1
+        # every completed path enters its collectives in program order
+        assert len(orders) == len(set(orders)) == 1
+
+    @pytest.mark.parametrize("algorithm", ["cc", "2pc"])
+    def test_a_failing_check_fails_every_path_as_unmemoised(self, algorithm, monkeypatch):
+        sc = criterion5_case("x-same-set" if algorithm == "cc" else "x-blocking")
+
+        def failing(trace, *args):
+            lists = hb_lists_from_trace(trace)
+            return Verdict("hb_acyclic", False, {"nodes": sum(map(len, lists)),
+                                                 "first": [list(seq[0]) for seq in lists]})
+
+        orders = self._counted(monkeypatch, failing)
+        memoised = explore_small(sc, algorithm)
+        calls = len(orders)
+        unmemoised = replay_search(sc, algorithm)
+        assert memoised.failures == unmemoised.failures
+        assert memoised.failures[0]["error"].startswith("happens-before cycle: {'nodes'")
+        assert calls == len(set(orders)) == 1
+        assert len(orders) - calls == unmemoised.paths > 1

@@ -141,6 +141,34 @@ class TestHappensBeforeReference:
         assert any(found) and not all(found)
 
 
+# Events the check must skip, and detail fields it must not read; the
+# explorer memoises its verdict on the (group, num) lists alone.
+_other_events = st.lists(st.tuples(
+    st.integers(0, 3),
+    st.sampled_from(["coll_return", "icoll_init", "seq_inc", "send_post", "safe_state"]),
+    st.sampled_from(["0,1", "1,2", "0,1,2"]), st.integers(0, 3)), max_size=8)
+
+
+class TestHappensBeforeReadsOnlyItsLists:
+    @given(_hb_sequences, _other_events, st.randoms(use_true_random=False),
+           st.dictionaries(st.sampled_from(["comm", "instance", "value", "step"]),
+                           st.integers(0, 5), max_size=3))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_other_events_and_fields_leave_the_verdict(self, per_rank, others, rng, extra):
+        bare = coll_enters(per_rank)
+        queues = [[ev for ev in bare if ev["rank"] == r] for r in range(len(per_rank))]
+        noisy = []
+        while any(queues):  # ranks interleaved at random, each rank's order kept
+            queue = rng.choice([q for q in queues if q])
+            ev = queue.pop(0)
+            noisy.append(dict(ev, step=len(noisy), detail=dict(extra, **ev["detail"])))
+        for rank, name, group, num in others:
+            noisy.insert(rng.randint(0, len(noisy)), {
+                "step": 0, "rank": rank, "event": name,
+                "detail": {"group": group, "num": num, "comm": "g", "instance": num}})
+        assert check_hb_acyclic(noisy).to_json_line() == check_hb_acyclic(bare).to_json_line()
+
+
 class TestCrossingLegality:
     def _pair_scenario(self, send_pos, recv_pos):
         """Rank 0 sends to rank 1 around a world barrier placed mid-program."""
