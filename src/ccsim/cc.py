@@ -203,7 +203,9 @@ class CollectiveClockProtocol(ProtocolAdapter):
         return initial
 
     def quiescent(self, sim) -> bool:
-        """All ranks parked or finished at their targets, no update in flight."""
+        """All ranks parked or finished at their targets, no update in flight.
+        The one check of the target rule: a rank parks only at its targets,
+        and any applied update raises one and resumes it."""
         for rank in sim.ranks:
             st = self.states[rank.id]
             if rank.stage == FINISHED:
@@ -222,21 +224,6 @@ class CollectiveClockProtocol(ProtocolAdapter):
             raise ProtocolViolationError(f"applied {recv} updates but only {sent} were sent")
         return sent == recv
 
-    def drain(self, sim):
-        """Trace every unconsumed request, which the coordinator has found
-        globally complete; it stays unconsumed for the application."""
-        for rank in sim.ranks:
-            for rid, req in _live_requests(rank):
-                sim.emit(rank.id, "drain_request", request=rid, state=req.state)
-
-    def assert_safe(self, sim):
-        for rank in sim.ranks:
-            st = self.states[rank.id]
-            if not reached_all_targets(st.clock, st.targets, rank.id):
-                raise ProtocolViolationError(
-                    f"rank {rank.id} below target at declared safe state"
-                )
-
     def final_targets(self) -> dict:
         return by_label(reduce(or_, (st.targets for st in self.states), Counter()))
 
@@ -252,7 +239,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
             "incomplete_requests": {
                 rid: {"state": req.state, "payload": req.payload,
                       "op_index": req.op_index}
-                for rid, req in _live_requests(sim.ranks[rank_id])
+                for rid, req in sim.ranks[rank_id].live_requests()
             },
         }
 
@@ -302,8 +289,3 @@ class CollectiveClockProtocol(ProtocolAdapter):
             )
             for st in self.states
         )
-
-
-def _live_requests(rank):
-    """The rank's unconsumed requests, by id."""
-    return sorted((rid, req) for rid, req in rank.requests.items() if req.state != CONSUMED)

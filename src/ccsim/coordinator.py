@@ -253,7 +253,9 @@ class CheckpointCoordinator:
         self.declared = True
         self.declared_step = sim.step
         self._assert_safe(sim)
-        sim.protocol.drain(sim)
+        for rank in sim.ranks:  # a drained request stays unconsumed for the application
+            for rid, req in rank.live_requests():
+                sim.emit(rank.id, "drain_request", request=rid, state=req.state)
         self.final_targets = sim.protocol.final_targets()
         sim.emit(COORD, "safe_state", round=self.round_id, step=sim.step,
                  targets=self.final_targets)
@@ -269,7 +271,8 @@ class CheckpointCoordinator:
 
     def _assert_safe(self, sim):
         """Instance rules only: ``handle_idle`` has just passed the protocol's
-        ``quiescent`` check, which owns the rule on the ranks' stages."""
+        ``quiescent`` check, which owns the rules on the ranks' stages and
+        targets."""
         for inst in sim.instances.values():
             if not inst.entered:
                 continue
@@ -281,7 +284,6 @@ class CheckpointCoordinator:
                 raise ProtocolViolationError(
                     f"instance {inst.describe()} not returned by all members at safe state"
                 )
-        sim.protocol.assert_safe(sim)
 
 
 def build_snapshot(sim, coordinator: CheckpointCoordinator) -> SnapshotImage:
@@ -330,7 +332,8 @@ def make_protocol(algorithm: str):
 
 
 def restart(image: SnapshotImage, seed: int | None = None, record: bool = True) -> Simulator:
-    """Rebuild a running runtime from a snapshot image.
+    """Rebuild a running runtime from a snapshot image, which only a protocol
+    that takes checkpoints writes.
 
     Each rank resumes at its saved program counter, drained requests come
     back globally complete so a later application-side wait returns at once,
@@ -340,6 +343,9 @@ def restart(image: SnapshotImage, seed: int | None = None, record: bool = True) 
         protocol = make_protocol(image.algorithm)
     except SimulationError as exc:
         raise SnapshotLoadError(f"snapshot names an {exc}") from exc
+    if not protocol.supports_checkpoint:
+        raise SnapshotLoadError(f"algorithm {protocol.name!r} takes no checkpoints, "
+                                "so no run writes its snapshot")
     if image.policy != protocol.policy:
         raise SnapshotLoadError(
             f"snapshot policy {image.policy!r} is not {protocol.name!r}'s {protocol.policy!r}")

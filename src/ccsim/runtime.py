@@ -34,7 +34,6 @@ from .errors import (
     DeadlockError,
     InvalidConfigurationError,
     ProtocolViolationError,
-    ScenarioError,
     SimulationError,
     StuckP2pError,
 )
@@ -230,6 +229,10 @@ class RankState:
     def current_op(self) -> Op:
         return self.program[self.pc]
 
+    def live_requests(self) -> list:
+        """The unconsumed requests, as (id, request) pairs sorted by id."""
+        return sorted((rid, req) for rid, req in self.requests.items() if req.state != CONSUMED)
+
     @property
     def finished(self):
         return self.stage == FINISHED
@@ -349,12 +352,6 @@ class ProtocolAdapter:
     def quiescent(self, sim) -> bool:
         """The one safe-state gate, asked whenever no rank can step."""
         self._never("takes checkpoints")
-
-    def drain(self, sim):
-        """Trace the unconsumed requests; the coordinator has checked their instances."""
-
-    def assert_safe(self, sim):
-        """Protocol-specific checks at a declared safe state."""
 
     def final_targets(self) -> dict:
         return {}
@@ -787,11 +784,11 @@ class Simulator:
         self._advance(rank)
 
     def _step_request_op(self, rank: RankState, op: Op):
+        # Every id names a request: validate puts each wait after its icoll,
+        # and cc's restore_rank rebuilds each icoll before the restart pc.
         self.protocol.take_input(self, rank)
         if op.op == "test":
-            req = rank.requests.get(op.request_id)
-            if req is None:
-                raise ScenarioError(f"test on unknown request {op.request_id!r}")
+            req = rank.requests[op.request_id]
             flag = req.testable()
             if flag and req.state == COMPLETE:
                 self._consume(rank, req)
@@ -799,9 +796,6 @@ class Simulator:
                 self.emit(rank.id, "test", request=op.request_id, flag=flag)
             self._advance(rank)
             return
-        for rid in wait_ids(op):
-            if rid not in rank.requests:
-                raise ScenarioError(f"{op.op} on unknown request {rid!r}")
         if self._requests_satisfied(rank):
             self._finish_request_wait(rank)
         else:

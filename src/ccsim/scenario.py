@@ -166,6 +166,13 @@ def _list_of(value, item_type) -> bool:
     return True
 
 
+def _check_str(name: str, value):
+    """Reject a field a dict or set lookup is about to hash unless it has the
+    loader's type, str: an unhashable value would raise a bare TypeError."""
+    if type(value) is not str:
+        raise ScenarioError(f"op field {name!r} cannot be {value!r}")
+
+
 def _json_value(value) -> bool:
     """Whether json writes ``value`` and reads it back equal: dicts with str
     keys, lists and tuples of such values, str, int, bool, None and finite
@@ -430,6 +437,7 @@ class ScenarioProgram:
                     raise ScenarioError(f"request id {op.request_id} reused on rank {op.rank}")
                 known_reqs.add(op.request_id)
         elif op.op == "comm_create":
+            _check_str("new_comm", op.new_comm)
             if op.new_comm not in self.comms:
                 raise ScenarioError(f"comm_create of undeclared {op.new_comm!r}")
             if op.comm != WORLD:
@@ -446,11 +454,12 @@ class ScenarioProgram:
             if op.op == "send" and op.data is None:
                 raise ScenarioError("send needs data")
         elif op.op in ("wait", "test"):
+            _check_str("request_id", op.request_id)
             if op.request_id not in known_reqs:
                 raise ScenarioError(f"{op.op} on unknown request {op.request_id!r}")
         elif op.op in ("waitall", "waitany"):
-            if not op.request_ids or type(op.request_ids) is not list:
-                raise ScenarioError(f"{op.op} needs a list of request_ids, not {op.request_ids!r}")
+            if not op.request_ids or not _list_of(op.request_ids, str):  # before a set lookup
+                raise ScenarioError(f"op field 'request_ids' cannot be {op.request_ids!r}")
             for rid in op.request_ids:
                 if rid not in known_reqs:
                     raise ScenarioError(f"{op.op} on unknown request {rid!r}")
@@ -476,6 +485,7 @@ class ScenarioProgram:
                 )
 
     def _members_checked(self, op: Op):
+        _check_str("comm", op.comm)
         if op.comm == WORLD:
             members = range(self.world_size)  # tests membership like comm_members' tuple
         elif op.comm in self.comms:

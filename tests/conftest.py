@@ -1,6 +1,6 @@
 """Shared scenario builders and manual-driving helpers."""
 
-from ccsim import CheckpointCoordinator, ScenarioProgram, Simulator, make_protocol
+from ccsim import CheckpointCoordinator, ScenarioProgram, Simulator, make_protocol, run
 from ccsim.scenario import Op
 
 
@@ -31,6 +31,18 @@ def drained_request_scenario():
     for r in range(2):
         sc.programs[r] += [op_icoll(r, "q0"), op_coll(r), Op(rank=r, op="wait", request_id="q0")]
     return sc
+
+
+def none_labelled_snapshot():
+    """The cc snapshot that drains q0 in ``drained_request_scenario``, relabelled
+    as algorithm 'none' with its policy and protocol rows: no run writes it, as
+    'none' takes no checkpoints, and its rank 0 would wait on a request that a
+    'none' restart does not rebuild."""
+    image = run(drained_request_scenario(), "cc", seed=3, ckpt=("at_step", 2)).snapshot
+    image.algorithm, image.policy = "none", {}
+    for row in image.per_rank:
+        row["protocol"] = {}
+    return image
 
 
 def same_member_set_scenario():

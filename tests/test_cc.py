@@ -251,7 +251,7 @@ class TestProbeInput:
 
 
 def live_requests(rank):
-    return {rid for rid, req in rank.requests.items() if req.state != CONSUMED}
+    return {rid for rid, _ in rank.live_requests()}
 
 
 class TestRequestBookkeeping:

@@ -11,6 +11,8 @@ import pytest
 from ccsim.cli import main
 from ccsim.coordinator import SnapshotImage
 
+from conftest import none_labelled_snapshot
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -300,6 +302,15 @@ class TestVerifyAndRestart:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert run_cli("restart", "--snapshot-in", str(bad)) == 1
+
+    def test_restart_refuses_an_algorithm_that_takes_no_checkpoints(self, tmp_path, capsys):
+        snap = tmp_path / "none.json"
+        none_labelled_snapshot().dump(snap)
+        assert run_cli("restart", "--snapshot-in", str(snap)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: algorithm 'none' takes no checkpoints, "
+                                "so no run writes its snapshot\n")
 
     def test_snapshot_version_survives_file_roundtrip(self, generated, tmp_path):
         snap = tmp_path / "snap.json"

@@ -19,7 +19,10 @@ from ccsim import (
 from ccsim.runtime import FINISHED, PARKED, STOPPED
 from ccsim.scenario import Op
 
-from conftest import build, drained_request_scenario, drive_held, op_coll, op_icoll, scenario
+from conftest import (
+    build, drained_request_scenario, drive_held, none_labelled_snapshot, op_coll, op_icoll,
+    scenario,
+)
 
 
 def _round_start(world_size, clocks):
@@ -384,6 +387,12 @@ class TestSnapshotImage:
         image = run("fig2", algorithm="2pc", seed=11, ckpt=("at_step", 40)).snapshot
         image.algorithm = "3pc"
         with pytest.raises(SnapshotLoadError, match="unknown algorithm '3pc'"):
+            restart(image)
+
+    def test_restart_refuses_an_algorithm_that_takes_no_checkpoints(self):
+        image = none_labelled_snapshot()
+        message = "^algorithm 'none' takes no checkpoints, so no run writes its snapshot$"
+        with pytest.raises(SnapshotLoadError, match=message):
             restart(image)
 
     def test_restart_rebuilds_identical_group_keys(self):

@@ -295,6 +295,19 @@ ROUND_TRIP_FAULTS = [
     ("request_ids", lambda v: _pair(lambda r: [op_icoll(r, "q0"), Op(rank=r, op="waitall",
                                                                      request_ids=v)]),
      ("q0",), ["q0"]),
+    # a list in a field that validate's dict and set lookups hash raised a bare TypeError
+    ("comm", lambda v: _pair(lambda r: [op_coll(r, comm=v)]), ["world"], "world"),
+    ("comm", lambda v: _pair(lambda r: [Op(rank=0, op="send", peer=1, data=[1], comm=v) if r == 0
+                                        else Op(rank=1, op="recv", peer=0, comm=v)]),
+     ["world"], "world"),
+    ("new_comm", lambda v: ScenarioProgram(world_size=2, comms={"x": (0, 1)}, programs=[
+        [Op(rank=r, op="comm_create", new_comm=v)] for r in range(2)]), ["x"], "x"),
+    ("request_id", lambda v: _pair(lambda r: [op_icoll(r, "q0"), Op(rank=r, op="wait",
+                                                                    request_id=v)]),
+     ["q0"], "q0"),
+    ("request_ids", lambda v: _pair(lambda r: [op_icoll(r, "q0"), Op(rank=r, op="waitany",
+                                                                     request_ids=v)]),
+     [["q0"]], ["q0"]),
     # fields the op's kind leaves unused are written and loaded too
     ("peer", lambda v: _pair(lambda r: [Op(rank=r, op="compute", ticks=1, peer=v)]), True, 3),
     ("new_comm", lambda v: _pair(lambda r: [Op(rank=r, op="compute", ticks=1, new_comm=v)]),
