@@ -7,7 +7,7 @@ it twice with the same seed to show the event log is byte-identical, and once
 with another seed to show only the interleaving changes, never the results.
 """
 
-from ccsim import ScenarioProgram, Simulator, translate_ranks
+from ccsim import ScenarioProgram, Simulator
 from ccsim.scenario import Op
 
 
@@ -36,8 +36,7 @@ def main():
     for cid, record in sorted(sim.comm_records.items()):
         print(f"  {cid}: members {list(record.members)} group {record.key.label()}")
     low = sim.comm_records["low"]
-    print(f"  rank 1 sees 'low' as local rank {low.members.index(1)}, "
-          f"translate_ranks -> {translate_ranks(low)}")
+    print(f"  rank 1 sees 'low' as local rank {low.members.index(1)}")
 
     print("\n== collective results ==")
     for key, inst in sorted(sim.instances.items()):

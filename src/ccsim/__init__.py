@@ -32,7 +32,6 @@ from .runtime import (
     barrier_cost,
     checksum_fold,
     collective_cost,
-    translate_ranks,
 )
 from .scenario import (
     BUILTIN_SCENARIOS,

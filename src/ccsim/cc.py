@@ -209,7 +209,7 @@ class CollectiveClockProtocol(ProtocolAdapter):
         for rank in sim.ranks:
             st = self.states[rank.id]
             if rank.stage == FINISHED:
-                if sim.round_pending and not reached_all_targets(st.clock, st.targets, rank.id):
+                if not reached_all_targets(st.clock, st.targets, rank.id):
                     raise ProtocolViolationError(
                         f"rank {rank.id} finished its program below a target; "
                         "some member runs more collectives on a shared group"

@@ -16,7 +16,6 @@ from . import driver
 from .coordinator import SnapshotImage, TRIGGERS
 from .errors import SimulationError, UnsupportedOperationError
 from .explore import explore_small
-from .metrics import CSV_FIELDS
 from .scenario import BUILTIN_SCENARIOS, generate_workload
 from .verify import check_replay_equivalence
 
@@ -60,17 +59,6 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _metrics_text(reports, fmt):
-    if fmt == "json":
-        return "".join(r.to_json_line() + "\n" for r in reports)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for r in reports:
-        writer.writerow(r.csv_row())
-    return out.getvalue()
-
-
 # ----------------------------------------------------------------- commands
 
 
@@ -101,7 +89,7 @@ def cmd_run(args) -> int:
     if args.trace_out:
         _write_text(args.trace_out, "\n".join(result.trace_lines()) + "\n")
     if args.metrics_out:
-        _write_text(args.metrics_out, _metrics_text([result.metrics], args.format))
+        _write_text(args.metrics_out, result.metrics.to_json_line() + "\n")
     if args.snapshot_out:
         if result.snapshot is None:
             print("no snapshot was taken (no checkpoint placement?)", file=sys.stderr)
@@ -174,7 +162,7 @@ def cmd_restart(args) -> int:
     if args.trace_out:
         _write_text(args.trace_out, "\n".join(result.trace_lines()) + "\n")
     if args.metrics_out:
-        _write_text(args.metrics_out, _metrics_text([result.metrics], args.format))
+        _write_text(args.metrics_out, result.metrics.to_json_line() + "\n")
     for verdict in result.verdicts:
         print(verdict.to_json_line())
     print(json.dumps({"checksums": {str(k): v for k, v in result.checksums.items()}},
@@ -201,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--snapshot-out", default=None)
     p_run.add_argument("--trace-out", default=None)
     p_run.add_argument("--metrics-out", default=None)
-    p_run.add_argument("--format", choices=("json", "csv"), default="json")
     p_run.add_argument("--exhaustive", action="store_true",
                        help="explore every interleaving and checkpoint placement"
                             " (small instances only)")
@@ -239,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--seed", type=int, default=None)
     p_res.add_argument("--trace-out", default=None)
     p_res.add_argument("--metrics-out", default=None)
-    p_res.add_argument("--format", choices=("json", "csv"), default="json")
     p_res.set_defaults(func=cmd_restart)
 
     return parser

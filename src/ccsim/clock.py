@@ -79,9 +79,6 @@ class GroupKey:
         members, _, ordinal = label.partition("#")
         return cls(tuple(int(x) for x in members.split(",")), int(ordinal or 0))
 
-    def __repr__(self):
-        return f"GroupKey({{{self.label()}}})"
-
 
 def by_label(counts) -> dict:
     """A SEQ or TARGET table keyed by group label, in member order."""

@@ -16,6 +16,7 @@ control-plane: it never appears in simulated message counts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .cc import CollectiveClockProtocol
@@ -174,12 +175,18 @@ TRIGGERS = {
 class CheckpointCoordinator:
     """Runs at most one checkpoint round per simulation.
 
-    placement: ("at_step", n) or ("trigger", name) or None. A step placement
-    past the end of the run fires once every rank has finished; a named
-    trigger that never fires is an error.
+    placement: ("at_step", n) or ("trigger", name) or None, checked here
+    once. A step is an int, or ``math.inf`` for the explorer's request at
+    the end of the run. A step placement past the end of the run fires once
+    every rank has finished; a named trigger that never fires is an error.
     """
 
     def __init__(self, placement=None, halt_at_snapshot: bool = False):
+        if placement is not None:
+            kind, arg = placement
+            if not (kind == "at_step" and (type(arg) is int or arg == math.inf)
+                    or kind == "trigger" and type(arg) is str and arg in TRIGGERS):
+                raise SimulationError(f"invalid checkpoint placement {placement!r}")
         self.placement = placement
         self.halt_at_snapshot = halt_at_snapshot
         self.requested = False
@@ -208,11 +215,8 @@ class CheckpointCoordinator:
         if kind == "at_step":
             if sim.step >= arg:
                 self.request_checkpoint(sim)
-        elif kind == "trigger":
-            if TRIGGERS[arg](sim):
-                self.request_checkpoint(sim)
-        else:
-            raise SimulationError(f"unknown placement kind {kind!r}")
+        elif TRIGGERS[arg](sim):
+            self.request_checkpoint(sim)
 
     def request_checkpoint(self, sim) -> int:
         if self.requested:
@@ -270,19 +274,15 @@ class CheckpointCoordinator:
             sim.emit(COORD, "release", round=self.round_id)
 
     def _assert_safe(self, sim):
-        """Instance rules only: ``handle_idle`` has just passed the protocol's
-        ``quiescent`` check, which owns the rules on the ranks' stages and
-        targets."""
+        """The instance rule only: ``handle_idle`` has just passed the
+        protocol's ``quiescent`` check, which owns the rules on the ranks'
+        stages and targets. It holds only while no rank is enabled, so every
+        member has returned from each complete blocking instance; the member
+        that makes an instance enters it in the same step."""
         for inst in sim.instances.values():
-            if not inst.entered:
-                continue
             if not inst.complete:
                 raise ProtocolViolationError(
                     f"instance {inst.describe()} started but incomplete at safe state"
-                )
-            if inst.blocking and inst.returned != set(inst.members):
-                raise ProtocolViolationError(
-                    f"instance {inst.describe()} not returned by all members at safe state"
                 )
 
 

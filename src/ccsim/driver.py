@@ -63,15 +63,10 @@ def resolve_placement(scenario: ScenarioProgram, algorithm: str, seed: int,
     ("random", s) draws a step uniformly from the length of the same run
     without a checkpoint, so the placement is reproducible from s alone.
     """
-    if ckpt is None:
-        return None, None
-    kind, arg = ckpt
-    if kind in ("at_step", "trigger"):
-        return ckpt, None
-    if kind == "random":
-        probe = _execute(scenario, algorithm, seed, None, False, False)
-        return ("at_step", random.Random(arg).randrange(probe.sim.step + 1)), probe.checksums
-    raise SimulationError(f"unknown checkpoint placement {ckpt!r}")
+    if ckpt is None or ckpt[0] != "random":
+        return ckpt, None  # the coordinator checks every other placement
+    probe = _execute(scenario, algorithm, seed, None, False, False)
+    return ("at_step", random.Random(ckpt[1]).randrange(probe.sim.step + 1)), probe.checksums
 
 
 def _execute(scenario, algorithm, seed, placement, halt_at_snapshot, record):

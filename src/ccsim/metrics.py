@@ -17,14 +17,6 @@ from operator import or_
 from .clock import by_label
 from .scenario import encode
 
-CSV_FIELDS = (
-    "scenario", "algorithm", "seed", "steps", "app_messages", "p2p_messages",
-    "protocol_messages", "target_updates_sent", "tpc_barrier_messages",
-    "wrapper_invocations", "collectives_completed", "drain_collectives",
-    "steps_to_safe_state",
-)
-
-
 @dataclass
 class MetricsReport:
     scenario: str
@@ -52,19 +44,6 @@ class MetricsReport:
 
     def to_json_line(self) -> str:
         return encode(self.to_dict())
-
-    def csv_row(self) -> list:
-        row = []
-        for name in CSV_FIELDS:
-            if name in ("scenario", "algorithm", "seed"):
-                row.append(getattr(self, name))
-            elif name == "steps":
-                row.append(self.steps)
-            elif name == "steps_to_safe_state":
-                row.append("" if self.steps_to_safe_state is None else self.steps_to_safe_state)
-            else:
-                row.append(self.counts.get(name, 0))
-        return row
 
 
 def collect_metrics(sim, coordinator=None, placement="") -> MetricsReport:

@@ -114,10 +114,6 @@ class RequestObject:
         self.payload = None
         self.op_index = op_index
 
-    @property
-    def is_null(self):
-        return self.state == CONSUMED
-
     def testable(self):
         """True iff a test would set the completion flag."""
         return self.state in (COMPLETE, CONSUMED)
@@ -128,9 +124,6 @@ class RequestObject:
         twin = RequestObject(self.op_index)
         twin.state, twin.payload = self.state, self.payload
         return twin
-
-    def __repr__(self):
-        return f"RequestObject(pc {self.op_index}:{self.state})"
 
 
 class CommRecord:
@@ -144,18 +137,10 @@ class CommRecord:
         self.members = tuple(members)
         self.key = key
 
-    def __repr__(self):
-        return f"CommRecord({self.comm_id}:{self.members})"
-
 
 def wait_ids(op: Op) -> list:
     """The request ids a wait, waitall or waitany op names, in its order."""
     return [op.request_id] if op.op == "wait" else op.request_ids
-
-
-def translate_ranks(comm: CommRecord) -> list:
-    """World ranks of a communicator's members; purely local, sends nothing."""
-    return list(comm.members)
 
 
 class Instance:
@@ -599,7 +584,7 @@ class Simulator:
         if mode == "waitall":
             return all(rq.testable() for rq in reqs)
         # waitany: satisfied by a completable request, or trivially when all null
-        return any(rq.state == COMPLETE for rq in reqs) or all(rq.is_null for rq in reqs)
+        return any(rq.state == COMPLETE for rq in reqs) or all(rq.state == CONSUMED for rq in reqs)
 
     # ---------------------------------------------------------- stepping
 

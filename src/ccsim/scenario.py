@@ -746,8 +746,6 @@ def _build_workload(seed, params: dict) -> ScenarioProgram:
         rng.shuffle(ranks)
         npairs = max(1, len(ranks) // 4)
         for _ in range(npairs):
-            if len(ranks) < 2:
-                break
             a, b = ranks.pop(), ranks.pop()
             tag = tag_counter[0] % 5
             tag_counter[0] += 1

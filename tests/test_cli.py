@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from ccsim import run_restart
 from ccsim.cli import main
 from ccsim.coordinator import SnapshotImage
 
@@ -37,6 +38,13 @@ class TestGenerate:
             assert run_cli("generate", "--seed", "9", "--ranks", "5",
                            "--ops", "30", "-o", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_stdout_gets_the_file_text(self, tmp_path, capsys):
+        path = tmp_path / "g.jsonl"
+        flags = ("generate", "--seed", "9", "--ranks", "5", "--ops", "30")
+        assert run_cli(*flags, "-o", str(path)) == 0
+        assert run_cli(*flags) == 0
+        assert capsys.readouterr().out == path.read_text()
 
     def test_header_line(self, generated):
         header = json.loads(generated.read_text().splitlines()[0])
@@ -172,6 +180,13 @@ class TestRun:
         assert run_cli("run", "--scenario", str(path), "--algo", algo) == 0
         assert '"pass":false' not in capsys.readouterr().out
 
+    def test_snapshot_out_without_a_placement_fails(self, generated, tmp_path, capsys):
+        snap = tmp_path / "snap.json"
+        assert run_cli("run", "--scenario", str(generated), "--algo", "cc",
+                       "--snapshot-out", str(snap)) == 1
+        assert capsys.readouterr().err == "no snapshot was taken (no checkpoint placement?)\n"
+        assert not snap.exists()
+
     def test_conflicting_placements_fail(self, generated):
         assert run_cli("run", "--scenario", str(generated), "--algo", "cc",
                        "--ckpt-at-step", "1", "--ckpt-random", "2") == 1
@@ -216,6 +231,17 @@ class TestCompare:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         tpc = [r for r in rows if r["algorithm"] == "2pc"]
         assert tpc and all(r.get("error") == "unsupported-operation" for r in tpc)
+
+    def test_placement_adds_a_row_for_each_algorithm_that_checkpoints(self, generated,
+                                                                      tmp_path):
+        out = tmp_path / "cmp.json"
+        assert run_cli("compare", "--scenario", str(generated), "--seeds", "1",
+                       "--ckpt-at-step", "30", "--metrics-out", str(out)) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["algorithm"], r["placement"]) for r in rows] == [
+            ("none", ""), ("cc", ""), ("cc", "('at_step', 30)"),
+            ("2pc", ""), ("2pc", "('at_step', 30)")]
+        assert all(r["ok"] for r in rows)
 
     def test_empty_seed_list_empty_table(self, generated, tmp_path):
         out = tmp_path / "cmp.json"
@@ -297,6 +323,18 @@ class TestVerifyAndRestart:
         out = capsys.readouterr().out
         checksums = json.loads(out.strip().splitlines()[-1])["checksums"]
         assert len(checksums) == 6
+
+    def test_restart_writes_trace_and_metrics(self, generated, tmp_path):
+        snap, trace, metrics = (tmp_path / name for name in ("snap.json", "t.jsonl", "m.json"))
+        assert run_cli("run", "--scenario", str(generated), "--algo", "cc",
+                       "--seed", "3", "--ckpt-at-step", "40",
+                       "--snapshot-out", str(snap)) == 0
+        assert run_cli("restart", "--snapshot-in", str(snap), "--trace-out", str(trace),
+                       "--metrics-out", str(metrics)) == 0
+        result = run_restart(SnapshotImage.load(snap))
+        assert trace.read_text() == "\n".join(result.trace_lines()) + "\n"
+        assert metrics.read_text() == result.metrics.to_json_line() + "\n"
+        assert json.loads(metrics.read_text())["placement"] == "restart"
 
     def test_restart_corrupt_snapshot_fails(self, tmp_path):
         bad = tmp_path / "bad.json"

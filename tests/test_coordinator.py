@@ -1,6 +1,7 @@
 """Checkpoint rounds, targets, snapshots, restart."""
 
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from ccsim import (
     GroupKey,
     ProtocolViolationError,
+    SimulationError,
     SnapshotImage,
     SnapshotLoadError,
+    UnsupportedOperationError,
     by_label,
     generate_workload,
     restart,
@@ -169,6 +172,27 @@ class TestRounds:
         with pytest.raises(UnsupportedOperationError):
             CheckpointCoordinator(("at_step", 0)).request_checkpoint(sim)
 
+    @pytest.mark.parametrize("placement", [("trigger", "nope"), ("at_step", "x"), ("later", 3)],
+                             ids=["unknown-trigger", "step-not-an-int", "unknown-kind"])
+    def test_bad_placement_rejected_before_the_first_step(self, placement, monkeypatch):
+        from ccsim import Simulator
+
+        monkeypatch.setattr(Simulator, "run", lambda sim: pytest.fail("the run started"))
+        message = rf"^invalid checkpoint placement {re.escape(repr(placement))}$"
+        with pytest.raises(SimulationError, match=message):
+            run("fig2", "cc", ckpt=placement)
+
+    def test_trigger_needs_the_collective_clock(self):
+        with pytest.raises(UnsupportedOperationError,
+                           match=r"^this trigger requires the collective-clock protocol$"):
+            run("fig2", "2pc", seed=11, ckpt=("trigger", "fig2-instant"))
+
+    def test_trigger_that_never_fires_is_an_error(self):
+        # on seed 3, rank 2 starts its first world collective before rank 0 does
+        with pytest.raises(SimulationError,
+                           match=r"^checkpoint trigger 'bcast-started' never fired$"):
+            run("fig2", "cc", seed=3, ckpt=("trigger", "bcast-started"))
+
     def test_fig2_round(self):
         result = run("fig2", algorithm="cc", seed=11, ckpt=("trigger", "fig2-instant"))
         c = result.coordinator
@@ -229,6 +253,16 @@ class TestSnapshotImage:
         obj["version"] = version
         with pytest.raises(SnapshotLoadError, match=f"^unsupported snapshot version {version}$"):
             SnapshotImage.loads(json.dumps(obj))
+
+    def test_load_rejects_json_that_is_not_an_object(self):
+        with pytest.raises(SnapshotLoadError, match=r"^snapshot must be a JSON object$"):
+            SnapshotImage.loads("[1, 2]")
+
+    def test_load_rejects_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "caf\u00e9"}\n'.encode("latin-1"))
+        with pytest.raises(SnapshotLoadError, match=r"^snapshot file is not UTF-8 text: "):
+            SnapshotImage.load(path)
 
     def test_corrupt_image_rejected(self):
         with pytest.raises(SnapshotLoadError):

@@ -50,6 +50,11 @@ class TestBounds:
         with pytest.raises(InvalidConfigurationError):
             explore_small(sc)
 
+    def test_state_bound_fails_the_paths_past_it(self, monkeypatch):
+        monkeypatch.setattr(explore, "MAX_STATES", 2)
+        errors = {f["error"] for f in explore_small(tiny_two_group()).failures}
+        assert errors == {"exploration exceeded 2 distinct states"}
+
 
 class TestExhaustiveCc:
     def test_every_branch_declares_and_stays_acyclic(self):

@@ -10,7 +10,9 @@ from ccsim import (
     CollectiveMismatchError,
     DeadlockError,
     InvalidConfigurationError,
+    ProtocolViolationError,
     ScenarioProgram,
+    SimulationError,
     Simulator,
     SnapshotImage,
     StuckP2pError,
@@ -22,9 +24,9 @@ from ccsim import (
     make_protocol,
     run,
     run_restart,
-    translate_ranks,
 )
-from ccsim.runtime import CONSUMED, PENDING, Instance
+from ccsim import runtime
+from ccsim.runtime import CONSUMED, PENDING, STOPPED, Instance
 from ccsim.scenario import Op
 
 from conftest import (
@@ -48,11 +50,11 @@ def finished_sim(sc, seed=0):
 class TestWorldCreation:
     def test_singleton_world(self):
         sim = Simulator(ScenarioProgram(world_size=1, name="w1"))
-        assert translate_ranks(sim.comm_records["world"]) == [0]
+        assert sim.comm_records["world"].members == (0,)
 
     def test_seven_rank_world(self):
         sim = Simulator(ScenarioProgram(world_size=7, name="w7"))
-        assert translate_ranks(sim.comm_records["world"]) == list(range(7))
+        assert sim.comm_records["world"].members == tuple(range(7))
 
     def test_zero_world_rejected(self):
         with pytest.raises(InvalidConfigurationError):
@@ -71,7 +73,7 @@ class TestCommCreate:
         sc = scenario(4, comms={"dup": (0, 1, 2, 3)})
         sim = finished_sim(sc)
         dup = sim.comm_records["dup"]
-        assert translate_ranks(dup) == [0, 1, 2, 3]
+        assert dup.members == (0, 1, 2, 3)
         world = sim.comm_records["world"].key
         # same member set, its own clock identity: the second communicator over it
         assert dup.key.members == world.members
@@ -80,19 +82,12 @@ class TestCommCreate:
     def test_subset_translation(self):
         sc = scenario(7, comms={"mid": (3, 4, 5)})
         sim = finished_sim(sc)
-        assert translate_ranks(sim.comm_records["mid"]) == [3, 4, 5]
+        assert sim.comm_records["mid"].members == (3, 4, 5)
 
     def test_singleton_subcommunicator(self):
         sc = scenario(2, comms={"solo": (1,)})
         sim = finished_sim(sc)
-        assert translate_ranks(sim.comm_records["solo"]) == [1]
-
-    def test_translate_ranks_sends_nothing(self):
-        sc = scenario(4, comms={"g": (1, 2)})
-        sim = finished_sim(sc)
-        before = sim.counters.app_messages
-        translate_ranks(sim.comm_records["g"])
-        assert sim.counters.app_messages == before
+        assert sim.comm_records["solo"].members == (1,)
 
     def test_mismatched_subsets_abort(self):
         # two comm ids declared; rank programs pair them up differently so the
@@ -278,6 +273,23 @@ class TestRequestCalls:
             for rank in sim.ranks:
                 assert sorted(rq.state for rq in rank.requests.values()) == [CONSUMED] * 3
 
+    @pytest.mark.parametrize("algorithm", ["none", "cc"])
+    def test_waitany_on_consumed_requests_returns_at_once(self, algorithm):
+        # MPI_Waitany returns MPI_UNDEFINED when every request is null
+        def program(waitany):
+            sc = scenario(2)
+            for r in range(2):
+                sc.programs[r] += [op_icoll(r, "q0"), Op(rank=r, op="wait", request_id="q0")]
+                if waitany:
+                    sc.programs[r].append(Op(rank=r, op="waitany", request_ids=["q0"]))
+            return sc
+
+        result = run(program(waitany=True), algorithm, seed=0)
+        assert result.passed and result.sim.all_finished()
+        events = [ev["event"] for ev in result.sim.trace]
+        assert "waitany_done" not in events and events.count("req_consume") == 2
+        assert result.checksums == run(program(waitany=False), algorithm, seed=0).checksums
+
 
 class TestPointToPoint:
     def test_send_recv_delivers(self):
@@ -413,6 +425,31 @@ class TestCostModel:
         assert collective_cost("allreduce", 4) == 6
         assert collective_cost("alltoall", 4) == 12
         assert collective_cost("comm_create", 4) == barrier_cost(4)
+
+    def test_unknown_kind_has_no_cost(self):
+        with pytest.raises(SimulationError, match=r"^no cost model for kind 'scan'$"):
+            collective_cost("scan", 4)
+
+
+class TestDefensiveChecks:
+    def test_a_hook_for_a_stage_the_protocol_never_enters_raises(self):
+        sim = Simulator(scenario(2), make_protocol("cc"))
+        with pytest.raises(ProtocolViolationError, match=r"^protocol 'cc' never inserts barriers$"):
+            sim.protocol.barrier_step(sim, sim.ranks[0])
+        sim = Simulator(scenario(2))
+        with pytest.raises(ProtocolViolationError,
+                           match=r"^protocol 'none' never takes checkpoints$"):
+            sim.protocol.quiescent(sim)
+
+    def test_step_budget(self, monkeypatch):
+        monkeypatch.setattr(runtime, "MAX_STEPS", 3)
+        sc = scenario(1)
+        sc.programs[0].append(Op(rank=0, op="compute", ticks=4))
+        with pytest.raises(SimulationError, match=r"^step budget 3 exceeded$"):
+            Simulator(sc).run()
+        sc = scenario(1)
+        sc.programs[0].append(Op(rank=0, op="compute", ticks=3))
+        assert Simulator(sc).run().step == 3
 
 
 class TestDeterminism:
@@ -713,6 +750,17 @@ class TestReadySet:
                 assert sim.all_finished()
         assert rounds == 32
 
+    def test_a_woken_rank_that_is_no_longer_enabled_leaves_the_list(self):
+        # No wake disables a ready rank today; the list must drop one if a wake does.
+        sc = scenario(2)
+        for r in range(2):
+            sc.programs[r].append(op_coll(r))
+        sim = Simulator(sc)
+        assert sim.enabled_actors() == [0, 1]
+        sim.ranks[1].stage = STOPPED
+        sim.wake([1])
+        assert sim.enabled_actors() == [0]
+
     def test_explored_reproductions(self):
         # unfenced point-to-point: some checkpoint placements deadlock
         unfenced = scenario(3, comms={"g": (1, 2)})
@@ -727,6 +775,12 @@ class TestReadySet:
 
 class TestTracedAndUntracedAgree:
     """record=False builds no trace events; it must change no exact output."""
+
+    def test_an_untraced_run_has_no_trace_lines(self):
+        sc = scenario(2)
+        for r in range(2):
+            sc.programs[r].append(op_coll(r))
+        assert Simulator(sc, record=False).run().trace_lines() == []
 
     @staticmethod
     def _outputs(result):

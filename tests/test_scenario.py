@@ -17,11 +17,13 @@ from ccsim import (
     Op,
     ScenarioProgram,
     ScenarioError,
+    SimulationError,
     Simulator,
     SnapshotImage,
     builtin_scenario,
     check_crossing_legality,
     generate_workload,
+    load_scenario,
     restart,
     run,
 )
@@ -89,6 +91,13 @@ class TestFormat:
         path = tmp_path / "fig2.jsonl"
         sc.dump(path)
         assert ScenarioProgram.load(path).dumps() == sc.dumps()
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes('{"type":"scenario","version":1,"world_size":1,"name":"caf\u00e9"}\n'
+                         .encode("latin-1"))
+        with pytest.raises(ScenarioError, match=r"^scenario file is not UTF-8 text: "):
+            ScenarioProgram.load(path)
 
 
 def _reference_dumps(sc):
@@ -401,6 +410,24 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=rf"^{op} peer 2 not in g$"):
             sc.validate()
 
+    # well-typed loaded ops that only validate's structural rules reject
+    @pytest.mark.parametrize("comms, ops, message", [
+        ({}, ['{"rank":0,"op":"comm_create","new_comm":"zz"}'], "comm_create of undeclared 'zz'"),
+        ({"g": [0, 1]}, ['{"rank":%d,"op":"comm_create","new_comm":"g","comm":"g"}' % r
+                         for r in range(2)], "comm_create is only supported with parent 'world'"),
+        ({}, ['{"rank":0,"op":"send","peer":1}', '{"rank":1,"op":"recv","peer":0}'],
+         "send needs data"),
+        ({}, ['{"rank":0,"op":"waitall","request_ids":["q9"]}'], "waitall on unknown request 'q9'"),
+        ({}, ['{"rank":0,"op":"coll","kind":"barrier","comm":"nope"}'],
+         "op on undeclared communicator 'nope'"),
+        ({"g": []}, [], "communicator g has no members"),
+    ], ids=["create-undeclared", "create-from-non-world", "send-without-data",
+            "waitall-unknown-request", "undeclared-communicator", "empty-communicator"])
+    def test_loaded_scenario_breaking_a_structural_rule_rejected(self, comms, ops, message):
+        header = json.dumps({"type": "scenario", "version": 1, "world_size": 2, "comms": comms})
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(message)}$"):
+            ScenarioProgram.loads("\n".join([header, *ops]))
+
     @pytest.mark.parametrize("field, make, bad, good", ROUND_TRIP_FAULTS,
                              ids=_case_ids(ROUND_TRIP_FAULTS))
     def test_what_the_writer_cannot_round_trip_is_rejected(self, field, make, bad, good):
@@ -665,6 +692,10 @@ class TestGenerator:
         with pytest.raises(GenerationError):
             generate_workload(0, nonblocking_ratio=1.5)
 
+    def test_zero_ops_rejected(self):
+        with pytest.raises(GenerationError, match=r"^groups must be >= 0 and ops >= 1$"):
+            generate_workload(0, ops=0)
+
     def test_illegal_output_fails_closed(self, monkeypatch):
         from ccsim import scenario as scenario_module
 
@@ -718,3 +749,7 @@ class TestBuiltins:
     def test_unknown_builtin(self):
         with pytest.raises(ScenarioError):
             builtin_scenario("nope")
+
+    def test_spec_that_is_no_name_path_or_program_rejected(self):
+        with pytest.raises(SimulationError, match=r"^cannot interpret scenario spec 42$"):
+            load_scenario(42)
