@@ -167,6 +167,18 @@ TRIGGERS = {
 }
 
 
+def valid_placement(placement) -> bool:
+    """Whether ``placement`` is a pair: ("at_step", n), n an int or
+    ``math.inf``; ("trigger", name) of a known trigger; or ("random", seed),
+    seed an int, which ``driver.resolve_placement`` turns into a step."""
+    if type(placement) is not tuple or len(placement) != 2:
+        return False
+    kind, arg = placement
+    return (kind == "at_step" and (type(arg) is int or arg == math.inf)
+            or kind == "trigger" and type(arg) is str and arg in TRIGGERS
+            or kind == "random" and type(arg) is int)
+
+
 # --------------------------------------------------------------------------
 # The coordinator proper
 # --------------------------------------------------------------------------
@@ -176,17 +188,16 @@ class CheckpointCoordinator:
     """Runs at most one checkpoint round per simulation.
 
     placement: ("at_step", n) or ("trigger", name) or None, checked here
-    once. A step is an int, or ``math.inf`` for the explorer's request at
+    once by ``valid_placement``, the rule the driver's random placements
+    share. A step is an int, or ``math.inf`` for the explorer's request at
     the end of the run. A step placement past the end of the run fires once
     every rank has finished; a named trigger that never fires is an error.
     """
 
     def __init__(self, placement=None, halt_at_snapshot: bool = False):
-        if placement is not None:
-            kind, arg = placement
-            if not (kind == "at_step" and (type(arg) is int or arg == math.inf)
-                    or kind == "trigger" and type(arg) is str and arg in TRIGGERS):
-                raise SimulationError(f"invalid checkpoint placement {placement!r}")
+        if placement is not None and not (valid_placement(placement)
+                                          and placement[0] != "random"):
+            raise SimulationError(f"invalid checkpoint placement {placement!r}")
         self.placement = placement
         self.halt_at_snapshot = halt_at_snapshot
         self.requested = False

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .coordinator import CheckpointCoordinator, SnapshotImage, make_protocol, restart
+from .coordinator import (CheckpointCoordinator, SnapshotImage, make_protocol, restart,
+                          valid_placement)
 from .errors import SimulationError, UnsupportedOperationError
 from .metrics import MetricsReport, collect_metrics
 from .runtime import Simulator
@@ -63,8 +64,8 @@ def resolve_placement(scenario: ScenarioProgram, algorithm: str, seed: int,
     ("random", s) draws a step uniformly from the length of the same run
     without a checkpoint, so the placement is reproducible from s alone.
     """
-    if ckpt is None or ckpt[0] != "random":
-        return ckpt, None  # the coordinator checks every other placement
+    if not (valid_placement(ckpt) and ckpt[0] == "random"):
+        return ckpt, None  # the coordinator takes or rejects every other placement
     probe = _execute(scenario, algorithm, seed, None, False, False)
     return ("at_step", random.Random(ckpt[1]).randrange(probe.sim.step + 1)), probe.checksums
 

@@ -10,7 +10,10 @@ class InvalidConfigurationError(SimulationError):
 
 
 class ScenarioError(SimulationError):
-    """Malformed or internally inconsistent scenario program."""
+    """Malformed or internally inconsistent scenario program. ``at`` is the
+    (rank, pc) of the op that ``validate`` rejected, None for any other fault."""
+
+    at = None
 
 
 class GenerationError(SimulationError):

@@ -10,7 +10,7 @@ two-phase baseline.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from operator import or_
 
@@ -29,21 +29,8 @@ class MetricsReport:
     final_targets: dict = field(default_factory=dict)
     placement: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "placement": self.placement,
-            "steps": self.steps,
-            "counts": dict(sorted(self.counts.items())),
-            "steps_to_safe_state": self.steps_to_safe_state,
-            "final_seq": self.final_seq,
-            "final_targets": self.final_targets,
-        }
-
     def to_json_line(self) -> str:
-        return encode(self.to_dict())
+        return encode(asdict(self))  # sorted keys at every depth
 
 
 def collect_metrics(sim, coordinator=None, placement="") -> MetricsReport:

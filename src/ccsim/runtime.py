@@ -732,11 +732,7 @@ class Simulator:
             self.emit(rank.id, "coll_return", comm=inst.comm_id, instance=inst.index)
         rank.blocked_ref = None
         outcome = self.protocol.finish_collective(self, rank)
-        rank.pc += 1
-        if rank.pc >= len(rank.program):
-            self._finish_rank(rank)
-        else:
-            rank.stage = START
+        self._advance(rank)
         if outcome == PARK and not rank.finished:
             rank.stage = PARKED
             self.emit(rank.id, "park", at="finish", pc=rank.pc)
@@ -788,19 +784,13 @@ class Simulator:
 
     def _finish_request_wait(self, rank: RankState):
         op = rank.program[rank.pc]
-        rids = wait_ids(op)
-        if op.op == "waitany":
-            for rid in rids:
-                req = rank.requests[rid]
-                if req.state == COMPLETE:
-                    self._consume(rank, req)
+        for rid in wait_ids(op):
+            req = rank.requests[rid]
+            if req.state == COMPLETE:
+                self._consume(rank, req)
+                if op.op == "waitany":
                     self.emit(rank.id, "waitany_done", request=rid)
                     break
-        else:
-            for rid in rids:
-                req = rank.requests[rid]
-                if req.state == COMPLETE:
-                    self._consume(rank, req)
         self._advance(rank)
 
     def _consume(self, rank: RankState, req: RequestObject):

@@ -80,16 +80,13 @@ class Op(_PcFacts):
         return obj
 
     @classmethod
-    def from_json_obj(cls, obj: dict, shapes: dict | None = None) -> "Op":
-        """The op of one decoded line. ``shapes`` maps each key order that has
-        passed the name checks to its field types; the checks read only the
-        keys, so ``loads`` passes one table per text and runs them once per
-        key order in it."""
-        if shapes is None:
-            shapes = {}
+    def from_json_obj(cls, obj: dict, shapes: set | None = None) -> "Op":
+        """The op of one decoded line: its field names and its int ``rank``
+        checked, every other field left to ``validate``. ``shapes`` holds each
+        key order that has passed the name checks; they read only the keys, so
+        ``loads`` passes one set per text and runs them once per key order."""
         shape = tuple(obj)
-        wants = shapes.get(shape)
-        if wants is None:
+        if shapes is None or shape not in shapes:
             unknown = obj.keys() - _OP_FIELD_TYPES.keys()
             unknown.discard("type")
             if unknown:
@@ -97,12 +94,10 @@ class Op(_PcFacts):
             for name in _OP_REQUIRED:
                 if name not in obj:
                     raise ScenarioError(f"op has no {name!r} field")
-            wants = tuple(_OP_FIELD_TYPES.get(name) for name in shape)  # None for "type"
-            shapes[shape] = wants
-        for name, value, want in zip(shape, obj.values(), wants):
-            if type(value) is not want and want is not None and not (
-                    value is None and name in _OP_NULLABLE or _typed(value, want)):
-                raise ScenarioError(f"op field {name!r} cannot be {value!r}")
+            if shapes is not None:
+                shapes.add(shape)
+        if type(obj["rank"]) is not int:
+            raise ScenarioError(f"op field 'rank' cannot be {obj['rank']!r}")
         if "type" in obj:
             obj = {k: v for k, v in obj.items() if k != "type"}
         return cls(**obj)
@@ -117,7 +112,6 @@ _OP_FIELD_TYPES = {
 }
 _OP_REQUIRED = ("rank", "op")
 _OP_OPTIONAL = tuple(f.name for f in fields(Op) if f.name not in _OP_REQUIRED)
-_OP_NULLABLE = frozenset(f.name for f in fields(Op) if f.default is None)
 _optional_values = operator.attrgetter(*_OP_OPTIONAL)
 # The one encoder of every exact output (scenario and trace lines, snapshots,
 # metrics, verdicts): sorted keys and compact separators, so a fixed value
@@ -167,8 +161,8 @@ def _list_of(value, item_type) -> bool:
 
 
 def _check_str(name: str, value):
-    """Reject a field a dict or set lookup is about to hash unless it has the
-    loader's type, str: an unhashable value would raise a bare TypeError."""
+    """Reject a field a dict or set lookup is about to hash unless it has its
+    JSON type, str: an unhashable value would raise a bare TypeError."""
     if type(value) is not str:
         raise ScenarioError(f"op field {name!r} cannot be {value!r}")
 
@@ -319,7 +313,8 @@ class ScenarioProgram:
             meta=header.get("meta", {}),
         )
         # Op errors name their 1-based line in the file, blank lines counted.
-        shapes: dict = {}
+        numbers = [[] for _ in range(scenario.world_size)]  # per rank, each op's line
+        shapes: set = set()
         for number, line in enumerate(lines[start + 1:], start + 2):
             if not line.strip():
                 continue
@@ -331,7 +326,14 @@ class ScenarioProgram:
             except ScenarioError as exc:
                 raise ScenarioError(f"line {number}: {exc}") from exc
             scenario.programs[op.rank].append(op)
-        scenario.validate()
+            numbers[op.rank].append(number)
+        try:
+            scenario.validate()
+        except ScenarioError as exc:
+            if exc.at is None:
+                raise
+            rank, pc = exc.at
+            raise ScenarioError(f"line {numbers[rank][pc]}: {exc}") from exc
         return scenario
 
     @classmethod
@@ -380,9 +382,13 @@ class ScenarioProgram:
                 if type(op) is FrozenOp:  # validated, maybe at another pc: check a copy
                     op = program[pc] = Op(op.rank, op.op, *(list(v) if type(v) is tuple else v
                                                             for v in _optional_values(op)))
-                if type(op.rank) is not int or op.rank != rank:
-                    raise ScenarioError(f"op field 'rank' cannot be {op.rank!r} in program {rank}")
-                self._validate_op(op, known_reqs, created_here, creators)
+                try:
+                    if type(op.rank) is not int or op.rank != rank:
+                        raise ScenarioError(f"op field 'rank' cannot be {op.rank!r} in program {rank}")
+                    self._validate_op(op, known_reqs, created_here, creators)
+                except ScenarioError as exc:
+                    exc.at = (rank, pc)
+                    raise
                 if op.op != "comm_create" and op.comm in users:
                     users[op.comm].add(rank)
                 # Freeze each op that passes: its facts hold here even if a later check fails.
@@ -414,9 +420,9 @@ class ScenarioProgram:
         self.__class__ = FrozenScenario
 
     def _validate_op(self, op: Op, known_reqs: set, created_here: set, creators: dict):
-        # The loader's own types for the fields the op's kind uses, so the text
-        # of a frozen scenario loads back: a bool equals an int but is written
-        # as true. A payload is a list of exact ints, what the checksum folds.
+        # The JSON types of the fields the op's kind uses, so the text of a
+        # frozen scenario loads back: a bool equals an int but is written as
+        # true. A payload is a list of exact ints, what the checksum folds.
         if op.data is not None and not _list_of(op.data, int):
             raise ScenarioError(f"op field 'data' cannot be {op.data!r}")
         if type(op.tag) is not int:
@@ -468,8 +474,8 @@ class ScenarioProgram:
                 raise ScenarioError(f"compute needs int ticks >= 1, not {op.ticks!r}")
         else:
             raise ScenarioError(f"unknown op {op.op!r}")
-        # A field the op leaves unused is written too, so it needs the
-        # loader's type unless it keeps its default.
+        # A field the op leaves unused is written too, so it needs its JSON
+        # type unless it keeps its default.
         names, getter, defaults = _UNUSED_FIELDS[
             (op.op, op.kind) if op.op in ("coll", "icoll") else op.op]
         values = getter(op)

@@ -172,8 +172,11 @@ class TestRounds:
         with pytest.raises(UnsupportedOperationError):
             CheckpointCoordinator(("at_step", 0)).request_checkpoint(sim)
 
-    @pytest.mark.parametrize("placement", [("trigger", "nope"), ("at_step", "x"), ("later", 3)],
-                             ids=["unknown-trigger", "step-not-an-int", "unknown-kind"])
+    @pytest.mark.parametrize("placement", [
+        ("trigger", "nope"), ("at_step", "x"), ("later", 3), ("at_step", 1, 2),
+        ("random", None), ("random", 1.5), ("random", True), ("random",),
+    ], ids=["unknown-trigger", "step-not-an-int", "unknown-kind", "three-items",
+            "random-seed-none", "random-seed-float", "random-seed-bool", "random-no-seed"])
     def test_bad_placement_rejected_before_the_first_step(self, placement, monkeypatch):
         from ccsim import Simulator
 
@@ -330,7 +333,7 @@ class TestSnapshotImage:
 
     @pytest.mark.parametrize("old, new, message", [
         ('"world_size":3', '"world_size":2', "line 9: op rank 2 outside world of 2"),
-        ('"barrier"', '"barriex"', "unknown collective kind 'barriex'"),
+        ('"barrier"', '"barriex"', "line 3: unknown collective kind 'barriex'"),
         ('"rank":1', '"rank":7', "line 6: op rank 7 outside world of 3"),
         ('"version":1', '"version":2', "unsupported scenario version 2"),
         ('}\n{"comm"', '\n{"comm"', "line 4: scenario line is not valid JSON: "

@@ -199,9 +199,12 @@ class TestCodec:
     ], ids=["unknown-key", "no-rank", "no-op", "comm-null", "tag-null", "rank-bool",
             "data-str-element", "request-ids-int-element"])
     def test_single_fault_names_its_field(self, line, field):
-        with pytest.raises(ScenarioError, match=f"'{field}'"):
+        if field in ("comm", "tag", "data", "request_ids"):  # typed by validate alone
             Op.from_json_obj(json.loads(line))
-        with pytest.raises(ScenarioError, match=f"line 2: .*'{field}'"):
+        else:
+            with pytest.raises(ScenarioError, match=f"'{field}'"):
+                Op.from_json_obj(json.loads(line))
+        with pytest.raises(ScenarioError, match=f"^line 2: .*'{field}'"):
             ScenarioProgram.loads('{"type":"scenario","version":1,"world_size":1}\n' + line)
 
     @pytest.mark.parametrize("obj", [
@@ -249,7 +252,7 @@ class TestCodec:
             except ScenarioError as exc:
                 return str(exc)
 
-        shapes = {}
+        shapes = set()
         cold = outcome(shapes)
         assert outcome(shapes) == cold and outcome() == cold
         if isinstance(cold, Op):
@@ -259,12 +262,32 @@ class TestCodec:
         text = ('\n{"type":"scenario","version":1,"world_size":2}\n\n'
                 '{"rank":0,"op":"compute","ticks":1}\n  \n'
                 '{"rank":1,"op":"compute","ticks":"3"}\n')
-        with pytest.raises(ScenarioError, match=r"^line 6: op field 'ticks' cannot be '3'$"):
+        with pytest.raises(ScenarioError, match=r"^line 6: compute needs int ticks >= 1, not '3'$"):
             ScenarioProgram.loads(text)
         with pytest.raises(ScenarioError, match=r"^line 4: op rank 5 outside world of 2$"):
             ScenarioProgram.loads(text.replace('"rank":0', '"rank":5'))
         with pytest.raises(ScenarioError, match=r"^line 4: scenario line is not valid JSON"):
             ScenarioProgram.loads(text.replace('"rank":0', '"rank":'))
+
+    def test_every_wrongly_typed_op_field_names_its_line(self):
+        # The reader checks field names and rank; validate types every other
+        # field, and loads names the line of the op it rejected.
+        lines = generate_workload(4, ranks=4, groups=2, ops=20, nonblocking_ratio=0.3,
+                                  p2p_ratio=0.2).dumps().splitlines()
+        cases = 0
+        for number, line in enumerate(lines[1:], 2):
+            obj = json.loads(line)
+            for name, value in obj.items():
+                for wrong in (True, 1.5, 7, "x", [], {}):
+                    if type(wrong) is type(value):
+                        continue
+                    mutated = [*lines]
+                    mutated[number - 1] = json.dumps({**obj, name: wrong})
+                    with pytest.raises(ScenarioError) as exc:
+                        ScenarioProgram.loads("\n".join(mutated))
+                    assert str(exc.value).startswith(f"line {number}: ")
+                    cases += 1
+        assert cases > 500
 
 
 def _pair(ops):
@@ -410,16 +433,20 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=rf"^{op} peer 2 not in g$"):
             sc.validate()
 
-    # well-typed loaded ops that only validate's structural rules reject
+    # well-typed loaded ops that only validate's structural rules reject: an
+    # op's error names its line, a scenario-level error keeps its text
     @pytest.mark.parametrize("comms, ops, message", [
-        ({}, ['{"rank":0,"op":"comm_create","new_comm":"zz"}'], "comm_create of undeclared 'zz'"),
+        ({}, ['{"rank":0,"op":"comm_create","new_comm":"zz"}'],
+         "line 2: comm_create of undeclared 'zz'"),
         ({"g": [0, 1]}, ['{"rank":%d,"op":"comm_create","new_comm":"g","comm":"g"}' % r
-                         for r in range(2)], "comm_create is only supported with parent 'world'"),
+                         for r in range(2)],
+         "line 2: comm_create is only supported with parent 'world'"),
         ({}, ['{"rank":0,"op":"send","peer":1}', '{"rank":1,"op":"recv","peer":0}'],
-         "send needs data"),
-        ({}, ['{"rank":0,"op":"waitall","request_ids":["q9"]}'], "waitall on unknown request 'q9'"),
+         "line 2: send needs data"),
+        ({}, ['{"rank":0,"op":"waitall","request_ids":["q9"]}'],
+         "line 2: waitall on unknown request 'q9'"),
         ({}, ['{"rank":0,"op":"coll","kind":"barrier","comm":"nope"}'],
-         "op on undeclared communicator 'nope'"),
+         "line 2: op on undeclared communicator 'nope'"),
         ({"g": []}, [], "communicator g has no members"),
     ], ids=["create-undeclared", "create-from-non-world", "send-without-data",
             "waitall-unknown-request", "undeclared-communicator", "empty-communicator"])
