@@ -236,7 +236,10 @@ class RankState:
             return f"send to {self.current_op().peer} tag {self.current_op().tag}"
         if stage == BLOCKED_RECV:
             return f"recv from {self.current_op().peer} tag {self.current_op().tag}"
-        return ""
+        # PARKED or STOPPED: the other stages a rank that cannot step has
+        op = self.current_op()
+        what = op.op if op.kind is None else f"{op.op} {op.kind}"
+        return f"round release, at pc {self.pc} {what} on {op.comm}"
 
     def fork(self, memo):
         """A copy for a forked runtime; the program is shared: it is a tuple

@@ -7,9 +7,10 @@ to identical bytes.
 
 A builder appends ops to the per-rank lists, then calls ``validate``. A
 scenario that passes is frozen: it becomes a ``FrozenScenario``, its programs
-tuples of ``FrozenOp``s, its ``comms`` and ``meta`` read-only mappings, and
-any later attribute assignment to it or to an op raises. So it never changes:
-runtimes, snapshots and forks share it without another check or copy.
+tuples of ``FrozenOp``s, its ``comms`` and ``meta`` read-only mappings in key
+order, and any later attribute assignment to it or to an op raises. So it
+never changes: runtimes, snapshots and forks share it without another check
+or copy, and while it lives ``loads`` of the text it wrote returns it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import operator
 import random
+import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 
@@ -26,7 +28,8 @@ from .errors import GenerationError, ScenarioError
 
 SCENARIO_VERSION = 1
 WORLD = "world"
-# The loader builds one program list per rank before it reads any op.
+# The largest world ``validate`` accepts. The loader checks it first, as it
+# builds one program list per rank before it reads any op.
 MAX_WORLD_SIZE = 1024
 
 COLLECTIVE_KINDS = ("barrier", "bcast", "reduce", "allreduce", "gather", "alltoall")
@@ -118,6 +121,11 @@ _optional_values = operator.attrgetter(*_OP_OPTIONAL)
 # always serializes to identical bytes.
 encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _scan_once = json.JSONDecoder().scan_once
+# The text of each live frozen scenario, keyed by that same string, so
+# ``loads`` of a text a live scenario wrote returns that scenario unparsed.
+# ``validate`` rejects every value the writer cannot load back equal, and a
+# frozen scenario never changes, so a parse would give back an equal one.
+_WRITTEN = weakref.WeakValueDictionary()
 
 
 def _unused_fields() -> dict:
@@ -198,9 +206,10 @@ class FrozenDict(dict):
 
 def _freeze(value):
     """``value`` with every nested dict and list made read-only (a list
-    becomes a tuple, which json encodes the same)."""
+    becomes a tuple, which json encodes the same) and every dict in key
+    order, the order its text is written and read back in."""
     if isinstance(value, dict):
-        return FrozenDict({k: _freeze(v) for k, v in value.items()})
+        return FrozenDict({k: _freeze(v) for k, v in sorted(value.items())})
     if isinstance(value, (list, tuple)):
         return tuple(_freeze(v) for v in value)
     return value
@@ -282,10 +291,15 @@ class ScenarioProgram:
         text = "\n".join(lines) + "\n"
         if self.frozen:
             vars(self)["_text"] = text
+            _WRITTEN[text] = self
         return text
 
     @classmethod
     def loads(cls, text: str) -> "ScenarioProgram":
+        if type(text) is str:  # any other value is not a key: parse it for its error
+            live = _WRITTEN.get(text)
+            if live is not None:
+                return live
         lines = text.splitlines()
         start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
         if start is None:
@@ -355,8 +369,9 @@ class ScenarioProgram:
         if self.frozen:
             return
         # Only a header the writer round-trips: json writes True as true, not
-        # 1, and a non-str key as a str.
-        for name, ok in (("world_size", type(self.world_size) is int and self.world_size > 0),
+        # 1, and a non-str key as a str, and the loader refuses a larger world.
+        for name, ok in (("world_size", type(self.world_size) is int
+                          and 0 < self.world_size <= MAX_WORLD_SIZE),
                          ("name", type(self.name) is str),
                          ("meta", isinstance(self.meta, dict) and _json_value(self.meta))):
             if not ok:
@@ -416,7 +431,7 @@ class ScenarioProgram:
                 raise ScenarioError(f"non-members use communicator {cid}: {sorted(used_by - members)}")
 
         vars(self).update(programs=tuple(map(tuple, self.programs)),
-                          comms=FrozenDict(self.comms), meta=_freeze(self.meta))
+                          comms=FrozenDict(sorted(self.comms.items())), meta=_freeze(self.meta))
         self.__class__ = FrozenScenario
 
     def _validate_op(self, op: Op, known_reqs: set, created_here: set, creators: dict):

@@ -406,11 +406,15 @@ class TestBlockReasons:
 
     def test_parked(self):
         assert self._blocked(_item2_scenario(), "cc", ckpt=("at_step", 1)) == [
-            (0, "blocked_recv", "recv from 1 tag 0"), (1, "parked", ""), (2, "parked", "")]
+            (0, "blocked_recv", "recv from 1 tag 0"),
+            (1, "parked", "round release, at pc 1 coll barrier on g"),
+            (2, "parked", "round release, at pc 1 coll barrier on g")]
 
     def test_stopped(self):
         assert self._blocked(_item2_scenario(), "2pc", ckpt=("at_step", 3)) == [
-            (0, "blocked_recv", "recv from 1 tag 0"), (1, "stopped", ""), (2, "stopped", "")]
+            (0, "blocked_recv", "recv from 1 tag 0"),
+            (1, "stopped", "round release, at pc 1 coll barrier on g"),
+            (2, "stopped", "round release, at pc 1 coll barrier on g")]
 
 
 class TestCostModel:
