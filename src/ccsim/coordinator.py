@@ -46,9 +46,7 @@ class SnapshotImage:
     """Whole-run restartable image, serialized as versioned JSON. An image
     shares its scenario with the run that took it: a ``Simulator`` runs only
     validated scenarios, and a validated ``ScenarioProgram`` is frozen, so
-    no write can reach it and its text is encoded once. It is decoded once
-    too: loading an image in a process where the scenario that wrote its
-    text is alive shares that scenario, and any other text is parsed."""
+    no write can reach it and its text is encoded once."""
 
     version: int
     algorithm: str

@@ -239,7 +239,9 @@ class RankState:
         # PARKED or STOPPED: the other stages a rank that cannot step has
         op = self.current_op()
         what = op.op if op.kind is None else f"{op.op} {op.kind}"
-        return f"round release, at pc {self.pc} {what} on {op.comm}"
+        if op.op in ("coll", "icoll", "send", "recv"):  # the ops whose comm is used
+            what += f" on {op.comm}"
+        return f"round release, at pc {self.pc} {what}"
 
     def fork(self, memo):
         """A copy for a forked runtime; the program is shared: it is a tuple

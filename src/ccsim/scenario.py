@@ -7,10 +7,9 @@ to identical bytes.
 
 A builder appends ops to the per-rank lists, then calls ``validate``. A
 scenario that passes is frozen: it becomes a ``FrozenScenario``, its programs
-tuples of ``FrozenOp``s, its ``comms`` and ``meta`` read-only mappings in key
-order, and any later attribute assignment to it or to an op raises. So it
-never changes: runtimes, snapshots and forks share it without another check
-or copy, and while it lives ``loads`` of the text it wrote returns it.
+tuples of ``FrozenOp``s, its ``comms`` and ``meta`` read-only mappings, and
+any later attribute assignment to it or to an op raises. So it never changes:
+runtimes, snapshots and forks share it without another check or copy.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import json
 import math
 import operator
 import random
-import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 
@@ -84,26 +82,8 @@ class Op(_PcFacts):
 
     @classmethod
     def from_json_obj(cls, obj: dict, shapes: set | None = None) -> "Op":
-        """The op of one decoded line: its field names and its int ``rank``
-        checked, every other field left to ``validate``. ``shapes`` holds each
-        key order that has passed the name checks; they read only the keys, so
-        ``loads`` passes one set per text and runs them once per key order."""
-        shape = tuple(obj)
-        if shapes is None or shape not in shapes:
-            unknown = obj.keys() - _OP_FIELD_TYPES.keys()
-            unknown.discard("type")
-            if unknown:
-                raise ScenarioError(f"unknown op fields: {sorted(unknown)}")
-            for name in _OP_REQUIRED:
-                if name not in obj:
-                    raise ScenarioError(f"op has no {name!r} field")
-            if shapes is not None:
-                shapes.add(shape)
-        if type(obj["rank"]) is not int:
-            raise ScenarioError(f"op field 'rank' cannot be {obj['rank']!r}")
-        if "type" in obj:
-            obj = {k: v for k, v in obj.items() if k != "type"}
-        return cls(**obj)
+        """The op of one decoded line; see ``_op_fields``."""
+        return cls(*_op_fields(obj, shapes))
 
 
 # The codec's tables, built once. JSON type of each op field; a pair is a
@@ -116,16 +96,36 @@ _OP_FIELD_TYPES = {
 _OP_REQUIRED = ("rank", "op")
 _OP_OPTIONAL = tuple(f.name for f in fields(Op) if f.name not in _OP_REQUIRED)
 _optional_values = operator.attrgetter(*_OP_OPTIONAL)
+_OP_DEFAULTS = dict(zip(_OP_OPTIONAL, _optional_values(Op(rank=0, op="compute"))))
+_field_items = operator.itemgetter(*_OP_REQUIRED, *_OP_OPTIONAL)
 # The one encoder of every exact output (scenario and trace lines, snapshots,
 # metrics, verdicts): sorted keys and compact separators, so a fixed value
 # always serializes to identical bytes.
 encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _scan_once = json.JSONDecoder().scan_once
-# The text of each live frozen scenario, keyed by that same string, so
-# ``loads`` of a text a live scenario wrote returns that scenario unparsed.
-# ``validate`` rejects every value the writer cannot load back equal, and a
-# frozen scenario never changes, so a parse would give back an equal one.
-_WRITTEN = weakref.WeakValueDictionary()
+
+
+def _op_fields(obj: dict, shapes: set | None = None) -> tuple:
+    """The fields, in ``Op`` order, of the op of one decoded line: its field
+    names and its int ``rank`` checked, every other field left to
+    ``validate``. ``shapes`` holds each key order that has passed the name
+    checks; they read only the keys, so ``loads`` passes one set per text and
+    runs them once per key order. ``Op(*fields)`` builds the op at a quarter
+    of the cost of keywords."""
+    shape = tuple(obj)
+    if shapes is None or shape not in shapes:
+        unknown = obj.keys() - _OP_FIELD_TYPES.keys()
+        unknown.discard("type")
+        if unknown:
+            raise ScenarioError(f"unknown op fields: {sorted(unknown)}")
+        for name in _OP_REQUIRED:
+            if name not in obj:
+                raise ScenarioError(f"op has no {name!r} field")
+        if shapes is not None:
+            shapes.add(shape)
+    if type(obj["rank"]) is not int:
+        raise ScenarioError(f"op field 'rank' cannot be {obj['rank']!r}")
+    return _field_items({**_OP_DEFAULTS, **obj})
 
 
 def _unused_fields() -> dict:
@@ -206,10 +206,9 @@ class FrozenDict(dict):
 
 def _freeze(value):
     """``value`` with every nested dict and list made read-only (a list
-    becomes a tuple, which json encodes the same) and every dict in key
-    order, the order its text is written and read back in."""
+    becomes a tuple, which json encodes the same)."""
     if isinstance(value, dict):
-        return FrozenDict({k: _freeze(v) for k, v in sorted(value.items())})
+        return FrozenDict({k: _freeze(v) for k, v in value.items()})
     if isinstance(value, (list, tuple)):
         return tuple(_freeze(v) for v in value)
     return value
@@ -291,15 +290,10 @@ class ScenarioProgram:
         text = "\n".join(lines) + "\n"
         if self.frozen:
             vars(self)["_text"] = text
-            _WRITTEN[text] = self
         return text
 
     @classmethod
     def loads(cls, text: str) -> "ScenarioProgram":
-        if type(text) is str:  # any other value is not a key: parse it for its error
-            live = _WRITTEN.get(text)
-            if live is not None:
-                return live
         lines = text.splitlines()
         start = next((i for i, ln in enumerate(lines) if ln.strip()), None)
         if start is None:
@@ -328,19 +322,22 @@ class ScenarioProgram:
         )
         # Op errors name their 1-based line in the file, blank lines counted.
         numbers = [[] for _ in range(scenario.world_size)]  # per rank, each op's line
-        shapes: set = set()
+        programs, shapes = scenario.programs, set()
+        seen = {}  # line -> its op's fields: a program repeats many of its lines
         for number, line in enumerate(lines[start + 1:], start + 2):
-            if not line.strip():
-                continue
-            try:
-                op = Op.from_json_obj(_json_line(line), shapes)
-                if not 0 <= op.rank < scenario.world_size:
-                    raise ScenarioError(
-                        f"op rank {op.rank} outside world of {scenario.world_size}")
-            except ScenarioError as exc:
-                raise ScenarioError(f"line {number}: {exc}") from exc
-            scenario.programs[op.rank].append(op)
-            numbers[op.rank].append(number)
+            values = seen.get(line)
+            if values is None:
+                if not line.strip():
+                    continue
+                try:
+                    values = seen[line] = _op_fields(_json_line(line), shapes)
+                    if not 0 <= values[0] < scenario.world_size:
+                        raise ScenarioError(
+                            f"op rank {values[0]} outside world of {scenario.world_size}")
+                except ScenarioError as exc:
+                    raise ScenarioError(f"line {number}: {exc}") from exc
+            programs[values[0]].append(Op(*values))
+            numbers[values[0]].append(number)
         try:
             scenario.validate()
         except ScenarioError as exc:
@@ -376,6 +373,8 @@ class ScenarioProgram:
                          ("meta", isinstance(self.meta, dict) and _json_value(self.meta))):
             if not ok:
                 raise ScenarioError(f"scenario field {name!r} cannot be {getattr(self, name)!r}")
+        if len(self.programs) != self.world_size:  # the reader files ops under ranks < world_size
+            raise ScenarioError(f"{len(self.programs)} programs for a world of {self.world_size}")
         for cid, members in self.comms.items():
             if type(cid) is not str or cid == WORLD:
                 raise ScenarioError(f"communicator id {cid!r} is not a str other than 'world'")
@@ -431,7 +430,7 @@ class ScenarioProgram:
                 raise ScenarioError(f"non-members use communicator {cid}: {sorted(used_by - members)}")
 
         vars(self).update(programs=tuple(map(tuple, self.programs)),
-                          comms=FrozenDict(sorted(self.comms.items())), meta=_freeze(self.meta))
+                          comms=FrozenDict(self.comms), meta=_freeze(self.meta))
         self.__class__ = FrozenScenario
 
     def _validate_op(self, op: Op, known_reqs: set, created_here: set, creators: dict):

@@ -410,6 +410,20 @@ class TestBlockReasons:
             (1, "parked", "round release, at pc 1 coll barrier on g"),
             (2, "parked", "round release, at pc 1 coll barrier on g")]
 
+    def test_parked_before_an_op_with_no_communicator(self):
+        # Rank 2 parks as its first barrier on g returns, before a compute;
+        # rank 1 parks on entering its second barrier.
+        sc = scenario(3, comms={"g": (1, 2)})
+        sc.programs[0].append(Op(rank=0, op="recv", peer=1))
+        for r in (1, 2):
+            sc.programs[r] += [op_coll(r, comm="g"), Op(rank=r, op="compute", ticks=1),
+                               op_coll(r, comm="g")]
+        sc.programs[1].append(Op(rank=1, op="send", peer=0, data=[7]))
+        assert self._blocked(sc, "cc", ckpt=("at_step", 9)) == [
+            (0, "blocked_recv", "recv from 1 tag 0"),
+            (1, "parked", "round release, at pc 3 coll barrier on g"),
+            (2, "parked", "round release, at pc 2 compute")]
+
     def test_stopped(self):
         assert self._blocked(_item2_scenario(), "2pc", ckpt=("at_step", 3)) == [
             (0, "blocked_recv", "recv from 1 tag 0"),

@@ -1,12 +1,9 @@
 """Scenario format, validation, and the workload generator."""
 
 import copy
-import gc
 import json
 import pickle
-import random
 import re
-import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields
 from functools import partial
@@ -30,7 +27,7 @@ from ccsim import (
     restart,
     run,
 )
-from ccsim.scenario import _WRITTEN, BUILTIN_SCENARIOS, _json_line
+from ccsim.scenario import BUILTIN_SCENARIOS, _json_line
 
 from conftest import (
     drained_request_scenario,
@@ -42,19 +39,12 @@ from conftest import (
 )
 
 
-def _decoded(text):
-    """``loads`` of ``text`` down the full parse and ``validate``: no live
-    scenario wrote it with a blank line added, and the reader skips blank
-    lines."""
-    return ScenarioProgram.loads(text + "\n")
-
-
 class TestFormat:
     def test_jsonl_roundtrip_byte_stable(self):
         sc = generate_workload(3, ranks=5, groups=2, ops=30, p2p_ratio=0.2)
         text = sc.dumps()
-        again = _decoded(text)
-        assert again is not sc and again.dumps() == text
+        again = ScenarioProgram.loads(text)
+        assert again.dumps() == text
 
     def test_header_required(self):
         with pytest.raises(ScenarioError):
@@ -176,7 +166,7 @@ class TestCodec:
                                nonblocking_ratio=nb, p2p_ratio=p2p)
         text = sc.dumps()
         assert text == _reference_dumps(sc)
-        assert _decoded(text) == sc and ScenarioProgram.loads(text) is sc
+        assert ScenarioProgram.loads(text) == sc
 
     @pytest.mark.parametrize("make", [
         _every_field_scenario, *(partial(builtin_scenario, name) for name in BUILTIN_SCENARIOS),
@@ -189,7 +179,7 @@ class TestCodec:
         sc.validate()
         text = sc.dumps()
         assert text == _reference_dumps(sc)
-        assert _decoded(text) == sc and ScenarioProgram.loads(text) is sc
+        assert ScenarioProgram.loads(text) == sc
 
     def test_every_optional_field_is_written(self):
         keys = set()
@@ -279,6 +269,32 @@ class TestCodec:
         with pytest.raises(ScenarioError, match=r"^line 4: scenario line is not valid JSON"):
             ScenarioProgram.loads(text.replace('"rank":0', '"rank":'))
 
+    def test_repeated_lines_load_as_ops_of_their_own(self):
+        # The reader decodes a repeated line once; each pc still gets its own
+        # op, with the facts of that pc.
+        sc = scenario(2, comms={"g": (0, 1)})
+        for r in range(2):
+            sc.programs[r] += [op_coll(r, comm="g", data=[5]), op_coll(r, comm="g", data=[5]),
+                               Op(rank=r, op="compute", ticks=2),
+                               Op(rank=r, op="compute", ticks=2)]
+        sc.validate()
+        text = sc.dumps()
+        assert len(set(text.splitlines())) < len(text.splitlines())
+        loaded = ScenarioProgram.loads(text)
+        assert loaded == sc and loaded.dumps() == text
+        for program in loaded.programs:
+            assert len(set(map(id, program))) == len(program)
+            assert [(op.instance, op.num) for op in program] == [
+                (0, 1), (0, 1), (1, 2), (None, None), (None, None)]
+
+    def test_an_error_at_a_repeated_line_names_that_line(self):
+        text = ('{"type":"scenario","version":1,"world_size":2}\n'
+                '{"rank":0,"op":"icoll","kind":"barrier","request_id":"q"}\n\n'
+                '{"rank":1,"op":"icoll","kind":"barrier","request_id":"q"}\n'
+                '{"rank":0,"op":"icoll","kind":"barrier","request_id":"q"}\n')
+        with pytest.raises(ScenarioError, match=r"^line 5: request id q reused on rank 0$"):
+            ScenarioProgram.loads(text)
+
     def test_every_wrongly_typed_op_field_names_its_line(self):
         # The reader checks field names and rank; validate types every other
         # field, and loads names the line of the op it rejected.
@@ -314,6 +330,11 @@ ROUND_TRIP_FAULTS = [
     ("name", lambda v: ScenarioProgram(world_size=2, name=v), 5, "5"),
     ("world_size", lambda v: ScenarioProgram(world_size=v), True, 1),
     ("world_size", lambda v: ScenarioProgram(world_size=v), 1025, 1024),
+    # the writer writes the ops of every program, and the reader files each
+    # op under its rank: a program past the world loads back as no program
+    ("programs", lambda v: ScenarioProgram(world_size=2, programs=v), [[], [], []], [[], []]),
+    ("programs", lambda v: ScenarioProgram(world_size=2, programs=v),
+     [[], [], [Op(rank=2, op="compute", ticks=1)]], [[], [Op(rank=1, op="compute", ticks=1)]]),
     ("meta", lambda v: ScenarioProgram(world_size=2, meta=v), {1: "x"}, {"1": "x"}),
     ("meta", lambda v: ScenarioProgram(world_size=2, meta=v), {"a": {2: 3}}, {"a": {"2": 3}}),
     ("meta", lambda v: ScenarioProgram(world_size=2, meta=v), {"a": [{2: 3}]},
@@ -471,7 +492,7 @@ class TestValidation:
     def test_what_the_writer_cannot_round_trip_is_rejected(self, field, make, bad, good):
         sc = make(good)
         sc.validate()
-        assert _decoded(sc.dumps()) == sc
+        assert ScenarioProgram.loads(sc.dumps()) == sc
         with pytest.raises(ScenarioError, match=rf"\b{re.escape(field)}\b"):
             make(bad).validate()
 
@@ -530,23 +551,6 @@ def _count_checks(monkeypatch):
     monkeypatch.setattr(ScenarioProgram, "validate", counted_validate)
     monkeypatch.setattr(ScenarioProgram, "_validate_op", counted_op)
     return calls
-
-
-def _shared_decode_cases():
-    """The built-in scenarios and a seeded mix of generated ones: blocking
-    only, as 2pc runs them, and with non-blocking collectives for cc."""
-    cases = {name: partial(builtin_scenario, name) for name in BUILTIN_SCENARIOS}
-    rng = random.Random(28)
-    for protocol in ("cc", "2pc") * 4:
-        seed = rng.randrange(2**32)
-        cases[f"{protocol}-{seed}"] = partial(
-            generate_workload, seed, ranks=rng.randint(1, 12), groups=rng.randint(0, 4),
-            ops=rng.randint(1, 120), nonblocking_ratio=0.3 if protocol == "cc" else 0.0,
-            p2p_ratio=rng.choice([0.0, 0.2]))
-    return list(cases.values()), list(cases)
-
-
-_SHARED_DECODE, _SHARED_DECODE_IDS = _shared_decode_cases()
 
 
 class TestFrozen:
@@ -678,71 +682,6 @@ class TestFrozen:
         with pytest.raises(ScenarioError) as via_simulator:
             Simulator(illegal())
         assert str(via_simulator.value) == str(direct.value)
-
-    @pytest.mark.parametrize("make", _SHARED_DECODE, ids=_SHARED_DECODE_IDS)
-    def test_loads_of_a_live_scenarios_text_is_that_scenario(self, make, monkeypatch):
-        sc = make()
-        text = sc.dumps()
-        calls = _count_checks(monkeypatch)
-        assert ScenarioProgram.loads(text) is sc
-        assert calls == {"validate": 0, "op": 0}
-
-    def test_a_snapshot_loaded_where_it_was_taken_shares_the_run_scenario(self, monkeypatch):
-        sc = generate_workload(6, ranks=4, groups=1, ops=24, nonblocking_ratio=0.3)
-        image = run(sc, "cc", seed=2, ckpt=("at_step", 20)).snapshot
-        calls = _count_checks(monkeypatch)
-        assert SnapshotImage.loads(image.dumps()).scenario is sc
-        assert calls == {"validate": 0, "op": 0}
-
-    @pytest.mark.parametrize("make", _SHARED_DECODE, ids=_SHARED_DECODE_IDS)
-    def test_a_dropped_writer_leaves_its_text_to_the_full_parse(self, make, monkeypatch):
-        sc = make()
-        text, twin, writer = sc.dumps(), pickle.loads(pickle.dumps(sc)), weakref.ref(sc)
-        assert _WRITTEN[text] is sc
-        del sc
-        gc.collect()
-        assert writer() is None and text not in _WRITTEN
-        calls = _count_checks(monkeypatch)
-        loaded = ScenarioProgram.loads(text)
-        assert calls["validate"] == 1 and calls["op"] == sum(map(len, twin.programs))
-        assert loaded == twin and loaded is not twin and loaded.dumps() == text
-        assert ScenarioProgram.loads(text) is loaded  # its own dumps() registered it
-
-    def test_a_text_one_blank_line_or_one_byte_off_is_parsed(self):
-        def outcomes(texts, writer=None):
-            found = []
-            for text in texts:
-                try:
-                    loaded = ScenarioProgram.loads(text)
-                except ScenarioError as exc:
-                    found.append(f"error: {exc}")
-                else:
-                    assert loaded is not writer
-                    found.append(loaded.dumps())
-            return found
-
-        sc = generate_workload(5, ranks=3, groups=1, ops=12, nonblocking_ratio=0.3,
-                               p2p_ratio=0.3)
-        text = sc.dumps()
-        lines = text.splitlines(keepends=True)
-        texts = [text + "\n", "\n" + text, "".join([*lines[:2], "\n", *lines[2:]])]
-        for i in range(0, len(text), 7):  # one byte off: another digit, or a space
-            texts.append(text[:i] + ("1" if text[i] == "0" else "0" if text[i].isdigit()
-                                     else " ") + text[i + 1:])
-        assert text not in texts
-        live = outcomes(texts, sc)
-        assert live[:3] == [text] * 3 and any(o.startswith("error: ") for o in live)
-        del sc
-        gc.collect()
-        assert text not in _WRITTEN and outcomes(texts) == live
-
-    def test_live_and_parsed_scenarios_iterate_alike(self):
-        sc = scenario(3, comms={"b": (1, 2), "a": (0, 1)})
-        sc.meta = {"z": 1, "y": {"d": 2, "c": [3]}}
-        sc.validate()
-        parsed = _decoded(sc.dumps())
-        assert list(sc.comms) == list(parsed.comms) == ["a", "b"]
-        assert json.dumps(sc.meta) == json.dumps(parsed.meta) == '{"y": {"c": [3], "d": 2}, "z": 1}'
 
 
 class TestGenerator:
