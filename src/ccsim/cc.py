@@ -36,9 +36,9 @@ from .runtime import (
     RequestObject,
 )
 
-@dataclass
+@dataclass(frozen=True)
 class TargetUpdateMsg:
-    """Rank-to-rank notice that a group's target rose."""
+    """Rank-to-rank notice that a group's target rose; forks share it."""
 
     ggid: GroupKey
     new_target: int
@@ -283,9 +283,6 @@ class CollectiveClockProtocol(ProtocolAdapter):
     def state_key(self):
         # The clocks count wrapped calls, which the ranks' pcs and stages fix.
         return tuple(
-            (
-                frozenset(st.targets.items()),
-                tuple((m.ggid.label(), m.new_target, m.origin) for m in st.update_queue),
-            )
+            (frozenset(st.targets.items()), tuple(st.update_queue))
             for st in self.states
         )

@@ -6,7 +6,7 @@ class SimulationError(Exception):
 
 
 class InvalidConfigurationError(SimulationError):
-    """Bad runtime configuration (world size 0, out-of-range ranks, ...)."""
+    """A valid scenario past the exhaustive explorer's rank or op bounds."""
 
 
 class ScenarioError(SimulationError):

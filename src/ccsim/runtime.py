@@ -32,7 +32,6 @@ from .clock import GroupKey, fnv1a64
 from .errors import (
     CollectiveMismatchError,
     DeadlockError,
-    InvalidConfigurationError,
     ProtocolViolationError,
     SimulationError,
     StuckP2pError,
@@ -51,7 +50,6 @@ BLOCKED_REQ = "blocked_req"
 BLOCKED_SEND = "blocked_send"
 BLOCKED_RECV = "blocked_recv"
 PARKED = "parked"
-STOPPED = "stopped"
 FINISHED = "finished"
 
 # Request states.
@@ -64,7 +62,6 @@ PROCEED = "proceed"
 PARK = "park"
 STOP = "stop"
 BARRIER = "barrier"
-ABORT = "abort"
 
 
 def barrier_cost(n: int) -> int:
@@ -236,7 +233,7 @@ class RankState:
             return f"send to {self.current_op().peer} tag {self.current_op().tag}"
         if stage == BLOCKED_RECV:
             return f"recv from {self.current_op().peer} tag {self.current_op().tag}"
-        # PARKED or STOPPED: the other stages a rank that cannot step has
+        # PARKED: the other stage a rank that cannot step has
         op = self.current_op()
         what = op.op if op.kind is None else f"{op.op} {op.kind}"
         if op.op in ("coll", "icoll", "send", "recv"):  # the ops whose comm is used
@@ -369,8 +366,6 @@ class Simulator:
 
     def __init__(self, scenario: ScenarioProgram, protocol=None, seed: int = 0,
                  record: bool = True):
-        if scenario.world_size < 1:
-            raise InvalidConfigurationError("world size must be >= 1")
         if not scenario.frozen:  # a frozen scenario was validated once and never changes
             scenario.validate()
         self.scenario = scenario
@@ -573,11 +568,10 @@ class Simulator:
             return rank.blocked_ref.complete or rank.blocked_ref.aborted
         if stage == BLOCKED_REQ:
             return self._requests_satisfied(rank) or self.protocol.has_input(self, rank)
-        if stage in (BLOCKED_SEND, BLOCKED_RECV, STOPPED):
-            # the matching peer completes a rendezvous; a stopped rank waits
-            # for the coordinator's release
+        if stage in (BLOCKED_SEND, BLOCKED_RECV):  # the matching peer completes a rendezvous
             return False
-        # PARKED, or FINISHED: schedulable only to absorb late protocol messages
+        # PARKED, or FINISHED: schedulable only to absorb late protocol messages;
+        # a held rank that no input can resume waits for the coordinator's release
         return self.protocol.has_input(self, rank)
 
     def _requests_satisfied(self, rank: RankState) -> bool:
@@ -602,7 +596,7 @@ class Simulator:
                 rank.stage = PARKED
                 self.emit(rank.id, "park", at="begin", pc=rank.pc)
             elif outcome == STOP:
-                rank.stage = STOPPED
+                rank.stage = PARKED
                 self.emit(rank.id, "stop", pc=rank.pc)
             elif outcome == BARRIER:
                 rank.stage = TB_BLOCKED
@@ -745,12 +739,11 @@ class Simulator:
     def _step_trivial_barrier(self, rank: RankState):
         tb = rank.blocked_ref
         outcome = self.protocol.barrier_step(self, rank)
-        if outcome == ABORT:
-            rank.blocked_ref = None
-            rank.stage = STOPPED
+        rank.blocked_ref = None
+        if outcome == STOP:
+            rank.stage = PARKED
             self.emit(rank.id, "tb_abort", comm=tb.comm_id, instance=tb.index, pc=rank.pc)
         else:
-            rank.blocked_ref = None
             self._join_collective(rank, rank.program[rank.pc])
 
     # ------------------------------------------------------ non-blocking
@@ -850,9 +843,9 @@ class Simulator:
             self.emit(rank.id, "rank_finished")
 
     def release_rank(self, rank: RankState):
-        """Coordinator hook: wake a parked or stopped rank after a round."""
+        """Coordinator hook: wake a parked rank after a round."""
         self.wake((rank.id,))
-        if rank.stage in (PARKED, STOPPED):
+        if rank.stage == PARKED:
             rank.stage = START if rank.pc < len(rank.program) else FINISHED
             self.emit(rank.id, "resume")
 

@@ -70,20 +70,12 @@ class Op(_PcFacts):
     new_comm: str | None = None
 
     def to_json_obj(self) -> dict:
+        """The op's line: each field that differs from the default the reader fills in."""
         obj = {"rank": self.rank, "op": self.op}
-        for name, value in zip(_OP_OPTIONAL, _optional_values(self)):
-            if value is not None:
+        for (name, default), value in zip(_OP_DEFAULTS.items(), _optional_values(self)):
+            if value != default:
                 obj[name] = value
-        if obj.get("comm") == WORLD:
-            del obj["comm"]
-        if obj.get("tag") == 0:
-            del obj["tag"]
         return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict, shapes: set | None = None) -> "Op":
-        """The op of one decoded line; see ``_op_fields``."""
-        return cls(*_op_fields(obj, shapes))
 
 
 # The codec's tables, built once. JSON type of each op field; a pair is a
@@ -105,7 +97,7 @@ encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _scan_once = json.JSONDecoder().scan_once
 
 
-def _op_fields(obj: dict, shapes: set | None = None) -> tuple:
+def _op_fields(obj: dict, shapes: set) -> tuple:
     """The fields, in ``Op`` order, of the op of one decoded line: its field
     names and its int ``rank`` checked, every other field left to
     ``validate``. ``shapes`` holds each key order that has passed the name
@@ -113,7 +105,7 @@ def _op_fields(obj: dict, shapes: set | None = None) -> tuple:
     runs them once per key order. ``Op(*fields)`` builds the op at a quarter
     of the cost of keywords."""
     shape = tuple(obj)
-    if shapes is None or shape not in shapes:
+    if shape not in shapes:
         unknown = obj.keys() - _OP_FIELD_TYPES.keys()
         unknown.discard("type")
         if unknown:
@@ -121,8 +113,7 @@ def _op_fields(obj: dict, shapes: set | None = None) -> tuple:
         for name in _OP_REQUIRED:
             if name not in obj:
                 raise ScenarioError(f"op has no {name!r} field")
-        if shapes is not None:
-            shapes.add(shape)
+        shapes.add(shape)
     if type(obj["rank"]) is not int:
         raise ScenarioError(f"op field 'rank' cannot be {obj['rank']!r}")
     return _field_items({**_OP_DEFAULTS, **obj})
@@ -303,20 +294,15 @@ class ScenarioProgram:
             raise ScenarioError("first line must be the scenario header")
         if header.get("version") != SCENARIO_VERSION or type(header["version"]) is not int:
             raise ScenarioError(f"unsupported scenario version {header.get('version')}")
-        if "world_size" not in header:
-            raise ScenarioError("scenario header has no world_size")
-        comms = header.get("comms", {})
-        if (type(header["world_size"]) is not int or type(comms) is not dict
-                or not all(_typed(m, (list, int)) for m in comms.values())
-                or type(header.get("name", "")) is not str
-                or type(header.get("meta", {})) is not dict):
-            raise ScenarioError("scenario header needs an int world_size, comms mapping "
-                                "ids to lists of ranks, a str name and a dict meta")
-        if header["world_size"] > MAX_WORLD_SIZE:
-            raise ScenarioError(f"world_size {header['world_size']} is above {MAX_WORLD_SIZE}")
+        # Only what building the scenario needs; validate checks the rest.
+        world_size, comms = header.get("world_size"), header.get("comms", {})
+        if type(world_size) is not int or world_size > MAX_WORLD_SIZE:
+            raise ScenarioError(f"scenario field 'world_size' cannot be {world_size!r}")
+        if type(comms) is not dict or not all(type(m) is list for m in comms.values()):
+            raise ScenarioError(f"scenario field 'comms' cannot be {comms!r}")
         scenario = ScenarioProgram(
-            world_size=header["world_size"],
-            comms={cid: tuple(m) for cid, m in comms.items()},
+            world_size=world_size,
+            comms=comms,
             name=header.get("name", "unnamed"),
             meta=header.get("meta", {}),
         )
@@ -380,10 +366,10 @@ class ScenarioProgram:
                 raise ScenarioError(f"communicator id {cid!r} is not a str other than 'world'")
             if not members:
                 raise ScenarioError(f"communicator {cid} has no members")
-            if len(set(members)) != len(members):
-                raise ScenarioError(f"communicator {cid} has duplicate members")
             if any(type(r) is not int or not 0 <= r < self.world_size for r in members):
                 raise ScenarioError(f"communicator {cid} member outside world")
+            if len(set(members)) != len(members):  # after the int check: a set hashes each
+                raise ScenarioError(f"communicator {cid} has duplicate members")
 
         creators: dict[str, set] = {cid: set() for cid in self.comms}
         users: dict[str, set] = {cid: set() for cid in self.comms}

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from .errors import SnapshotLoadError, UnsupportedOperationError
 from .runtime import (
-    ABORT,
     BARRIER,
     COORD,
     FINISHED,
+    PARKED,
     Instance,
     PROCEED,
     STOP,
-    STOPPED,
     ProtocolAdapter,
     barrier_cost,
 )
@@ -87,7 +86,7 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
         if tb.aborted:
             self.aborted_barrier_logs[rank.id].append(
                 {"pc": rank.pc, "comm": tb.comm_id, "instance": tb.index})
-            return ABORT
+            return STOP
         return PROCEED
 
     def finish_collective(self, sim, rank):
@@ -113,12 +112,12 @@ class TwoPhaseCommitProtocol(ProtocolAdapter):
         return {}
 
     def quiescent(self, sim) -> bool:
-        return all(r.stage in (STOPPED, FINISHED) for r in sim.ranks)
+        return all(r.stage in (PARKED, FINISHED) for r in sim.ranks)
 
     # ----------------------------------------------------------- snapshot
 
     def snapshot_rank(self, sim, rank_id: int) -> dict:
-        # The coordinator has checked that every rank is stopped or finished.
+        # The coordinator has checked that every rank is parked or finished.
         return {"aborted_barrier_log": list(self.aborted_barrier_logs[rank_id])}
 
     def restore_rank(self, sim, rank, saved: dict):

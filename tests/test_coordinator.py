@@ -19,7 +19,7 @@ from ccsim import (
     run,
     run_restart,
 )
-from ccsim.runtime import FINISHED, PARKED, STOPPED
+from ccsim.runtime import FINISHED, PARKED
 from ccsim.scenario import Op
 
 from conftest import (
@@ -122,7 +122,7 @@ class TestQuiescence:
         assert not sim.protocol.quiescent(sim)
         sim.step_actor(1)
         sim.step_actor(2)
-        assert [r.stage for r in sim.ranks] == [FINISHED, STOPPED, STOPPED]
+        assert [r.stage for r in sim.ranks] == [FINISHED, PARKED, PARKED]
         assert sim.protocol.quiescent(sim)
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from ccsim import (
     CollectiveMismatchError,
     DeadlockError,
-    InvalidConfigurationError,
     ProtocolViolationError,
+    ScenarioError,
     ScenarioProgram,
     SimulationError,
     Simulator,
@@ -26,7 +26,7 @@ from ccsim import (
     run_restart,
 )
 from ccsim import runtime
-from ccsim.runtime import CONSUMED, PENDING, STOPPED, Instance
+from ccsim.runtime import CONSUMED, PARKED, PENDING, Instance
 from ccsim.scenario import Op
 
 from conftest import (
@@ -57,7 +57,7 @@ class TestWorldCreation:
         assert sim.comm_records["world"].members == tuple(range(7))
 
     def test_zero_world_rejected(self):
-        with pytest.raises(InvalidConfigurationError):
+        with pytest.raises(ScenarioError, match="'world_size' cannot be 0"):
             Simulator(ScenarioProgram(world_size=0, name="w0"))
 
     def test_same_seed_identical_logs(self):
@@ -425,10 +425,11 @@ class TestBlockReasons:
             (2, "parked", "round release, at pc 2 compute")]
 
     def test_stopped(self):
+        # A 2pc rank stopped at its next wrapper is parked, as a cc rank is.
         assert self._blocked(_item2_scenario(), "2pc", ckpt=("at_step", 3)) == [
             (0, "blocked_recv", "recv from 1 tag 0"),
-            (1, "stopped", "round release, at pc 1 coll barrier on g"),
-            (2, "stopped", "round release, at pc 1 coll barrier on g")]
+            (1, "parked", "round release, at pc 1 coll barrier on g"),
+            (2, "parked", "round release, at pc 1 coll barrier on g")]
 
 
 class TestCostModel:
@@ -775,7 +776,7 @@ class TestReadySet:
             sc.programs[r].append(op_coll(r))
         sim = Simulator(sc)
         assert sim.enabled_actors() == [0, 1]
-        sim.ranks[1].stage = STOPPED
+        sim.ranks[1].stage = PARKED
         sim.wake([1])
         assert sim.enabled_actors() == [0]
 

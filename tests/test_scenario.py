@@ -27,7 +27,7 @@ from ccsim import (
     restart,
     run,
 )
-from ccsim.scenario import BUILTIN_SCENARIOS, _json_line
+from ccsim.scenario import BUILTIN_SCENARIOS, _json_line, _op_fields
 
 from conftest import (
     drained_request_scenario,
@@ -71,6 +71,21 @@ class TestFormat:
     def test_unreadable_text_rejected(self, text):
         with pytest.raises(ScenarioError):
             ScenarioProgram.loads(text)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({}, r"scenario field 'world_size' cannot be None"),
+        ({"world_size": True}, r"scenario field 'world_size' cannot be True"),
+        ({"world_size": 2, "comms": [[0, 1]]}, r"scenario field 'comms' cannot be \[\[0, 1\]\]"),
+        ({"world_size": 2, "comms": {"g": 0}}, r"scenario field 'comms' cannot be \{'g': 0\}"),
+        ({"world_size": 2, "comms": {"g": [[0], 1]}}, r"communicator g member outside world"),
+        ({"world_size": 2, "name": 5}, r"scenario field 'name' cannot be 5"),
+        ({"world_size": 2, "meta": []}, r"scenario field 'meta' cannot be \[\]"),
+    ], ids=["no-world-size", "world-size-bool", "comms-list", "member-int", "member-list",
+            "name-int", "meta-list"])
+    def test_header_fault_fails_closed(self, fields, message):
+        # The loader checks only what building the scenario needs; validate the rest.
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            ScenarioProgram.loads(json.dumps({"type": "scenario", "version": 1, **fields}))
 
     @pytest.mark.parametrize("version", ["true", "1.0"])
     def test_version_that_only_equals_1_rejected(self, version):
@@ -200,10 +215,10 @@ class TestCodec:
             "data-str-element", "request-ids-int-element"])
     def test_single_fault_names_its_field(self, line, field):
         if field in ("comm", "tag", "data", "request_ids"):  # typed by validate alone
-            Op.from_json_obj(json.loads(line))
+            _op_fields(json.loads(line), set())
         else:
             with pytest.raises(ScenarioError, match=f"'{field}'"):
-                Op.from_json_obj(json.loads(line))
+                _op_fields(json.loads(line), set())
         with pytest.raises(ScenarioError, match=f"^line 2: .*'{field}'"):
             ScenarioProgram.loads('{"type":"scenario","version":1,"world_size":1}\n' + line)
 
@@ -215,7 +230,7 @@ class TestCodec:
     def test_from_json_obj_leaves_its_argument_unchanged(self, obj):
         before = copy.deepcopy(obj)
         try:
-            Op.from_json_obj(obj)
+            _op_fields(obj, set())
         except ScenarioError:
             pass
         assert obj == before and list(obj) == list(before)
@@ -246,15 +261,15 @@ class TestCodec:
                                    optional=dict.fromkeys(_OP_KEYS[2:], _OP_VALUES)))
     @settings(derandomize=True, max_examples=200, deadline=None)
     def test_op_reader_is_the_same_before_and_after_it_knows_a_key_order(self, obj):
-        def outcome(shapes=None):
+        def outcome(shapes):
             try:
-                return Op.from_json_obj(obj, shapes)
+                return Op(*_op_fields(obj, shapes))
             except ScenarioError as exc:
                 return str(exc)
 
         shapes = set()
         cold = outcome(shapes)
-        assert outcome(shapes) == cold and outcome() == cold
+        assert outcome(shapes) == cold and outcome(set()) == cold
         if isinstance(cold, Op):
             assert cold == Op(**{k: v for k, v in obj.items() if k != "type"})
 
@@ -403,6 +418,11 @@ class TestValidation:
     def test_member_outside_world_rejected(self):
         with pytest.raises(ScenarioError):
             ScenarioProgram(world_size=2, comms={"g": (0, 5)}).validate()
+
+    def test_unhashable_member_rejected(self):
+        # The member type check runs before the duplicate check hashes members.
+        with pytest.raises(ScenarioError, match="^communicator g member outside world$"):
+            ScenarioProgram(world_size=2, comms={"g": ([0], 1)}).validate()
 
     def test_use_before_create_rejected(self):
         sc = ScenarioProgram(world_size=2, comms={"g": (0, 1)})

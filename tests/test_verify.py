@@ -210,15 +210,34 @@ class TestCrossingLegality:
             sc = generate_workload(seed, ranks=6, groups=2, ops=40, p2p_ratio=0.4)
             assert check_crossing_legality(sc).passed
 
+    def test_a_violation_names_the_runtime_instance(self):
+        # The ibarrier is world instance 0, so the straddled barrier is instance 1.
+        sc = scenario(2)
+        sc.programs[0] += [op_icoll(0, "q0"), Op(rank=0, op="send", peer=1, data=[1]),
+                           op_coll(0), Op(rank=0, op="wait", request_id="q0")]
+        sc.programs[1] += [op_icoll(1, "q0"), op_coll(1), Op(rank=1, op="recv", peer=0),
+                           Op(rank=1, op="wait", request_id="q0")]
+        sc.validate()
+        assert sc.programs[0][2].instance == sc.programs[1][1].instance == 1
+        assert check_crossing_legality(sc).detail["violations"] == [
+            {"send": [0, 1], "recv": [1, 2], "comm": "world", "instance": 1}]
+
 
 def _reference_crossing_violations(scenario):
     """``check_crossing_legality``'s violations as computed before it found
     each rank's blocking positions in one scan: a rescan of the program for
-    every matched pair and shared communicator."""
+    every matched pair and shared communicator. A violation's instance is
+    the runtime's: the sender's coll, icoll and comm_create calls on the
+    communicator before the straddled call."""
     def blocking_positions(rank, comm_id):
         return [i for i, op in enumerate(scenario.programs[rank])
                 if (op.op == "coll" and op.comm == comm_id)
                 or (op.op == "comm_create" and comm_id == WORLD)]
+
+    def instance(rank, comm_id, pos):
+        return sum(1 for op in scenario.programs[rank][:pos]
+                   if (op.op in ("coll", "icoll") and op.comm == comm_id)
+                   or (op.op == "comm_create" and comm_id == WORLD))
 
     sends, recvs = {}, {}
     for rank, program in enumerate(scenario.programs):
@@ -240,7 +259,7 @@ def _reference_crossing_violations(scenario):
                     a, b = src_positions[k], dst_positions[k]
                     if (send_pos < a and recv_pos > b) or (send_pos > a and recv_pos < b):
                         violations.append({"send": [src, send_pos], "recv": [dst, recv_pos],
-                                           "comm": cid, "instance": k})
+                                           "comm": cid, "instance": instance(src, cid, a)})
     return violations
 
 
