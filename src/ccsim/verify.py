@@ -15,7 +15,6 @@ route to the property it guards:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
@@ -81,28 +80,32 @@ def check_hb_acyclic(trace, scenario="", seed=None) -> Verdict:
 # --------------------------------------------------------------------------
 
 
+def _instance(program, comm_id: str, pc: int) -> int:
+    """The ``Op.instance`` of the call at pc; only a violation reads it."""
+    return sum(op.op in ("coll", "icoll") and op.comm == comm_id
+               or op.op == "comm_create" and comm_id == WORLD for op in program[:pc])
+
+
 def check_crossing_legality(scenario: ScenarioProgram, seed=None) -> Verdict:
     """No matched send/recv pair may straddle a blocking collective instance
     on a communicator containing both endpoints, in either direction.
 
     A channel's k-th send and k-th recv match. With a and b the counts of
     blocking calls each end makes on a shared communicator before its post
-    (a comm_create counts on world), the pair straddles the calls that both
-    ends make from the min(a, b)-th up to the max(a, b)-th. A violation names
-    each by the sender's ``Op.instance``, which counts icolls too.
+    (a comm_create counts on world), the pair straddles the instances that
+    both ends call from min(a, b) up to max(a, b). A violation names each by
+    the sender's ``Op.instance`` number, which counts icolls too.
     """
-    blocking = []  # per rank: comm id -> (pc, instance number) of its blocking calls
+    blocking = []  # per rank: comm id -> pcs of its blocking calls
     channels: dict = {}  # (src, dst, tag, comm) -> (send pcs, recv pcs)
     for rank, program in enumerate(scenario.programs):
         pcs: dict = {}
-        calls = Counter()  # comm id -> the rank's coll, icoll and comm_create calls so far
         for i, op in enumerate(program):
             kind = op.op
-            if kind in ("coll", "icoll", "comm_create"):
-                cid = WORLD if kind == "comm_create" else op.comm
-                if kind != "icoll":
-                    pcs.setdefault(cid, []).append((i, calls[cid]))
-                calls[cid] += 1
+            if kind == "coll":
+                pcs.setdefault(op.comm, []).append(i)
+            elif kind == "comm_create":
+                pcs.setdefault(WORLD, []).append(i)
             elif kind == "send":
                 channels.setdefault((rank, op.peer, op.tag, op.comm), ([], []))[0].append(i)
             elif kind == "recv":
@@ -115,12 +118,12 @@ def check_crossing_legality(scenario: ScenarioProgram, seed=None) -> Verdict:
                             if src in members and dst in members]
         for send_pc, recv_pc in zip(send_pcs, recv_pcs):
             for cid in shared:
-                src_calls, dst_calls = blocking[src].get(cid, ()), blocking[dst].get(cid, ())
-                # (pc,) sorts before every (pc, instance) pair that starts with pc
-                a, b = bisect_left(src_calls, (send_pc,)), bisect_left(dst_calls, (recv_pc,))
-                for k in range(min(a, b), min(max(a, b), len(src_calls), len(dst_calls))):
+                src_pcs, dst_pcs = blocking[src].get(cid, ()), blocking[dst].get(cid, ())
+                a, b = bisect_left(src_pcs, send_pc), bisect_left(dst_pcs, recv_pc)
+                for k in range(min(a, b), min(max(a, b), len(src_pcs), len(dst_pcs))):
+                    instance = _instance(scenario.programs[src], cid, src_pcs[k])
                     violations.append({"send": [src, send_pc], "recv": [dst, recv_pc],
-                                       "comm": cid, "instance": src_calls[k][1]})
+                                       "comm": cid, "instance": instance})
     return Verdict("crossing_legality", not violations,
                    {"violations": violations}, scenario.name, seed)
 
