@@ -66,6 +66,9 @@ def cmd_run(args) -> int:
     placement = _placement_from(args)
     scenario = driver.load_scenario(args.scenario)
     if args.exhaustive:
+        for flag in ("halt_at_snapshot", "snapshot_out", "trace_out", "metrics_out"):
+            if getattr(args, flag):
+                raise SimulationError(f"--{flag.replace('_', '-')} does not apply to --exhaustive")
         if placement is not None and args.algo == "none":
             # the explorer tries every placement itself; a plain run fails the same way
             raise UnsupportedOperationError("algorithm 'none' cannot take checkpoints")

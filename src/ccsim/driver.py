@@ -95,6 +95,7 @@ def run(scenario_spec, algorithm: str = "none", seed: int = 0, ckpt=None,
     takes its first step.
     """
     scenario = load_scenario(scenario_spec)
+    scenario.validate()  # before the crossing check hashes its fields
     verdicts = []
     if checks:
         legality = check_crossing_legality(scenario, seed)

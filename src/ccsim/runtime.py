@@ -334,7 +334,7 @@ class ProtocolAdapter:
     def on_round_start(self, sim) -> dict:
         """Start a round; returns the initial targets, by group label in
         ``clock.by_label``'s order, which the explorer's state key keeps."""
-        return {}
+        self._never("takes checkpoints")
 
     def quiescent(self, sim) -> bool:
         """The one safe-state gate, asked whenever no rank can step."""
@@ -347,10 +347,10 @@ class ProtocolAdapter:
         """Clear round state; the coordinator then releases every rank."""
 
     def snapshot_rank(self, sim, rank_id: int) -> dict:
-        return {}
+        self._never("takes checkpoints")
 
     def restore_rank(self, sim, rank, saved: dict):
-        pass
+        self._never("takes checkpoints")
 
     def state_key(self):
         """Hashable protocol state for the explorer's deduplication."""

@@ -78,13 +78,7 @@ class Op(_PcFacts):
         return obj
 
 
-# The codec's tables, built once. JSON type of each op field; a pair is a
-# list of that element type.
-_OP_FIELD_TYPES = {
-    "rank": int, "op": str, "comm": str, "kind": str, "root": int, "reduce_op": str,
-    "peer": int, "tag": int, "data": (list, int), "request_id": str,
-    "request_ids": (list, str), "ticks": int, "new_comm": str,
-}
+# The codec's tables, built once.
 _OP_REQUIRED = ("rank", "op")
 _OP_OPTIONAL = tuple(f.name for f in fields(Op) if f.name not in _OP_REQUIRED)
 _optional_values = operator.attrgetter(*_OP_OPTIONAL)
@@ -106,8 +100,7 @@ def _op_fields(obj: dict, shapes: set) -> tuple:
     of the cost of keywords."""
     shape = tuple(obj)
     if shape not in shapes:
-        unknown = obj.keys() - _OP_FIELD_TYPES.keys()
-        unknown.discard("type")
+        unknown = obj.keys() - _OP_DEFAULTS.keys() - {*_OP_REQUIRED, "type"}
         if unknown:
             raise ScenarioError(f"unknown op fields: {sorted(unknown)}")
         for name in _OP_REQUIRED:
@@ -140,12 +133,6 @@ def _unused_fields() -> dict:
 
 
 _UNUSED_FIELDS = _unused_fields()
-
-
-def _typed(value, want) -> bool:
-    if isinstance(want, tuple):
-        return _list_of(value, want[1])
-    return type(value) is want
 
 
 def _list_of(value, item_type) -> bool:
@@ -372,7 +359,6 @@ class ScenarioProgram:
                 raise ScenarioError(f"communicator {cid} has duplicate members")
 
         creators: dict[str, set] = {cid: set() for cid in self.comms}
-        users: dict[str, set] = {cid: set() for cid in self.comms}
         for rank, program in enumerate(self.programs):
             known_reqs: set = set()
             created_here: set = set()
@@ -389,8 +375,6 @@ class ScenarioProgram:
                 except ScenarioError as exc:
                     exc.at = (rank, pc)
                     raise
-                if op.op != "comm_create" and op.comm in users:
-                    users[op.comm].add(rank)
                 # Freeze each op that passes: its facts hold here even if a later check fails.
                 op.instance = op.num = None
                 if op.op in ("coll", "icoll", "comm_create"):
@@ -408,12 +392,6 @@ class ScenarioProgram:
             if ranks_seen and set(parent) != ranks_seen:
                 missing = sorted(set(parent) - ranks_seen)
                 raise ScenarioError(f"comm_create({cid}) missing on ranks {missing}")
-            members = set(self.comms[cid])
-            used_by = users[cid]
-            if used_by and not ranks_seen:
-                raise ScenarioError(f"communicator {cid} used but never created")
-            if not used_by <= members:
-                raise ScenarioError(f"non-members use communicator {cid}: {sorted(used_by - members)}")
 
         vars(self).update(programs=tuple(map(tuple, self.programs)),
                           comms=FrozenDict(self.comms), meta=_freeze(self.meta))
@@ -474,21 +452,20 @@ class ScenarioProgram:
                 raise ScenarioError(f"compute needs int ticks >= 1, not {op.ticks!r}")
         else:
             raise ScenarioError(f"unknown op {op.op!r}")
-        # A field the op leaves unused is written too, so it needs its JSON
-        # type unless it keeps its default.
+        # A field the op's kind leaves unused keeps its default.
         names, getter, defaults = _UNUSED_FIELDS[
             (op.op, op.kind) if op.op in ("coll", "icoll") else op.op]
         values = getter(op)
         if values != defaults:
             for name, value, default in zip(names, values, defaults):
-                if value != default and not _typed(value, _OP_FIELD_TYPES[name]):
+                if value != default:
                     raise ScenarioError(f"op field {name!r} cannot be {value!r}")
-        if op.op != "comm_create" and op.comm != WORLD and op.comm not in created_here:
-            # Uses must come after the rank's own creation op.
-            if op.comm in self.comms and op.rank in self.comms[op.comm]:
-                raise ScenarioError(
-                    f"rank {op.rank} uses {op.comm} before its comm_create op"
-                )
+        # Uses must come after the rank's own creation op; only a member's
+        # coll, icoll, send or recv gets here with a comm other than world.
+        if op.comm != WORLD and op.comm not in created_here:
+            raise ScenarioError(
+                f"rank {op.rank} uses {op.comm} before its comm_create op"
+            )
 
     def _members_checked(self, op: Op):
         _check_str("comm", op.comm)

@@ -143,6 +143,18 @@ class TestRun:
         assert out.out == ""
         assert "cannot take checkpoints" in out.err
 
+    @pytest.mark.parametrize("flag", ["--halt-at-snapshot", "--snapshot-out", "--trace-out",
+                                      "--metrics-out"])
+    def test_exhaustive_refuses_the_flags_of_a_single_run(self, flag, tmp_path, capsys):
+        out_path = tmp_path / "out"
+        argv = [flag] if flag == "--halt-at-snapshot" else [flag, str(out_path)]
+        code = run_cli("run", "--scenario", "bcast-invariant2", "--algo", "cc",
+                       "--exhaustive", *argv)
+        assert code == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {flag} does not apply to --exhaustive\n"
+        assert not out_path.exists()
+
     def test_missing_scenario_is_usage_error(self):
         assert run_cli("run", "--scenario", "does-not-exist.jsonl") == 2
 

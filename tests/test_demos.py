@@ -8,7 +8,8 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMOS = ["01_runtime_tour.py", "02_collective_clock_walkthrough.py",
-         "03_overhead_comparison.py", "04_checkpoint_restart.py"]
+         "03_overhead_comparison.py", "04_checkpoint_restart.py",
+         "05_exhaustive_exploration.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

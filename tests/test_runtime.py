@@ -456,9 +456,13 @@ class TestDefensiveChecks:
         with pytest.raises(ProtocolViolationError, match=r"^protocol 'cc' never inserts barriers$"):
             sim.protocol.barrier_step(sim, sim.ranks[0])
         sim = Simulator(scenario(2))
-        with pytest.raises(ProtocolViolationError,
-                           match=r"^protocol 'none' never takes checkpoints$"):
-            sim.protocol.quiescent(sim)
+        for hook in (lambda: sim.protocol.quiescent(sim),
+                     lambda: sim.protocol.on_round_start(sim),
+                     lambda: sim.protocol.snapshot_rank(sim, 0),
+                     lambda: sim.protocol.restore_rank(sim, sim.ranks[0], {})):
+            with pytest.raises(ProtocolViolationError,
+                               match=r"^protocol 'none' never takes checkpoints$"):
+                hook()
 
     def test_step_budget(self, monkeypatch):
         monkeypatch.setattr(runtime, "MAX_STEPS", 3)

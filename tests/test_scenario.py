@@ -388,15 +388,26 @@ ROUND_TRIP_FAULTS = [
                                                                      request_ids=v)]),
      [["q0"]], ["q0"]),
     # fields the op's kind leaves unused are written and loaded too
-    ("peer", lambda v: _pair(lambda r: [Op(rank=r, op="compute", ticks=1, peer=v)]), True, 3),
+    ("peer", lambda v: _pair(lambda r: [Op(rank=r, op="compute", ticks=1, peer=v)]), True, None),
     ("new_comm", lambda v: _pair(lambda r: [Op(rank=r, op="compute", ticks=1, new_comm=v)]),
-     5, "x"),
-    ("comm", lambda v: _pair(lambda r: [Op(rank=r, op="compute", ticks=1, comm=v)]), 5, "x"),
+     5, None),
+    ("comm", lambda v: _pair(lambda r: [Op(rank=r, op="compute", ticks=1, comm=v)]), 5, "world"),
     ("request_ids", lambda v: _pair(lambda r: [Op(rank=r, op="compute", ticks=1,
-                                                  request_ids=v)]), [1], ["q0"]),
-    ("reduce_op", lambda v: _pair(lambda r: [op_coll(r, reduce_op=v)]), 5, "sum"),
+                                                  request_ids=v)]), [1], None),
+    ("reduce_op", lambda v: _pair(lambda r: [op_coll(r, reduce_op=v)]), 5, None),
     ("root", lambda v: _pair(lambda r: [op_coll(r, kind="allreduce", reduce_op="sum",
-                                                root=v, data=[r])]), True, 1),
+                                                root=v, data=[r])]), True, None),
+]
+
+# (field, a value of its JSON type, the fields of both ops of a two-rank
+# scenario): the op's kind leaves the field unused, so only its default passes
+UNUSED_FIELD_FAULTS = [
+    ("peer", 3, {"op": "compute", "ticks": 1, "peer": 3}),
+    ("new_comm", "x", {"op": "compute", "ticks": 1, "new_comm": "x"}),
+    ("comm", "x", {"op": "compute", "ticks": 1, "comm": "x"}),
+    ("request_ids", ["q0"], {"op": "compute", "ticks": 1, "request_ids": ["q0"]}),
+    ("reduce_op", "sum", {"op": "coll", "kind": "barrier", "reduce_op": "sum"}),
+    ("root", 1, {"op": "coll", "kind": "allreduce", "reduce_op": "sum", "root": 1, "data": [1]}),
 ]
 
 
@@ -444,15 +455,35 @@ class TestValidation:
             sc.validate()
 
     def test_nonmember_local_op_on_communicator_rejected(self):
-        # compute names no members, so only the per-communicator user check sees it
+        # compute leaves comm unused, so only world passes
         sc = scenario(3, comms={"g": (0, 1)})
         sc.programs[2].append(Op(rank=2, op="compute", comm="g", ticks=1))
-        with pytest.raises(ScenarioError, match=r"non-members use communicator g: \[2\]"):
+        with pytest.raises(ScenarioError, match=r"^op field 'comm' cannot be 'g'$"):
             sc.validate()
         sc = scenario(3, comms={"g": (0, 1)}, preamble=False)
         sc.programs[2].append(Op(rank=2, op="compute", comm="g", ticks=1))
-        with pytest.raises(ScenarioError, match="communicator g used but never created"):
+        with pytest.raises(ScenarioError, match=r"^op field 'comm' cannot be 'g'$"):
             sc.validate()
+
+    @pytest.mark.parametrize("field, value, op", UNUSED_FIELD_FAULTS,
+                             ids=[case[0] for case in UNUSED_FIELD_FAULTS])
+    def test_a_field_the_kind_leaves_unused_keeps_its_default(self, field, value, op):
+        message = rf"op field {field!r} cannot be {re.escape(repr(value))}$"
+        with pytest.raises(ScenarioError, match="^" + message):
+            _pair(lambda r: [Op(rank=r, **op)]).validate()
+        text = "\n".join(['{"type":"scenario","version":1,"world_size":2}',
+                          *(json.dumps({"rank": r, **op}) for r in range(2))])
+        with pytest.raises(ScenarioError, match="^line 2: " + message):
+            ScenarioProgram.loads(text)
+
+    def test_a_checked_run_validates_before_the_crossing_check(self):
+        # The crossing scan hashes each tag: an unvalidated list tag raised a bare TypeError.
+        sc = scenario(2)
+        sc.programs[0].append(Op(rank=0, op="send", peer=1, tag=[1], data=[1]))
+        sc.programs[1].append(Op(rank=1, op="recv", peer=0, tag=[1]))
+        for checks in (True, False):
+            with pytest.raises(ScenarioError, match=r"^op field 'tag' cannot be \[1\]$"):
+                run(sc, "none", checks=checks)
 
     def test_root_must_be_member(self):
         sc = scenario(3, comms={"g": (0, 1)})

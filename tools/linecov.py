@@ -33,12 +33,6 @@ PACKAGE = os.path.join(ROOT, "src", "ccsim")
 ALLOWED = {
     ("cli.py", "<module>", "sys.exit(main())"):
         "runs only under `python -m ccsim.cli`, which tier-1 starts as a subprocess",
-    ("runtime.py", "on_round_start", "return {}"):
-        "adapter default: the coordinator refuses a round for a protocol without checkpoints",
-    ("runtime.py", "snapshot_rank", "return {}"):
-        "adapter default: no round, so no snapshot, for a protocol without checkpoints",
-    ("runtime.py", "restore_rank", "pass"):
-        "adapter default: restart refuses the image of a protocol without checkpoints",
 }
 
 
